@@ -68,12 +68,14 @@ def _resolve_config(defaults: dict, path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list,
+                    **extra) -> None:
     manifest = {
         "command": command,
         "config": cfg,
         "code_version": __version__,
         "outputs": sorted(outputs),
+        **extra,
     }
     path = out_dir / f"{command}_manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -216,7 +218,11 @@ def cmd_certify(args) -> int:
     )
     print(f"{len(res.rows)} cells solved; {certified} certify entanglement")
     print(f"monotonicity violations: {len(violations)}")
-    _write_manifest(out_dir, "certify", cfg, ["certify.csv"])
+    failed = [
+        {"theta": r["theta"], "p_target": r["p_target"], "reason": r["reason"]}
+        for r in res.rows if r["status"] == "failed"
+    ]
+    _write_manifest(out_dir, "certify", cfg, ["certify.csv"], failed_cells=failed)
     return 0
 
 

@@ -36,7 +36,11 @@ over the K phases therefore maps feasible points to feasible points
 without raising the objective, so the optimum is attained on states
 block-diagonal in N_tot mod K, and varrho_± can be taken block-diagonal in
 (n_1 - n_2) mod K.  The reduction is exact, not a truncation; tests
-compare reduced and unreduced solves.
+compare reduced and unreduced solves.  Both engines work per sector: the
+interior-point engine on sector blocks of its variables, and the splitting
+engine holds rho and its dual variable as sector blocks, applies Phi and
+Phi* through one sector-blocked operator, and clips and projects block by
+block.  Only the reported primal value is evaluated on the full space.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .fock import (
     HermitianBasis,
     TwoModeState,
     hermitian_basis,
-    partial_transpose_matrix,
 )
 from .modes import mode_rotation_unitary
 from .protocol import max_score, qk_matrix
@@ -155,6 +158,72 @@ def _residue_groups(labels: np.ndarray, K: int, reduce: bool) -> list:
     return groups
 
 
+_ZERO = np.zeros(1)
+
+
+def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Where entry (r, c) of a dim x dim matrix sits among the row-major
+    blocks over ``groups`` laid end to end; entries outside every block
+    point at the slot just past the end, which holds a zero."""
+    block = np.full(dim, -1)
+    loc = np.zeros(dim, dtype=int)
+    sizes = np.array([len(g) for g in groups])
+    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    for k, g in enumerate(groups):
+        block[g] = k
+        loc[g] = np.arange(len(g))
+    br, bc = block[r], block[c]
+    pos = offsets[br] + loc[r] * sizes[br] + loc[c]
+    return np.where((br == bc) & (br >= 0), pos, offsets[-1])
+
+
+class _SectorOperator:
+    """Phi(X) = PT(R^T X R) from rho sector blocks to big sector blocks.
+
+    R holds the rows U[embed_idx, :] of the rotation with the face basis
+    folded in, kept on the exact total-number blocks of U.  Rho sector r
+    reaches only the big columns ``cols[r]`` of total number <= 2 n_max in
+    its residues mod K, so R^T X_r R is one small dense product; the partial
+    transpose then moves its entries into the (n1 - n2) mod K sectors of
+    the big space by a fixed gather.  The adjoint is the same gather read
+    backwards followed by R_r (.) R_r^T.
+    """
+
+    def __init__(self, rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
+                 out_space: _BlockSpace, n_max: int, K: int):
+        D1 = 2 * n_max + 1
+        a, b = np.divmod(np.arange(D1 * D1), D1)
+        n_tot = a + b
+        cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
+                for res in in_residues]
+        self.rows = [rows[np.ix_(g, c)] for g, c in zip(in_space.groups, cols)]
+
+        def transposed_pairs(idx):
+            # entry (p, q) of PT(M) is entry ((a_p, b_q), (a_q, b_p)) of M
+            return (a[idx][:, None] * D1 + b[idx][None, :],
+                    a[idx][None, :] * D1 + b[idx][:, None])
+
+        self.fwd = [_flat_positions(cols, D1 * D1, *transposed_pairs(h))
+                    for h in out_space.groups]
+        self.adj = [_flat_positions(out_space.groups, D1 * D1, *transposed_pairs(c))
+                    for c in cols]
+
+    def forward(self, blocks: list) -> list:
+        flat = np.concatenate(
+            [(r.T @ x @ r).ravel() for r, x in zip(self.rows, blocks)] + [_ZERO])
+        return [flat[i] for i in self.fwd]
+
+    def adjoint(self, blocks: list) -> list:
+        flat = np.concatenate([y.ravel() for y in blocks] + [_ZERO])
+        return [r @ flat[i] @ r.T for r, i in zip(self.rows, self.adj)]
+
+
+def _clip_eig(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Clip the spectrum of the symmetric part of m into [lo, hi]."""
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    return (v * np.clip(w, lo, hi)) @ v.T
+
+
 @dataclass
 class SdpSolution:
     """Certified result of one solve.
@@ -197,7 +266,6 @@ class SdpProblem:
     p_target: float
     n_max: int
     basis_small: HermitianBasis
-    basis_large: HermitianBasis
     # internal solver data
     _q_small: np.ndarray = field(repr=False)
     _u_big: np.ndarray = field(repr=False)
@@ -206,12 +274,18 @@ class SdpProblem:
     _big_space: _BlockSpace = field(repr=False)
     _face_basis: np.ndarray | None = field(repr=False)
     _score_active: bool = field(repr=False)
+    # Phi between the sector blocks of the solver variable and of the big
+    # space, and Q on the rho sectors (None when the score is inactive)
+    _op: _SectorOperator = field(repr=False)
+    _q_blocks: list | None = field(repr=False)
     # lazy caches: the interior-point constraint rows scale with the
     # fourth power of the cutoff and are never needed by the splitting
     # engine, and the operator-basis expansion of Q is diagnostic only
     _g_rows: np.ndarray | None = field(default=None, repr=False)
     _t_rows: np.ndarray | None = field(default=None, repr=False)
     _q_vec: np.ndarray | None = field(default=None, repr=False)
+    # the same operator on the whole small and big spaces, one block each
+    _whole_op: _SectorOperator | None = field(default=None, repr=False)
 
     @property
     def q_vec(self) -> np.ndarray:
@@ -245,18 +319,21 @@ class SdpProblem:
             return m
         return self._face_basis.T @ m @ self._face_basis
 
+    def _whole_space_op(self) -> _SectorOperator:
+        if self._whole_op is None:
+            ds, db = self.small_dim, self.big_dim
+            self._whole_op = _SectorOperator(
+                _rotation_rows(self._u_big, self._embed_idx, self.n_max),
+                _BlockSpace(ds, [np.arange(ds)]), [range(self.K)],
+                _BlockSpace(db, [np.arange(db)]), self.n_max, self.K)
+        return self._whole_op
+
     def phi(self, rho_small: np.ndarray) -> np.ndarray:
         """Embed, rotate to the physical basis, partial-transpose."""
-        d1 = self.n_max + 1
-        big = np.zeros((self.big_dim, self.big_dim))
-        big[np.ix_(self._embed_idx, self._embed_idx)] = rho_small
-        m12 = self._u_big.T @ big @ self._u_big
-        return partial_transpose_matrix(m12, 2 * self.n_max + 1).real
+        return self._whole_space_op().forward([rho_small])[0]
 
     def phi_adjoint(self, y_big: np.ndarray) -> np.ndarray:
-        pt = partial_transpose_matrix(y_big, 2 * self.n_max + 1).real
-        rot = self._u_big @ pt @ self._u_big.T
-        return rot[np.ix_(self._embed_idx, self._embed_idx)]
+        return self._whole_space_op().adjoint([y_big])[0]
 
     def expansion_coefficients(self, rho_small: np.ndarray) -> np.ndarray:
         """Coordinates of rho over the product operator basis (B_j x B_k),
@@ -326,39 +403,52 @@ def build_problem(
     a_idx, b_idx = np.divmod(np.arange(D1 * D1), D1)
     big_labels = a_idx - b_idx
 
+    # residue of every solver coordinate; None when face vectors mix
+    # residues, and the face is then a single block
+    dim = ds if face_basis is None else face_basis.shape[1]
+    coord_res = rho_labels % K
     if face_basis is not None:
-        cols = []
-        labels = []
-        homogeneous = True
-        for c in range(face_basis.shape[1]):
+        coord_res = []
+        for c in range(dim):
             sup = np.nonzero(np.abs(face_basis[:, c]) > 1e-11)[0]
             res = set((rho_labels[sup] % K).tolist())
             if len(res) != 1:
-                homogeneous = False
+                coord_res = None
                 break
-            labels.append(res.pop())
-        if homogeneous and symmetry_reduction:
-            rho_space = _BlockSpace(face_basis.shape[1],
-                                    _residue_groups(np.array(labels), K, True))
-        else:
-            rho_space = _BlockSpace(face_basis.shape[1],
-                                    [np.arange(face_basis.shape[1])])
+            coord_res.append(res.pop())
+    if coord_res is None:
+        rho_space = _BlockSpace(dim, [np.arange(dim)])
+        residues = [range(K)]
     else:
-        rho_space = _BlockSpace(ds, _residue_groups(rho_labels, K, symmetry_reduction))
+        coord_res = np.array(coord_res)
+        rho_space = _BlockSpace(dim, _residue_groups(coord_res, K, symmetry_reduction))
+        residues = [set(coord_res[g].tolist()) for g in rho_space.groups]
     big_space = _BlockSpace(D1 * D1, _residue_groups(big_labels, K, symmetry_reduction))
 
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
     embed_idx = np.array([i * D1 + j for i in range(d1) for j in range(d1)])
-
-    basis_small = hermitian_basis(n_max)
-    basis_large = hermitian_basis(2 * n_max)
+    rows = _rotation_rows(u_big, embed_idx, n_max)
+    if face_basis is not None:
+        rows = face_basis.T @ rows
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
-        basis_small=basis_small, basis_large=basis_large,
+        basis_small=hermitian_basis(n_max),
         _q_small=q_small, _u_big=u_big, _embed_idx=embed_idx,
         _rho_space=rho_space, _big_space=big_space,
         _face_basis=face_basis, _score_active=score_active,
+        _op=_SectorOperator(rows, rho_space, residues, big_space, n_max, K),
+        _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
     )
+
+
+def _rotation_rows(u_big: np.ndarray, embed_idx: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows U[embed_idx, :] of the rotation.  U conserves total excitation
+    number, so its entries between different totals are rounding noise and
+    are set to zero."""
+    D1 = 2 * n_max + 1
+    n_tot = np.sum(np.divmod(np.arange(D1 * D1), D1), axis=0)
+    same = n_tot[embed_idx][:, None] == n_tot[None, :]
+    return np.where(same, u_big[embed_idx, :], 0.0)
 
 
 def _q_expansion(prob: SdpProblem) -> np.ndarray:
@@ -463,41 +553,47 @@ def _primal_value(prob: SdpProblem, rho_small: np.ndarray) -> float:
     return 0.5 * (float(np.sum(np.abs(w))) + 1.0)
 
 
-def _dual_bound(prob: SdpProblem, lam_big: np.ndarray) -> float:
-    """Feasible dual value from a matrix Lambda, clipped into [0, 1].
+def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
+    """Feasible dual value from Lambda given as big sector blocks, each
+    clipped into [0, 1].
 
-    z >= min_{rho feasible} <rho, Phi*(Lambda)> for any 0 <= Lambda <= 1;
-    the inner minimum is a one-dimensional concave search over the score
-    multiplier (or a bare smallest eigenvalue when the score constraint is
-    inactive).
+    z >= min_{rho feasible} <rho, Phi*(Lambda)> for any 0 <= Lambda <= 1.
+    Phi*(Lambda) and Q are block-diagonal over the rho sectors, so the inner
+    minimum is a one-dimensional concave search over the score multiplier
+    mu of the smallest eigenvalue over the blocks (or that bare eigenvalue
+    when the score constraint is inactive).  Every mu gives a valid bound;
+    the search only tightens it.
     """
-    m = (lam_big + lam_big.T) / 2.0
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, 1.0)
-    lam = (v * w) @ v.T
-    h_small = prob.phi_adjoint(lam)
-    h = prob.from_state_matrix(h_small)
+    h = prob._op.adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
     if not prob._score_active:
-        return float(np.linalg.eigvalsh(h)[0])
-    qs = prob._q_small
+        return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h)
     p = prob.p_target
 
     def g(mu):
-        return float(np.linalg.eigvalsh(h - mu * qs)[0]) + mu * p
+        return min(float(np.linalg.eigvalsh(hb - mu * qb)[0])
+                   for hb, qb in zip(h, prob._q_blocks)) + mu * p
 
     lo, hi = -1.0, 1.0
     while g(lo + 1e-6 * (hi - lo)) < g(lo) and abs(lo) < 1e8:
         lo *= 2.0
     while g(hi - 1e-6 * (hi - lo)) < g(hi) and abs(hi) < 1e8:
         hi *= 2.0
-    for _ in range(90):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) < g(m2):
-            lo = m1
+    # golden-section search: each step keeps one interior point and its value
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    g1, g2 = g(x1), g(x2)
+    for _ in range(80):
+        if not x1 < x2:
+            break
+        if g1 < g2:
+            lo, x1, g1 = x1, x2, g2
+            x2 = lo + shrink * (hi - lo)
+            g2 = g(x2)
         else:
-            hi = m2
-    return g(0.5 * (lo + hi))
+            hi, x2, g2 = x2, x1, g1
+            x1 = hi - shrink * (hi - lo)
+            g1 = g(x1)
+    return max(g1, g2)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +700,7 @@ def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: boo
         rho_raw = prob.to_state_matrix(rs.full_from_blocks(xr))
         rho_feas = _project_feasible(prob, rho_raw)
         z_up = _primal_value(prob, rho_feas)
-        lam = bs.full_from_blocks([-blk for blk in bs.unpack(y[n_t:])])
+        lam = [-blk for blk in bs.unpack(y[n_t:])]
         z_lb = max(_dual_bound(prob, lam), 1.0)
         if z_up < best["z_up"]:
             best["z_up"], best["rho"] = z_up, rho_feas
@@ -794,60 +890,77 @@ def _block_diag(blocks: list) -> np.ndarray:
 # first-order fallback engine
 
 
-def _project_spectrahedron(prob: SdpProblem, m0: np.ndarray, warm):
-    """Frobenius projection onto {rho >= 0, tr = 1, (score = p)}."""
-    sym = (m0 + m0.T) / 2.0
-    eye = np.eye(sym.shape[0])
+def _simplex_shift(w: np.ndarray) -> float:
+    """The a with sum(max(w - a, 0)) = 1, from the sorted spectrum w."""
+    s = np.sort(w)[::-1]
+    shifts = (np.cumsum(s) - 1.0) / np.arange(1, len(s) + 1)
+    return float(shifts[np.nonzero(s > shifts)[0][-1]])
+
+
+def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
+    """Frobenius projection of rho sector blocks onto {rho >= 0, tr = 1,
+    (score = p)}.
+
+    The projection is (S - a I - b Q)_+ in every block, with multipliers
+    (a, b) shared by all blocks.  Without the score constraint a comes in
+    closed form from the joint spectrum.  With it, (a, b) minimize the
+    convex dual psi = ||(S - a I - b Q)_+||^2 / 2 + a + b p, whose gradient
+    is minus the trace and score residuals h; damped Newton steps take the
+    Hessian from the same eigendecompositions.
+    """
+    sym = [(m + m.T) / 2.0 for m in blocks]
     if not prob._score_active:
-        # 1-D: subtract a * I before the PSD clip; trace is monotone in a
-        def tr_of(a):
-            w = np.linalg.eigvalsh(sym - a * eye)
-            return np.clip(w, 0.0, None).sum()
-        lo, hi = -1.0, 1.0
-        while tr_of(lo) < 1.0:
-            lo *= 2.0
-        while tr_of(hi) > 1.0:
-            hi *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if tr_of(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        a = 0.5 * (lo + hi)
-        w, v = np.linalg.eigh(sym - a * eye)
-        return (v * np.clip(w, 0.0, None)) @ v.T, warm
-    qs = prob._q_small
-    a, b = warm
+        eigs = [np.linalg.eigh(m) for m in sym]
+        a = _simplex_shift(np.concatenate([w for w, _ in eigs]))
+        return [(v * np.clip(w - a, 0.0, None)) @ v.T for w, v in eigs], warm
+    p = prob.p_target
 
     def compute(a, b):
-        w, v = np.linalg.eigh(sym - a * eye - b * qs)
-        wc = np.clip(w, 0.0, None)
-        rho = (v * wc) @ v.T
-        return rho, np.array([np.trace(rho) - 1.0, prob.score_of(rho) - prob.p_target])
+        eigs, h, psi = [], np.array([-1.0, -p]), a + b * p
+        for m, q in zip(sym, prob._q_blocks):
+            w, v = np.linalg.eigh(m - a * np.eye(len(m)) - b * q)
+            qv = v.T @ q @ v
+            wc = np.clip(w, 0.0, None)
+            h += [wc.sum(), wc @ np.diag(qv)]
+            psi += 0.5 * (wc @ wc)
+            eigs.append((w, v, qv))
+        return eigs, h, psi
 
-    rho, h = compute(a, b)
+    def hessian(eigs):
+        # the derivative of f(S) = max(S, 0) along E is V (gam * V^T E V) V^T
+        # in the eigenbasis V of S, with gam the Loewner matrix of divided
+        # differences of f
+        hess = np.zeros((2, 2))
+        for w, _, qv in eigs:
+            pos = w > 0.0
+            gam = (pos[:, None] & pos[None, :]).astype(float)
+            i, j = np.nonzero(pos[:, None] != pos[None, :])
+            gam[i, j] = (np.clip(w[i], 0.0, None) - np.clip(w[j], 0.0, None)) / (w[i] - w[j])
+            dq = np.diag(qv)[pos].sum()
+            hess += [[pos.sum(), dq], [dq, np.sum(gam * qv * qv)]]
+        return hess
+
+    a, b = warm
+    eigs, h, psi = compute(a, b)
     for _ in range(60):
         if np.max(np.abs(h)) < 1e-12:
             break
-        eps = 1e-7
-        _, h_a = compute(a + eps, b)
-        _, h_b = compute(a, b + eps)
-        jac = np.column_stack([(h_a - h) / eps, (h_b - h) / eps])
-        try:
-            step = np.linalg.solve(jac, -h)
-        except np.linalg.LinAlgError:
-            step = -h
+        # the Hessian is singular when every positive eigenvector lies in
+        # one eigenspace of Q; a shift proportional to ||h|| keeps the step
+        # defined and vanishes as h -> 0
+        step = np.linalg.solve(hessian(eigs) + 1e-3 * np.linalg.norm(h) * np.eye(2), h)
         t = 1.0
         for _ in range(30):
-            rho2, h2 = compute(a + t * step[0], b + t * step[1])
-            if np.linalg.norm(h2) < np.linalg.norm(h):
-                a, b, rho, h = a + t * step[0], b + t * step[1], rho2, h2
+            eigs2, h2, psi2 = compute(a + t * step[0], b + t * step[1])
+            # sufficient decrease of psi, or of ||h|| where psi is flat to
+            # rounding near the solution
+            if psi2 <= psi - 1e-4 * t * (h @ step) or np.linalg.norm(h2) < np.linalg.norm(h):
+                a, b, eigs, h, psi = a + t * step[0], b + t * step[1], eigs2, h2, psi2
                 break
             t *= 0.5
         else:
             break
-    return rho, (a, b)
+    return [(v * np.clip(w, 0.0, None)) @ v.T for w, v, _ in eigs], (a, b)
 
 
 def _solve_pdhg(prob: SdpProblem, tol: float, max_iters: int, record_history: bool,
@@ -855,25 +968,23 @@ def _solve_pdhg(prob: SdpProblem, tol: float, max_iters: int, record_history: bo
     """Primal-dual splitting on min_rho max_{|Y|<=1} <Phi(rho), Y>.
 
     The linear map Phi is a Hilbert-Schmidt isometry, so unit step-size
-    products are admissible.  Certificates are harvested periodically from
-    the feasible iterates.  ``warm_start`` may carry (rho, Y, best, history)
-    from another engine.
+    products are admissible.  rho and Y are held as their sector blocks,
+    where the optimum lies (module docstring), so the dual clip and the
+    projection work one block at a time.  Certificates are harvested
+    periodically from the feasible iterates.  ``warm_start`` may carry
+    (rho, Y blocks, best, history) from another engine; rho is pinched to
+    its sector blocks.
     """
-    ds = prob.small_dim
-    db = prob.big_dim
-    if prob._face_basis is not None:
-        dim = prob._face_basis.shape[1]
-    else:
-        dim = ds
+    rs, bs, op = prob._rho_space, prob._big_space, prob._op
     if warm_start is not None:
         rho, y_big, best, history = warm_start
-        rho = prob.from_state_matrix(rho)
+        rho = rs.blocks_from_full(prob.from_state_matrix(rho))
     else:
-        rho = np.eye(dim) / dim
-        y_big = np.zeros((db, db))
+        rho = rs.eye(1.0 / rs.dim)
+        y_big = bs.eye(0.0)
         best = {"z_up": np.inf, "z_lb": -np.inf, "rho": None}
         history = []
-    rho_bar = rho.copy()
+    rho_bar = rho
     warm = (0.0, 0.0)
     taus = 0.95
     status = "max-iter"
@@ -881,25 +992,20 @@ def _solve_pdhg(prob: SdpProblem, tol: float, max_iters: int, record_history: bo
     last_gap = np.inf
     stagnant = 0
 
-    def phi_face(mm):
-        return prob.phi(prob.to_state_matrix(mm))
-
-    def phi_adj_face(yy):
-        return prob.from_state_matrix(prob.phi_adjoint(yy))
-
     for it in range(1, max_iters + 1):
-        y_new = y_big + taus * phi_face(rho_bar)
-        w, v = np.linalg.eigh((y_new + y_new.T) / 2.0)
-        y_big = (v * np.clip(w, -1.0, 1.0)) @ v.T
-        grad = phi_adj_face(y_big)
-        rho_new, warm = _project_spectrahedron(prob, rho - taus * grad, warm)
-        rho_bar = 2.0 * rho_new - rho
+        y_big = [_clip_eig(y + taus * f, -1.0, 1.0)
+                 for y, f in zip(y_big, op.forward(rho_bar))]
+        grad = op.adjoint(y_big)
+        rho_new, warm = _project_spectrahedron(
+            prob, [r - taus * g for r, g in zip(rho, grad)], warm)
+        rho_bar = [2.0 * rn - r for rn, r in zip(rho_new, rho)]
         rho = rho_new
         if it % 25 == 0 or it == max_iters:
-            rho_feas = _project_feasible(prob, prob.to_state_matrix(rho))
+            rho_feas = _project_feasible(prob, prob.to_state_matrix(rs.full_from_blocks(rho)))
             z_up = _primal_value(prob, rho_feas)
             # Y in [-1, 1] maps to Lambda = (Y + 1)/2 in [0, 1]
-            z_lb = max(_dual_bound(prob, (y_big + np.eye(db)) / 2.0), 1.0)
+            lam = [(y + np.eye(len(y))) / 2.0 for y in y_big]
+            z_lb = max(_dual_bound(prob, lam), 1.0)
             if z_up < best["z_up"]:
                 best["z_up"], best["rho"] = z_up, rho_feas
             best["z_lb"] = max(best["z_lb"], z_lb)
@@ -936,7 +1042,8 @@ def solve(
     engine: "interior-point", "first-order", or "auto" (interior point
     unless the Schur complement would be unreasonably large).  When
     ``max_iters`` is omitted, engine defaults apply (200 interior-point
-    iterations, 20000 splitting iterations).
+    iterations plus up to 8000 splitting polish iterations, or 20000
+    splitting iterations); when given, it caps the total of both engines.
     """
     if engine == "auto":
         m = prob._big_space.total + 2
@@ -947,18 +1054,15 @@ def solve(
             prob, tol, 200 if max_iters is None else max_iters, record_history
         )
         gap = best["z_up"] - best["z_lb"]
-        if gap > tol * (1.0 + abs(best["z_up"])) and best["rho"] is not None:
+        polish = 8000 if max_iters is None else max_iters - iters
+        if gap > tol * (1.0 + abs(best["z_up"])) and best["rho"] is not None and polish > 0:
             # interior-point runs can leave the primal side loose when the
             # optimal face is degenerate; polish it with warm-started
             # splitting iterations (the dual bound is usually tight already)
-            db = prob.big_dim
-            y_warm = np.zeros((db, db))
-            if best["lam"] is not None:
-                lam = (best["lam"] + best["lam"].T) / 2.0
-                w, v = np.linalg.eigh(lam)
-                y_warm = (v * (2.0 * np.clip(w, 0.0, 1.0) - 1.0)) @ v.T
+            y_warm = [2.0 * _clip_eig(lam, 0.0, 1.0) - np.eye(len(lam))
+                      for lam in best["lam"]]
             best, extra, pstatus, history2 = _solve_pdhg(
-                prob, tol, 8000, record_history,
+                prob, tol, polish, record_history,
                 warm_start=(best["rho"], y_warm, best, history),
             )
             iters += extra
@@ -1060,11 +1164,12 @@ def _solve_cell(args):
             "s_n": float("nan"), "dual_gap": float("nan"),
             "status": "infeasible", "iterations": 0, "wall_time": 0.0,
         }
-    except NumericalFailure:
+    except NumericalFailure as exc:
         return {
             "theta": theta, "p_target": p, "z": float("nan"),
             "s_n": float("nan"), "dual_gap": float("nan"),
             "status": "failed", "iterations": 0, "wall_time": 0.0,
+            "reason": str(exc),
         }
 
 

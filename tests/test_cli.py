@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import oscwit.sdp
 from oscwit.cli import main
+from oscwit.errors import NumericalFailure
 
 
 def run(args):
@@ -93,6 +95,27 @@ class TestCertify:
             assert parts[7] == "0.000"  # timing zeroed by default
         manifest = json.loads((tmp_path / "certify_manifest.json").read_text())
         assert manifest["config"]["n_max"] == 2
+        assert manifest["failed_cells"] == []
+
+    def test_manifest_lists_failed_cells(self, tmp_path, monkeypatch):
+        def broken(prob, *args, **kwargs):
+            if prob.theta > 0.0:
+                raise NumericalFailure("no feasible primal point was recovered")
+            return solve(prob, *args, **kwargs)
+
+        solve = oscwit.sdp.solve
+        monkeypatch.setattr(oscwit.sdp, "solve", broken)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "K": 3, "n_max": 2, "theta_grid": [0.0, 0.5],
+            "p_grid": [0.5], "tol": 1e-6,
+        }))
+        assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "certify_manifest.json").read_text())
+        assert manifest["failed_cells"] == [{
+            "theta": 0.5, "p_target": 0.5,
+            "reason": "no feasible primal point was recovered",
+        }]
 
     def test_certifying_cell(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,11 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from oscwit.errors import InfeasibleTarget
-from oscwit.fock import NORMAL, PHYSICAL, TwoModeState, embed_state, log_negativity
-from oscwit.modes import fold_theta, transform_state
+import oscwit.sdp
+from oscwit.errors import InfeasibleTarget, NumericalFailure
+from oscwit.fock import (
+    NORMAL,
+    PHYSICAL,
+    TwoModeState,
+    embed_state,
+    log_negativity,
+    partial_transpose_matrix,
+)
+from oscwit.modes import fold_theta, mode_rotation_unitary, transform_state
 from oscwit.protocol import max_score
-from oscwit.sdp import SweepResult, build_problem, solve, sweep, truncation_study
+from oscwit.sdp import (
+    SweepResult,
+    _project_spectrahedron,
+    build_problem,
+    solve,
+    sweep,
+    truncation_study,
+)
 
 rng = np.random.default_rng(7)
 
@@ -49,6 +64,110 @@ class TestBuild:
         out = prob.phi(r)
         assert np.trace(out) == pytest.approx(np.trace(r), abs=1e-12)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(r), abs=1e-10)
+
+
+def dense_phi(prob, rho_small):
+    """Embed into the doubled space, rotate, partial-transpose."""
+    d_big = 2 * prob.n_max + 1
+    u = mode_rotation_unitary(prob.theta, 2 * prob.n_max).matrix.real
+    emb = [i * d_big + j for i in range(prob.n_max + 1) for j in range(prob.n_max + 1)]
+    big = np.zeros((d_big ** 2, d_big ** 2))
+    big[np.ix_(emb, emb)] = rho_small
+    return partial_transpose_matrix(u.T @ big @ u, d_big)
+
+
+def random_blocks(space):
+    out = []
+    for g in space.groups:
+        m = rng.normal(size=(len(g), len(g)))
+        out.append(m + m.T)
+    return out
+
+
+def sector_problems():
+    # n = 2 sits below the first protocol coupling (score inactive); n = 3
+    # with the score active, and on the top-score face
+    for n in (2, 3):
+        for theta in (0.3, np.pi / 4):
+            for p in ([0.5] if n == 2 else [0.6, max_score(3, 3)[0]]):
+                yield build_problem(3, theta, p, n)
+
+
+class TestSectorOperator:
+    @pytest.mark.parametrize("prob", list(sector_problems()))
+    def test_blocked_phi_matches_dense_reference(self, prob):
+        rs, bs = prob._rho_space, prob._big_space
+        blocks = random_blocks(rs)
+        ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
+        out = bs.full_from_blocks(prob._op.forward(blocks))
+        assert np.max(np.abs(out - ref)) < 1e-12
+        r = rng.normal(size=(prob.small_dim, prob.small_dim))
+        assert np.max(np.abs(prob.phi(r) - dense_phi(prob, r))) < 1e-12
+
+    @pytest.mark.parametrize("prob", list(sector_problems()))
+    def test_adjoint(self, prob):
+        rs, bs = prob._rho_space, prob._big_space
+        x, y = random_blocks(rs), random_blocks(bs)
+        lhs = sum(np.sum(a * b) for a, b in zip(prob._op.forward(x), y))
+        rhs = sum(np.sum(a * b) for a, b in zip(x, prob._op.adjoint(y)))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        r = rng.normal(size=(prob.small_dim, prob.small_dim))
+        yb = rng.normal(size=(prob.big_dim, prob.big_dim))
+        assert np.sum(prob.phi(r) * yb) == pytest.approx(
+            np.sum(r * prob.phi_adjoint(yb)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("prob", list(sector_problems()))
+    def test_block_diagonal_rho_stays_in_sectors(self, prob):
+        rs, bs = prob._rho_space, prob._big_space
+        rho = prob.to_state_matrix(rs.full_from_blocks(random_blocks(rs)))
+        out = prob.phi(rho)
+        in_sector = bs.full_from_blocks([np.ones((len(g), len(g))) for g in bs.groups]) != 0.0
+        assert np.all(out[~in_sector] == 0.0)
+        assert np.max(np.abs(dense_phi(prob, rho)[~in_sector])) < 1e-12
+
+    def test_frozen_ladder_rung(self):
+        # theta = pi/4, p = 0.68 first becomes feasible at n = 6; this is
+        # the splitting engine's certified bound after 400 iterations
+        sol = solve(build_problem(3, np.pi / 4, 0.68, 6), engine="first-order",
+                    max_iters=400)
+        assert sol.iterations == 400
+        assert sol.s_n_lb == pytest.approx(0.6419791754695262, abs=1e-9)
+
+
+def bisection_face_projection(m0):
+    """Projection onto {rho >= 0, tr = 1} by bisection on the trace shift."""
+    sym = (m0 + m0.T) / 2.0
+    eye = np.eye(len(sym))
+
+    def tr_of(a):
+        return np.clip(np.linalg.eigvalsh(sym - a * eye), 0.0, None).sum()
+
+    lo, hi = -1.0, 1.0
+    while tr_of(lo) < 1.0:
+        lo *= 2.0
+    while tr_of(hi) > 1.0:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if tr_of(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    w, v = np.linalg.eigh(sym - 0.5 * (lo + hi) * eye)
+    return (v * np.clip(w, 0.0, None)) @ v.T
+
+
+class TestFaceProjection:
+    @pytest.mark.parametrize("p_n", [(0.5, 2), (max_score(3, 3)[0], 3)])
+    def test_closed_form_matches_bisection(self, p_n):
+        prob = build_problem(3, np.pi / 4, p_n[0], p_n[1])
+        assert not prob._score_active
+        rs = prob._rho_space
+        for scale in (0.01, 0.3, 3.0):
+            blocks = [scale * b for b in random_blocks(rs)]
+            out, _ = _project_spectrahedron(prob, blocks, (0.0, 0.0))
+            ref = bisection_face_projection(rs.full_from_blocks(blocks))
+            assert np.max(np.abs(rs.full_from_blocks(out) - ref)) < 1e-10
 
 
 class TestSolve:
@@ -105,6 +224,8 @@ class TestSolve:
     def test_max_iter_reports_honest_gap(self):
         sol = solve(build_problem(3, np.pi / 4, 0.64, 3), tol=1e-12, max_iters=4)
         assert sol.status == "max-iter"
+        # the budget caps the interior-point run and its splitting polish
+        assert sol.iterations <= 4
         assert sol.z >= sol.z_lb - 1e-12
         assert sol.dual_gap > 0
 
@@ -194,6 +315,18 @@ class TestSweep:
             assert a["s_n"] == pytest.approx(
                 b["s_n"], abs=a["dual_gap"] + b["dual_gap"] + 1e-9
             )
+
+    def test_failure_keeps_reason(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericalFailure("Schur factorization failed")
+
+        monkeypatch.setattr(oscwit.sdp, "solve", broken)
+        res = sweep([0.0], [0.5], 3, 2, tol=1e-6)
+        (row,) = res.rows
+        assert row["status"] == "failed"
+        assert row["reason"] == "Schur factorization failed"
+        # the reason stays out of the CSV
+        assert res.to_csv().splitlines()[1] == "0,0.5,nan,nan,nan,failed,0,0.000"
 
     def test_csv_deterministic(self):
         res = sweep([0.0], [0.5], 3, 2, tol=1e-6)
