@@ -181,6 +181,15 @@ def mode_rotation_unitary(theta: float, n_max: int) -> FockOperator:
     return FockOperator(u, n_max, 2, PHYSICAL)
 
 
+def _rotate(m: np.ndarray, theta: float, n_max: int, target_basis: str) -> np.ndarray:
+    """A normal-mode matrix M becomes U^dag M U on physical labels; a
+    physical one becomes U M U^dag on normal-mode labels."""
+    u = mode_rotation_unitary(theta, n_max).matrix
+    if target_basis == PHYSICAL:
+        return u.conj().T @ m @ u
+    return u @ m @ u.conj().T
+
+
 def transform_state(rho: TwoModeState, theta: float, target_basis: str) -> TwoModeState:
     """Re-express a two-mode state in the other mode basis.
 
@@ -192,12 +201,7 @@ def transform_state(rho: TwoModeState, theta: float, target_basis: str) -> TwoMo
         raise ValueError(f"unknown target basis {target_basis!r}")
     if rho.basis_tag == target_basis:
         raise SameBasis(f"state already tagged {target_basis!r}")
-    u = mode_rotation_unitary(theta, rho.n_max).matrix
-    if target_basis == PHYSICAL:
-        # normal-mode matrix R becomes U^dag R U on physical labels
-        m = u.conj().T @ rho.matrix @ u
-    else:
-        m = u @ rho.matrix @ u.conj().T
+    m = _rotate(rho.matrix, theta, rho.n_max, target_basis)
     return TwoModeState(m, rho.n_max, target_basis, validate=rho.validate)
 
 
@@ -207,9 +211,5 @@ def transform_operator(op: FockOperator, theta: float, target_basis: str) -> Foc
         raise SameBasis("basis change needs a two-mode operator")
     if op.basis_tag == target_basis:
         raise SameBasis(f"operator already tagged {target_basis!r}")
-    u = mode_rotation_unitary(theta, op.n_max).matrix
-    if target_basis == PHYSICAL:
-        m = u.conj().T @ op.matrix @ u
-    else:
-        m = u @ op.matrix @ u.conj().T
+    m = _rotate(op.matrix, theta, op.n_max, target_basis)
     return FockOperator(m, op.n_max, 2, target_basis)

@@ -36,11 +36,14 @@ over the K phases therefore maps feasible points to feasible points
 without raising the objective, so the optimum is attained on states
 block-diagonal in N_tot mod K, and varrho_± can be taken block-diagonal in
 (n_1 - n_2) mod K.  The reduction is exact, not a truncation; tests
-compare reduced and unreduced solves.  Both engines work per sector: the
-interior-point engine on sector blocks of its variables, and the splitting
-engine holds rho and its dual variable as sector blocks, applies Phi and
-Phi* through one sector-blocked operator, and clips and projects block by
-block.  Only the reported primal value is evaluated on the full space.
+compare reduced and unreduced solves.  Both engines work per sector and
+share one sector-blocked operator, ``_SectorOperator`` (embed, rotate,
+partial-transpose).  The splitting engine holds rho and its dual variable
+as sector blocks, applies Phi and Phi* through that operator, and clips and
+projects block by block.  The interior-point engine runs one loop over one
+list of PSD sector blocks (rho, varrho_+, varrho_-); its partial-transpose
+match rows are the svec matrix of the same operator.  Only the reported
+primal value is evaluated on the full space.
 """
 
 from __future__ import annotations
@@ -50,14 +53,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import InfeasibleTarget, NumericalFailure
-from .fock import (
-    NORMAL,
-    HermitianBasis,
-    TwoModeState,
-    hermitian_basis,
-)
+from .fock import NORMAL, TwoModeState
 from .modes import mode_rotation_unitary
 from .protocol import max_score, qk_matrix
 
@@ -265,11 +264,11 @@ class SdpProblem:
     theta: float
     p_target: float
     n_max: int
-    basis_small: HermitianBasis
     # internal solver data
     _q_small: np.ndarray = field(repr=False)
-    _u_big: np.ndarray = field(repr=False)
-    _embed_idx: np.ndarray = field(repr=False)
+    # rows U[embed_idx, :] of the rotation on the small space, before any
+    # face basis is folded in
+    _u_rows: np.ndarray = field(repr=False)
     _rho_space: _BlockSpace = field(repr=False)
     _big_space: _BlockSpace = field(repr=False)
     _face_basis: np.ndarray | None = field(repr=False)
@@ -280,19 +279,11 @@ class SdpProblem:
     _q_blocks: list | None = field(repr=False)
     # lazy caches: the interior-point constraint rows scale with the
     # fourth power of the cutoff and are never needed by the splitting
-    # engine, and the operator-basis expansion of Q is diagnostic only
+    # engine
     _g_rows: np.ndarray | None = field(default=None, repr=False)
     _t_rows: np.ndarray | None = field(default=None, repr=False)
-    _q_vec: np.ndarray | None = field(default=None, repr=False)
     # the same operator on the whole small and big spaces, one block each
     _whole_op: _SectorOperator | None = field(default=None, repr=False)
-
-    @property
-    def q_vec(self) -> np.ndarray:
-        """tr(Q (B x B)_j) over the product basis, element (0,0) excluded."""
-        if self._q_vec is None:
-            self._q_vec = _q_expansion(self)
-        return self._q_vec
 
     @property
     def small_dim(self) -> int:
@@ -323,8 +314,7 @@ class SdpProblem:
         if self._whole_op is None:
             ds, db = self.small_dim, self.big_dim
             self._whole_op = _SectorOperator(
-                _rotation_rows(self._u_big, self._embed_idx, self.n_max),
-                _BlockSpace(ds, [np.arange(ds)]), [range(self.K)],
+                self._u_rows, _BlockSpace(ds, [np.arange(ds)]), [range(self.K)],
                 _BlockSpace(db, [np.arange(db)]), self.n_max, self.K)
         return self._whole_op
 
@@ -334,19 +324,6 @@ class SdpProblem:
 
     def phi_adjoint(self, y_big: np.ndarray) -> np.ndarray:
         return self._whole_space_op().adjoint([y_big])[0]
-
-    def expansion_coefficients(self, rho_small: np.ndarray) -> np.ndarray:
-        """Coordinates of rho over the product operator basis (B_j x B_k),
-        element (0,0) excluded; the complement of the fixed trace part."""
-        b = self.basis_small.elements
-        d2 = len(b)
-        coeffs = []
-        for j in range(d2):
-            for k in range(d2):
-                if j == 0 and k == 0:
-                    continue
-                coeffs.append(np.trace(np.kron(b[j], b[k]) @ rho_small).real)
-        return np.array(coeffs)
 
     def score_of(self, rho_small: np.ndarray) -> float:
         return float(np.tensordot(self._q_small, rho_small, 2))
@@ -427,13 +404,11 @@ def build_problem(
 
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
     embed_idx = np.array([i * D1 + j for i in range(d1) for j in range(d1)])
-    rows = _rotation_rows(u_big, embed_idx, n_max)
-    if face_basis is not None:
-        rows = face_basis.T @ rows
+    u_rows = _rotation_rows(u_big, embed_idx, n_max)
+    rows = u_rows if face_basis is None else face_basis.T @ u_rows
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
-        basis_small=hermitian_basis(n_max),
-        _q_small=q_small, _u_big=u_big, _embed_idx=embed_idx,
+        _q_small=q_small, _u_rows=u_rows,
         _rho_space=rho_space, _big_space=big_space,
         _face_basis=face_basis, _score_active=score_active,
         _op=_SectorOperator(rows, rho_space, residues, big_space, n_max, K),
@@ -451,63 +426,23 @@ def _rotation_rows(u_big: np.ndarray, embed_idx: np.ndarray, n_max: int) -> np.n
     return np.where(same, u_big[embed_idx, :], 0.0)
 
 
-def _q_expansion(prob: SdpProblem) -> np.ndarray:
-    """q_j = tr(Q_K (B x B)_j) over the product basis, (0,0) excluded."""
-    b = prob.basis_small.elements
-    d1 = prob.n_max + 1
-    q1 = prob._q_small
-    coeffs = []
-    for j in range(len(b)):
-        for k in range(len(b)):
-            if j == 0 and k == 0:
-                continue
-            coeffs.append(np.trace(np.kron(b[j], b[k]) @ q1).real)
-    return np.array(coeffs)
-
-
 def _assemble_constraint_rows(prob: SdpProblem) -> None:
     """Precompute the rho-side svec rows of every linear constraint.
 
-    Row 0: trace; row 1 (when active): score; remaining rows: for each
-    svec basis element E of the big blocks, the rho-space component
-    V^T Phi*(E) V.  The varrho_± components of those rows are the svec
-    identity, so they never need storing.
+    ``_t_rows``: trace, then score when active.  ``_g_rows``: the svec
+    matrix of Phi from the rho sectors to the big sectors, whose column j
+    is Phi of the j-th svec basis element of rho; these are the rho parts
+    of the partial-transpose match rows.  The varrho_± parts of those rows
+    are -/+ the svec identity, so they never need storing.
     """
     if prob._g_rows is not None:
         return
-    rs, bs = prob._rho_space, prob._big_space
-    n_match = bs.total
-    rows = np.zeros((n_match, rs.total))
-    u = prob._u_big
-    D1 = 2 * prob.n_max + 1
-    emb = prob._embed_idx
-    sqrt2 = math.sqrt(2.0)
-    row = 0
-    for g, sd in zip(bs.groups, bs.svec_data):
-        r_idx, c_idx, _scale = sd
-        for rr, cc in zip(r_idx, c_idx):
-            p_flat, q_flat = int(g[rr]), int(g[cc])
-            # partial transpose of an elementary pair swaps the second-mode
-            # ket/bra indices; the result is again an elementary pair
-            pa, pb = divmod(p_flat, D1)
-            qa, qb = divmod(q_flat, D1)
-            p2 = pa * D1 + qb
-            q2 = qa * D1 + pb
-            up = u[:, p2][emb]
-            uq = u[:, q2][emb]
-            if p_flat == q_flat:
-                # diagonal svec element e_p e_p^T (p2 == q2 == p here)
-                m = np.outer(up, up)
-            else:
-                m = (np.outer(up, uq) + np.outer(uq, up)) / sqrt2
-            small = prob.from_state_matrix(m)
-            rows[row] = rs.pack(rs.blocks_from_full(small))
-            row += 1
+    rs, bs, op = prob._rho_space, prob._big_space, prob._op
+    prob._g_rows = np.column_stack(
+        [bs.pack(op.forward(rs.unpack(e))) for e in np.eye(rs.total)])
     t_rows = [rs.pack(rs.eye())]
     if prob._score_active:
-        qs = prob.from_state_matrix(prob._q_small)
-        t_rows.append(rs.pack(rs.blocks_from_full(qs)))
-    prob._g_rows = rows
+        t_rows.append(rs.pack(prob._q_blocks))
     prob._t_rows = np.array(t_rows)
 
 
@@ -649,55 +584,51 @@ def _max_step(block: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / wmin
 
 
-def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: bool,
-               verbose: bool = False):
+def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: bool):
     """HKM predictor-corrector on the block formulation.
 
-    Variable blocks: rho sectors, varrho_+ sectors, varrho_- sectors.
-    Constraints: trace, (score), and the partial-transpose match expressed
-    in the svec basis of every big sector.
+    One list of PSD blocks: the rho sectors, then the varrho_+ sectors, then
+    the varrho_- sectors.  Constraints: trace, (score), and the
+    partial-transpose match in the svec basis of every big sector, where
+    rho enters through the stored rows and varrho_± as -/+ the identity.
     """
     _assemble_constraint_rows(prob)
     rs, bs = prob._rho_space, prob._big_space
-    n_t = prob._t_rows.shape[0]
-    n_match = bs.total
-    m = n_t + n_match
+    nr, nb = len(rs.groups), len(bs.groups)
+    t_rows, g_rows = prob._t_rows, prob._g_rows
+    a_rho = np.vstack([t_rows, g_rows])
+    n_t = t_rows.shape[0]
+    svec_data = rs.svec_data + 2 * bs.svec_data
 
-    b_vec = np.zeros(m)
+    b_vec = np.zeros(a_rho.shape[0])
     b_vec[0] = 1.0
     if prob._score_active:
         b_vec[1] = prob.p_target
 
-    g_rows = prob._g_rows
-    t_rows = prob._t_rows
-
-    def a_apply(xr_blocks, xp_blocks, xq_blocks):
-        out = np.empty(m)
-        xr = rs.pack(xr_blocks)
-        out[:n_t] = t_rows @ xr
-        out[n_t:] = g_rows @ xr - bs.pack(xp_blocks) + bs.pack(xq_blocks)
-        return out
+    def a_apply(blocks):
+        xr = rs.pack(blocks[:nr])
+        return np.concatenate([
+            t_rows @ xr,
+            g_rows @ xr - bs.pack(blocks[nr:nr + nb]) + bs.pack(blocks[nr + nb:])])
 
     def at_apply(y):
-        yr = t_rows.T @ y[:n_t] + g_rows.T @ y[n_t:]
-        y_big = y[n_t:]
-        return rs.unpack(yr), [-bb for bb in bs.unpack(y_big)], bs.unpack(y_big)
+        y_big = bs.unpack(y[n_t:])
+        return (rs.unpack(t_rows.T @ y[:n_t] + g_rows.T @ y[n_t:])
+                + [-b for b in y_big] + y_big)
 
     # objective: tr of every varrho_+ sector
-    c_r = rs.eye(0.0)
-    c_p = bs.eye(1.0)
-    c_q = bs.eye(0.0)
-
-    dim_total = sum(len(g) for g in rs.groups) + 2 * sum(len(g) for g in bs.groups)
-    xr, xp, xq = rs.eye(1.0 / rs.dim if rs.dim else 1.0), bs.eye(2.0), bs.eye(1.0)
-    sr, sp, sq = rs.eye(1.0), bs.eye(1.0), bs.eye(1.0)
-    y = np.zeros(m)
+    c = rs.eye(0.0) + bs.eye(1.0) + bs.eye(0.0)
+    zeros = [np.zeros_like(cb) for cb in c]
+    x = rs.eye(1.0 / rs.dim if rs.dim else 1.0) + bs.eye(2.0) + bs.eye(1.0)
+    s = [np.eye(len(cb)) for cb in c]
+    y = np.zeros(a_rho.shape[0])
+    dim_total = sum(len(cb) for cb in c)
 
     best = {"z_up": np.inf, "z_lb": -np.inf, "rho": None, "lam": None}
     history = []
 
     def harvest():
-        rho_raw = prob.to_state_matrix(rs.full_from_blocks(xr))
+        rho_raw = prob.to_state_matrix(rs.full_from_blocks(x[:nr]))
         rho_feas = _project_feasible(prob, rho_raw)
         z_up = _primal_value(prob, rho_feas)
         lam = [-blk for blk in bs.unpack(y[n_t:])]
@@ -713,177 +644,81 @@ def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: boo
     def inner(blocks_a, blocks_b):
         return sum(np.tensordot(a, b, 2) for a, b in zip(blocks_a, blocks_b))
 
+    def step_len(blocks, dirs):
+        return min([1.0] + [_max_step(b, d) for b, d in zip(blocks, dirs)])
+
     status = "max-iter"
     it = 0
     stalls = 0
     for it in range(1, max_iters + 1):
-        # residuals
-        rp = b_vec - a_apply(xr, xp, xq)
-        atr, atp, atq = at_apply(y)
-        rd_r = [c - a - s for c, a, s in zip(c_r, atr, sr)]
-        rd_p = [c - a - s for c, a, s in zip(c_p, atp, sp)]
-        rd_q = [c - a - s for c, a, s in zip(c_q, atq, sq)]
-        mu = (inner(xr, sr) + inner(xp, sp) + inner(xq, sq)) / dim_total
+        rp = b_vec - a_apply(x)
+        rd = [cb - ab - sb for cb, ab, sb in zip(c, at_apply(y), s)]
+        mu = inner(x, s) / dim_total
 
         gap = harvest()
-        scale = 1.0 + abs(best["z_up"])
-        if gap <= tol * scale:
+        if gap <= tol * (1.0 + abs(best["z_up"])):
             status = "optimal"
             break
 
-        # inverses
-        sr_inv = [_sym_inv(s) for s in sr]
-        sp_inv = [_sym_inv(s) for s in sp]
-        sq_inv = [_sym_inv(s) for s in sq]
-
-        # Schur complement M = A (X (.) S^-1) A^T, assembled blockwise.
-        kr = [
-            _symkron(x, si, sd)
-            for x, si, sd in zip(xr, sr_inv, rs.svec_data)
-        ]
-        kp = [
-            _symkron(x, si, sd)
-            for x, si, sd in zip(xp, sp_inv, bs.svec_data)
-        ]
-        kq = [
-            _symkron(x, si, sd)
-            for x, si, sd in zip(xq, sq_inv, bs.svec_data)
-        ]
-        kr_full = _block_diag(kr)
-        a_rho = np.vstack([t_rows, g_rows])
-        schur = a_rho @ kr_full @ a_rho.T
-        kpq = _block_diag(kp) + _block_diag(kq)
-        schur[n_t:, n_t:] += kpq
+        s_inv = [_sym_inv(sb) for sb in s]
+        # Schur complement M = A (X (.) S^-1) A^T: the rho blocks through the
+        # stored rows, the varrho_± blocks (incidence -/+ I) straight onto
+        # the diagonal of the match rows
+        k = [_symkron(xb, si, sd) for xb, si, sd in zip(x, s_inv, svec_data)]
+        schur = a_rho @ block_diag(*k[:nr]) @ a_rho.T
+        schur[n_t:, n_t:] += block_diag(
+            *[kp + kq for kp, kq in zip(k[nr:nr + nb], k[nr + nb:])])
         try:
             schur_solver = _SchurSolver(schur)
         except NumericalFailure:
-            status = "max-iter"
             break
 
-        def solve_newton(sigma_mu, corr_r, corr_p, corr_q):
+        def solve_newton(sigma_mu, corr):
             # standard HKM right-hand side, with the optional Mehrotra
-            # correction folded into corr_*
-            def xrs(xb, rdb, sib, corr):
-                return [
-                    x @ rd @ si - sigma_mu * si + x + co @ si
-                    for x, rd, si, co in zip(xb, rdb, sib, corr)
-                ]
-            er = xrs(xr, rd_r, sr_inv, corr_r)
-            ep = xrs(xp, rd_p, sp_inv, corr_p)
-            eq = xrs(xq, rd_q, sq_inv, corr_q)
-            rhs = rp + a_apply(er, ep, eq)
-            dy = schur_solver.solve(rhs)
-            dtr, dtp, dtq = at_apply(dy)
-            ds_r = [rd - a for rd, a in zip(rd_r, dtr)]
-            ds_p = [rd - a for rd, a in zip(rd_p, dtp)]
-            ds_q = [rd - a for rd, a in zip(rd_q, dtq)]
+            # correction folded into corr
+            e = [xb @ rb @ si - sigma_mu * si + xb + cb @ si
+                 for xb, rb, si, cb in zip(x, rd, s_inv, corr)]
+            dy = schur_solver.solve(rp + a_apply(e))
+            ds = [rb - ab for rb, ab in zip(rd, at_apply(dy))]
+            dx = [sigma_mu * si - xb - xb @ dsb @ si - cb @ si
+                  for xb, si, dsb, cb in zip(x, s_inv, ds, corr)]
+            return dy, [(v + v.T) / 2.0 for v in dx], ds
 
-            def dx_of(xb, sib, dsb, corr):
-                out = []
-                for x, si, dsn, co in zip(xb, sib, dsb, corr):
-                    v = sigma_mu * si - x - x @ dsn @ si - co @ si
-                    out.append((v + v.T) / 2.0)
-                return out
-            dx_r = dx_of(xr, sr_inv, ds_r, corr_r)
-            dx_p = dx_of(xp, sp_inv, ds_p, corr_p)
-            dx_q = dx_of(xq, sq_inv, ds_q, corr_q)
-            return dy, (dx_r, dx_p, dx_q), (ds_r, ds_p, ds_q)
-
-        zeros_r = rs.eye(0.0)
-        zeros_p = bs.eye(0.0)
-        zeros_q = bs.eye(0.0)
-        try:
-            _, dx_aff, ds_aff = solve_newton(0.0, zeros_r, zeros_p, zeros_q)
-        except NumericalFailure:
-            status = "max-iter"
-            break
-
-        def step_len(blocks, dirs):
-            a = 1.0
-            for blk, d in zip(blocks, dirs):
-                a = min(a, _max_step(blk, d))
-            return a
-
-        ap_aff = min(
-            step_len(xr, dx_aff[0]), step_len(xp, dx_aff[1]), step_len(xq, dx_aff[2])
-        )
-        ad_aff = min(
-            step_len(sr, ds_aff[0]), step_len(sp, ds_aff[1]), step_len(sq, ds_aff[2])
-        )
-        mu_aff = (
-            inner([x + min(1.0, ap_aff) * d for x, d in zip(xr, dx_aff[0])],
-                  [s + min(1.0, ad_aff) * d for s, d in zip(sr, ds_aff[0])])
-            + inner([x + min(1.0, ap_aff) * d for x, d in zip(xp, dx_aff[1])],
-                    [s + min(1.0, ad_aff) * d for s, d in zip(sp, ds_aff[1])])
-            + inner([x + min(1.0, ap_aff) * d for x, d in zip(xq, dx_aff[2])],
-                    [s + min(1.0, ad_aff) * d for s, d in zip(sq, ds_aff[2])])
-        ) / dim_total
+        _, dx_aff, ds_aff = solve_newton(0.0, zeros)
+        ap_aff, ad_aff = step_len(x, dx_aff), step_len(s, ds_aff)
+        mu_aff = inner([xb + ap_aff * d for xb, d in zip(x, dx_aff)],
+                       [sb + ad_aff * d for sb, d in zip(s, ds_aff)]) / dim_total
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
         # do not let complementarity outrun feasibility: a small barrier
         # parameter with large residuals strands the iterate off-path
         infeas = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b_vec))
         sigma = max(sigma, min(0.99, (infeas / (infeas + mu)) ** 3))
 
-        corr_r = [dx @ ds for dx, ds in zip(dx_aff[0], ds_aff[0])]
-        corr_p = [dx @ ds for dx, ds in zip(dx_aff[1], ds_aff[1])]
-        corr_q = [dx @ ds for dx, ds in zip(dx_aff[2], ds_aff[2])]
-        try:
-            dy, dx, dsb = solve_newton(sigma * mu, corr_r, corr_p, corr_q)
-        except NumericalFailure:
-            status = "max-iter"
-            break
+        dy, dx, ds = solve_newton(
+            sigma * mu, [dxb @ dsb for dxb, dsb in zip(dx_aff, ds_aff)])
 
         tau = 0.9 if it < 8 else 0.98
 
-        def lengths(dx_b, ds_b):
-            a = min(1.0, tau * min(step_len(xr, dx_b[0]), step_len(xp, dx_b[1]),
-                                   step_len(xq, dx_b[2])))
-            d = min(1.0, tau * min(step_len(sr, ds_b[0]), step_len(sp, ds_b[1]),
-                                   step_len(sq, ds_b[2])))
-            return a, d
+        def lengths(dx, ds):
+            return min(1.0, tau * step_len(x, dx)), min(1.0, tau * step_len(s, ds))
 
-        ap, ad = lengths(dx, dsb)
+        ap, ad = lengths(dx, ds)
         if min(ap, ad) < 1e-4:
             # direction blocked by the cone boundary: fall back to a pure
             # centering step to recover interiority
-            try:
-                dy, dx, dsb = solve_newton(mu, zeros_r, zeros_p, zeros_q)
-                ap, ad = lengths(dx, dsb)
-            except NumericalFailure:
-                status = "max-iter"
-                break
+            dy, dx, ds = solve_newton(mu, zeros)
+            ap, ad = lengths(dx, ds)
             stalls += 1
         else:
             stalls = 0
-        if verbose:
-            print(
-                f"  it={it:3d} mu={mu:.3e} gap={gap:.3e} sigma={sigma:.2e} "
-                f"ap={ap:.2e} ad={ad:.2e} |rp|={np.linalg.norm(rp):.2e}"
-            )
         if stalls >= 4 or (ap < 1e-10 and ad < 1e-10):
-            status = "max-iter"
             break
-        xr = [x + ap * d for x, d in zip(xr, dx[0])]
-        xp = [x + ap * d for x, d in zip(xp, dx[1])]
-        xq = [x + ap * d for x, d in zip(xq, dx[2])]
-        sr = [s + ad * d for s, d in zip(sr, dsb[0])]
-        sp = [s + ad * d for s, d in zip(sp, dsb[1])]
-        sq = [s + ad * d for s, d in zip(sq, dsb[2])]
+        x = [xb + ap * d for xb, d in zip(x, dx)]
+        s = [sb + ad * d for sb, d in zip(s, ds)]
         y = y + ad * dy
 
     harvest()
     return best, it, status, history
-
-
-def _block_diag(blocks: list) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    ofs = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[ofs:ofs + k, ofs:ofs + k] = b
-        ofs += k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1115,25 +950,18 @@ class SweepResult:
         """
         ok_rows = [r for r in self.rows if r["status"] in ("optimal", "max-iter")]
         out = []
-        by_theta = {}
-        by_p = {}
-        for r in ok_rows:
-            by_theta.setdefault(round(r["theta"], 12), []).append(r)
-            by_p.setdefault(round(r["p_target"], 12), []).append(r)
-        for key, rows in by_theta.items():
-            rows = sorted(rows, key=lambda r: r["p_target"])
-            for a, b in zip(rows, rows[1:]):
-                if (b["s_n"] - b["dual_gap"]) < (a["s_n"] - a["dual_gap"]) - (
-                    a["dual_gap"] + b["dual_gap"] + slack
-                ):
-                    out.append(("p", key, a["p_target"], b["p_target"]))
-        for key, rows in by_p.items():
-            rows = sorted(rows, key=lambda r: r["theta"])
-            for a, b in zip(rows, rows[1:]):
-                if (b["s_n"] - b["dual_gap"]) < (a["s_n"] - a["dual_gap"]) - (
-                    a["dual_gap"] + b["dual_gap"] + slack
-                ):
-                    out.append(("theta", key, a["theta"], b["theta"]))
+        for label, along, fixed in (("p", "p_target", "theta"),
+                                    ("theta", "theta", "p_target")):
+            lines = {}
+            for r in ok_rows:
+                lines.setdefault(round(r[fixed], 12), []).append(r)
+            for key, rows in lines.items():
+                rows = sorted(rows, key=lambda r: r[along])
+                for a, b in zip(rows, rows[1:]):
+                    if (b["s_n"] - b["dual_gap"]) < (a["s_n"] - a["dual_gap"]) - (
+                        a["dual_gap"] + b["dual_gap"] + slack
+                    ):
+                        out.append((label, key, a[along], b[along]))
         return out
 
     def to_csv(self, include_timing: bool = False) -> str:

@@ -10,6 +10,7 @@ from oscwit.fock import (
     PHYSICAL,
     TwoModeState,
     embed_state,
+    hermitian_basis,
     log_negativity,
     partial_transpose_matrix,
 )
@@ -17,6 +18,7 @@ from oscwit.modes import fold_theta, mode_rotation_unitary, transform_state
 from oscwit.protocol import max_score
 from oscwit.sdp import (
     SweepResult,
+    _assemble_constraint_rows,
     _project_spectrahedron,
     build_problem,
     solve,
@@ -34,6 +36,14 @@ def random_normal_density(n_max):
     return m / np.trace(m)
 
 
+def product_expansion(n_max, m):
+    """Coordinates tr((B_j x B_k) m) of m over the product operator basis,
+    element (0, 0) excluded; the complement of the fixed trace part."""
+    b = hermitian_basis(n_max).elements
+    return np.array([np.trace(np.kron(bj, bk) @ m).real
+                     for j, bj in enumerate(b) for k, bk in enumerate(b) if j or k])
+
+
 class TestBuild:
     def test_half_always_feasible(self):
         for n in (0, 1, 2, 3):
@@ -49,11 +59,12 @@ class TestBuild:
     def test_q_vec_expansion_identity(self):
         # tr(rho Q) = 1/2 + x . q for any unit-trace state
         prob = build_problem(3, 0.7, 0.6, 3)
+        q_vec = product_expansion(3, prob._q_small)
         for _ in range(20):
             rho = random_normal_density(3)
-            x = prob.expansion_coefficients(rho)
+            x = product_expansion(3, rho)
             assert prob.score_of(rho) == pytest.approx(
-                0.5 + float(x @ prob.q_vec), abs=1e-10
+                0.5 + float(x @ q_vec), abs=1e-10
             )
 
     def test_phi_preserves_trace_and_is_isometry(self):
@@ -134,6 +145,24 @@ class TestSectorOperator:
         assert sol.s_n_lb == pytest.approx(0.6419791754695262, abs=1e-9)
 
 
+class TestConstraintRows:
+    @pytest.mark.parametrize("prob", list(sector_problems()) + [
+        build_problem(3, 0.3, 0.6, 3, symmetry_reduction=False)])
+    def test_rows_match_dense_reference(self, prob):
+        _assemble_constraint_rows(prob)
+        rs, bs = prob._rho_space, prob._big_space
+        for _ in range(3):
+            blocks = random_blocks(rs)
+            ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
+            out = prob._g_rows @ rs.pack(blocks)
+            assert np.max(np.abs(out - bs.pack(bs.blocks_from_full(ref)))) < 1e-12
+        assert np.array_equal(prob._t_rows[0], rs.pack(rs.eye()))
+        if prob._score_active:
+            assert np.array_equal(prob._t_rows[1], rs.pack(prob._q_blocks))
+        else:
+            assert prob._t_rows.shape[0] == 1
+
+
 def bisection_face_projection(m0):
     """Projection onto {rho >= 0, tr = 1} by bisection on the trace shift."""
     sym = (m0 + m0.T) / 2.0
@@ -204,6 +233,15 @@ class TestSolve:
         for z_up, z_lb in sol.history:
             assert z_up >= z_lb - 1e-12
 
+    def test_interior_point_converges_on_its_own(self):
+        # certificates stay honest even when the Newton system is wrong, and
+        # the splitting polish then closes the gap; a budget the interior
+        # point needs about half of leaves the polish too little to hide it
+        sol = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-7,
+                    engine="interior-point", max_iters=30)
+        assert sol.status == "optimal"
+        assert sol.iterations < 30
+
     def test_symmetry_reduction_matches_full(self):
         for (theta, p, n) in [(np.pi / 4, 0.64, 3), (0.45, 0.58, 3)]:
             red = solve(build_problem(3, theta, p, n, symmetry_reduction=True),
@@ -259,11 +297,11 @@ class TestReconstruction:
     def test_expansion_roundtrip(self):
         prob = build_problem(3, 0.4, 0.5, 2)
         rho = random_normal_density(2)
-        x = prob.expansion_coefficients(rho)
+        x = product_expansion(2, rho)
         d = prob.small_dim
         recon = np.eye(d) / d
         idx = 0
-        b = prob.basis_small.elements
+        b = hermitian_basis(2).elements
         for j in range(len(b)):
             for k in range(len(b)):
                 if j == 0 and k == 0:
@@ -297,6 +335,20 @@ class TestSweep:
         hot = by[(round(np.pi / 4, 6), 0.62)]
         assert hot["s_n"] - hot["dual_gap"] > 0.3
         assert res.monotonicity_violations() == []
+
+    def test_monotonicity_reports_both_axes(self):
+        def row(theta, p, lb):
+            return {"theta": theta, "p_target": p, "z": 1.0, "s_n": lb,
+                    "dual_gap": 0.0, "status": "optimal", "iterations": 1,
+                    "wall_time": 0.0}
+
+        # certified values drop from p = 0.5 to 0.6 at theta = 0, and from
+        # theta = 0 to 1 at p = 0.5; both other lines increase
+        res = SweepResult(K=3, n_max=3, tol=1e-6, rows=[
+            row(0.0, 0.5, 0.3), row(0.0, 0.6, 0.1),
+            row(1.0, 0.5, 0.1), row(1.0, 0.6, 0.2)])
+        assert res.monotonicity_violations() == [
+            ("p", 0.0, 0.5, 0.6), ("theta", 0.5, 0.0, 1.0)]
 
     def test_infeasible_cells_recorded(self):
         res = sweep([0.0], [0.5, 0.9], 3, 2, tol=1e-6)
