@@ -36,11 +36,11 @@ from .criteria import (
     moments,
     zhang_detects,
 )
-from .errors import ConfigError, NumericalFailure, OscwitError, UnstableStep
+from .errors import ConfigError, DegenerateAngle, NumericalFailure, OscwitError, UnstableStep
 from .fock import NORMAL, PHYSICAL, TwoModeState, log_negativity
 from .modes import normal_mode_params
 from .protocol import ProtocolSpec, classical_bound, max_score, score_state
-from .sdp import sweep
+from .sdp import ENGINES, sweep
 from .witness import (
     coherent_expectation,
     coherent_witness_erf,
@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
         spec = normal_mode_params(
             cfg["m1"], cfg["m2"], cfg["omega1"], cfg["omega2"], cfg["g"],
         )
-    except OscwitError:
+    except DegenerateAngle:
         spec = normal_mode_params(
             cfg["m1"], cfg["m2"], cfg["omega1"], cfg["omega2"], cfg["g"],
             theta=cfg["theta"],
@@ -206,6 +206,10 @@ def cmd_certify(args) -> int:
         p_grid = [0.5 + i * (p_hi - 0.5) / 4.0 for i in range(5)]
     cfg["theta_grid"] = [float(t) for t in theta_grid]
     cfg["p_grid"] = [float(p) for p in p_grid]
+    if cfg["engine"] not in ENGINES:
+        raise ConfigError(f"engine must be one of {list(ENGINES)}, not {cfg['engine']!r}")
+    if not all(0.0 <= p <= 1.0 for p in cfg["p_grid"]):
+        raise ConfigError(f"p_grid values must lie in [0, 1]: {cfg['p_grid']}")
     res = sweep(theta_grid, p_grid, k, n_max, tol=float(cfg["tol"]),
                 engine=cfg["engine"], threads=int(cfg["threads"]))
     (out_dir / "certify.csv").write_text(
@@ -368,16 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
     for name, fn in [("bounds", cmd_bounds), ("simulate", cmd_simulate),
                      ("certify", cmd_certify), ("compare", cmd_compare),
                      ("witness", cmd_witness)]:
-        p = sub.add_parser(name)
+        p = subs[name] = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--out", default="oscwit_out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.set_defaults(func=fn)
+    subs["simulate"].add_argument("--seed", type=int, default=None)
+    subs["certify"].add_argument("--threads", type=int, default=None)
+    subs["certify"].add_argument("--tol", type=float, default=None)
     return parser
 
 

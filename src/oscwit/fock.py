@@ -75,18 +75,6 @@ class FockOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.n_max, self.modes, self.basis_tag)
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return hermiticity_defect(self.matrix) <= tol * scale
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if (self.n_max, self.modes) != (other.n_max, other.modes):
-            raise DimensionMismatch("operator product across different spaces")
-        return FockOperator(self.matrix @ other.matrix, self.n_max, self.modes, self.basis_tag)
-
 
 @dataclass(frozen=True)
 class HermitianBasis:
@@ -168,10 +156,6 @@ def annihilation_matrix(n_max: int) -> FockOperator:
     for n in range(1, n_max + 1):
         a[n - 1, n] = np.sqrt(n)
     return FockOperator(a, n_max, 1)
-
-
-def number_matrix(n_max: int) -> FockOperator:
-    return FockOperator(np.diag(np.arange(n_max + 1, dtype=complex)), n_max, 1)
 
 
 def identity_matrix(n_max: int, modes: int = 1, basis_tag: str = "single") -> FockOperator:

@@ -52,16 +52,9 @@ class NormalModeSpec:
     omega_minus: float
     mu: float
 
-    @property
-    def theta_folded(self) -> float:
-        return fold_theta(self.theta)
-
     def period(self, sigma: str = "+") -> float:
         w = self.omega_plus if sigma == "+" else self.omega_minus
         return 2.0 * math.pi / w
-
-    def omega(self, sigma: str = "+") -> float:
-        return self.omega_plus if sigma == "+" else self.omega_minus
 
 
 def fold_theta(theta: float) -> float:

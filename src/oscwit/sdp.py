@@ -19,6 +19,12 @@ Reported values are honest certificates independent of solver internals:
   scalars via a one-dimensional concave search), so weak duality holds at
   every recorded iterate by construction.
 
+Both engines offer their iterates to one certificate keeper,
+``_Certificates``, which makes both bounds, keeps the best of each with
+its state and Lambda, records their history and decides when the gap is
+closed.  A splitting polish after the interior point continues on the same
+keeper and warm-starts from its best state and Lambda.
+
 ``dual_gap`` is reported in the same (log) units as ``s_n``; a positive
 certification means s_n - dual_gap = log(2 z_lb - 1) > 0.  A z-domain gap
 would overstate certainty near z = 1 where the logarithm is steep.
@@ -61,6 +67,7 @@ from .modes import mode_rotation_unitary
 from .protocol import max_score, qk_matrix
 
 FACE_TOL = 1e-9
+ENGINES = ("auto", "interior-point", "first-order")
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +96,18 @@ def _smat(v: np.ndarray, d: int, data) -> np.ndarray:
 
 
 def _symkron(a: np.ndarray, b: np.ndarray, data) -> np.ndarray:
-    """svec-basis matrix of M -> (a M b^T + b M a^T)/2 for symmetric a, b."""
+    """svec-basis matrix of M -> (a M b^T + b M a^T)/2 for symmetric a, b.
+
+    Entry ((r1, c1), (r2, c2)) of the symmetrized Kronecker product, folded
+    over the swap (r2, c2) -> (c2, r2), with the entries of a and b
+    gathered through flat indices."""
     rows, cols, scale = data
-    full = 0.5 * (np.kron(a, b) + np.kron(b, a))
     d = a.shape[0]
-    flat_up = rows * d + cols
-    flat_lo = cols * d + rows
-    sub = full[np.ix_(flat_up, flat_up)] + full[np.ix_(flat_up, flat_lo)]
+    a, b = a.ravel(), b.ravel()
+    rr, cc = rows[:, None] * d + rows, cols[:, None] * d + cols
+    rc, cr = rows[:, None] * d + cols, cols[:, None] * d + rows
+    sub = (0.5 * (a[rr] * b[cc] + b[rr] * a[cc])
+           + 0.5 * (a[rc] * b[cr] + b[rc] * a[cr]))
     sub *= 0.5 * np.outer(scale, scale)
     return sub
 
@@ -241,7 +253,8 @@ class SdpSolution:
     iterations: int
     status: str
     rho: TwoModeState | None = None
-    history: list | None = None
+    # the best (z, z_lb) after every certificate harvest
+    history: list = field(default_factory=list)
     wall_time: float = 0.0
 
     @property
@@ -277,6 +290,9 @@ class SdpProblem:
     # space, and Q on the rho sectors (None when the score is inactive)
     _op: _SectorOperator = field(repr=False)
     _q_blocks: list | None = field(repr=False)
+    # (eigenvalue, projector) at the bottom and the top of the spectrum of
+    # Q, the unit-trace states that repair the score of a projected iterate
+    _q_edges: tuple = field(repr=False)
     # lazy caches: the interior-point constraint rows scale with the
     # fourth power of the cutoff and are never needed by the splitting
     # engine
@@ -292,10 +308,6 @@ class SdpProblem:
     @property
     def big_dim(self) -> int:
         return (2 * self.n_max + 1) ** 2
-
-    @property
-    def rho_dim(self) -> int:
-        return self._q_small.shape[0] if self._face_basis is None else self._face_basis.shape[1]
 
     # -- linear maps ------------------------------------------------------
 
@@ -413,6 +425,8 @@ def build_problem(
         _face_basis=face_basis, _score_active=score_active,
         _op=_SectorOperator(rows, rho_space, residues, big_space, n_max, K),
         _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
+        _q_edges=((lam_min, np.outer(v_q[:, 0], v_q[:, 0])),
+                  (lam_max, np.outer(v_q[:, -1], v_q[:, -1]))),
     )
 
 
@@ -450,14 +464,6 @@ def _assemble_constraint_rows(prob: SdpProblem) -> None:
 # honest certificates
 
 
-def _reference_states(prob: SdpProblem):
-    """Unit-trace PSD matrices with extreme scores, for score repair."""
-    w, v = np.linalg.eigh(prob._q_small)
-    lo = np.outer(v[:, 0], v[:, 0])
-    hi = np.outer(v[:, -1], v[:, -1])
-    return (w[0], lo), (w[-1], hi)
-
-
 def _project_feasible(prob: SdpProblem, rho_small: np.ndarray) -> np.ndarray:
     """Nearest convenient exactly feasible state: PSD clip, renormalize,
     then repair the score by mixing with a spectral-edge state."""
@@ -475,7 +481,7 @@ def _project_feasible(prob: SdpProblem, rho_small: np.ndarray) -> np.ndarray:
     p_want = prob.p_target
     if abs(p_now - p_want) < 1e-15:
         return m
-    (lam_lo, state_lo), (lam_hi, state_hi) = _reference_states(prob)
+    (lam_lo, state_lo), (lam_hi, state_hi) = prob._q_edges
     ref_lam, ref = (lam_hi, state_hi) if p_want > p_now else (lam_lo, state_lo)
     t = (p_want - p_now) / (ref_lam - p_now)
     t = min(max(t, 0.0), 1.0)
@@ -531,6 +537,47 @@ def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
     return max(g1, g2)
 
 
+class _Certificates:
+    """The best honest bounds found by either engine on one problem.
+
+    Each offered iterate is taken to an exactly feasible state, whose primal
+    value bounds z from above, and to a clipped dual, whose value bounds it
+    from below.  The best of each is kept with the state or Lambda that gave
+    it, and ``history`` records the best pair after every offer.
+    """
+
+    def __init__(self, prob: SdpProblem, tol: float):
+        self.prob = prob
+        self.tol = tol
+        self.z_up, self.z_lb = np.inf, -np.inf
+        self.rho = None   # best feasible density matrix on the small space
+        self.lam = None   # best Lambda, as big sector blocks
+        self.history = []
+
+    @property
+    def gap(self) -> float:
+        return self.z_up - self.z_lb
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= self.tol * (1.0 + abs(self.z_up))
+
+    def offer(self, rho_blocks: list, lam_blocks: list) -> bool:
+        """Harvest solver-variable rho sector blocks and Lambda big sector
+        blocks; True once the gap meets the tolerance."""
+        prob = self.prob
+        rho = _project_feasible(
+            prob, prob.to_state_matrix(prob._rho_space.full_from_blocks(rho_blocks)))
+        z_up = _primal_value(prob, rho)
+        z_lb = max(_dual_bound(prob, lam_blocks), 1.0)
+        if z_up < self.z_up:
+            self.z_up, self.rho = z_up, rho
+        if z_lb > self.z_lb:
+            self.z_lb, self.lam = z_lb, lam_blocks
+        self.history.append((self.z_up, self.z_lb))
+        return self.converged
+
+
 # ---------------------------------------------------------------------------
 # interior-point engine
 
@@ -584,13 +631,15 @@ def _max_step(block: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / wmin
 
 
-def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: bool):
+def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     """HKM predictor-corrector on the block formulation.
 
     One list of PSD blocks: the rho sectors, then the varrho_+ sectors, then
     the varrho_- sectors.  Constraints: trace, (score), and the
     partial-transpose match in the svec basis of every big sector, where
     rho enters through the stored rows and varrho_± as -/+ the identity.
+    Each iterate, and the one the last step leaves, is offered to ``certs``
+    with Lambda = -y on the match rows.  Returns (iterations, status).
     """
     _assemble_constraint_rows(prob)
     rs, bs = prob._rho_space, prob._big_space
@@ -624,23 +673,6 @@ def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: boo
     y = np.zeros(a_rho.shape[0])
     dim_total = sum(len(cb) for cb in c)
 
-    best = {"z_up": np.inf, "z_lb": -np.inf, "rho": None, "lam": None}
-    history = []
-
-    def harvest():
-        rho_raw = prob.to_state_matrix(rs.full_from_blocks(x[:nr]))
-        rho_feas = _project_feasible(prob, rho_raw)
-        z_up = _primal_value(prob, rho_feas)
-        lam = [-blk for blk in bs.unpack(y[n_t:])]
-        z_lb = max(_dual_bound(prob, lam), 1.0)
-        if z_up < best["z_up"]:
-            best["z_up"], best["rho"] = z_up, rho_feas
-        if z_lb > best["z_lb"]:
-            best["z_lb"], best["lam"] = z_lb, lam
-        if record_history:
-            history.append((best["z_up"], best["z_lb"]))
-        return best["z_up"] - best["z_lb"]
-
     def inner(blocks_a, blocks_b):
         return sum(np.tensordot(a, b, 2) for a, b in zip(blocks_a, blocks_b))
 
@@ -655,8 +687,7 @@ def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: boo
         rd = [cb - ab - sb for cb, ab, sb in zip(c, at_apply(y), s)]
         mu = inner(x, s) / dim_total
 
-        gap = harvest()
-        if gap <= tol * (1.0 + abs(best["z_up"])):
+        if certs.offer(x[:nr], [-b for b in bs.unpack(y[n_t:])]):
             status = "optimal"
             break
 
@@ -717,8 +748,8 @@ def _solve_ipm(prob: SdpProblem, tol: float, max_iters: int, record_history: boo
         s = [sb + ad * d for sb, d in zip(s, ds)]
         y = y + ad * dy
 
-    harvest()
-    return best, it, status, history
+    certs.offer(x[:nr], [-b for b in bs.unpack(y[n_t:])])
+    return it, status
 
 
 # ---------------------------------------------------------------------------
@@ -798,27 +829,24 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
     return [(v * np.clip(w, 0.0, None)) @ v.T for w, v, _ in eigs], (a, b)
 
 
-def _solve_pdhg(prob: SdpProblem, tol: float, max_iters: int, record_history: bool,
-                warm_start=None):
+def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
     """Primal-dual splitting on min_rho max_{|Y|<=1} <Phi(rho), Y>.
 
     The linear map Phi is a Hilbert-Schmidt isometry, so unit step-size
     products are admissible.  rho and Y are held as their sector blocks,
     where the optimum lies (module docstring), so the dual clip and the
-    projection work one block at a time.  Certificates are harvested
-    periodically from the feasible iterates.  ``warm_start`` may carry
-    (rho, Y blocks, best, history) from another engine; rho is pinched to
-    its sector blocks.
+    projection work one block at a time.  Iterates are offered to ``certs``
+    periodically.  When ``certs`` already holds bounds from another engine,
+    the run warm-starts from its best rho, pinched to its sector blocks,
+    and its best Lambda.  Returns (iterations, status).
     """
     rs, bs, op = prob._rho_space, prob._big_space, prob._op
-    if warm_start is not None:
-        rho, y_big, best, history = warm_start
-        rho = rs.blocks_from_full(prob.from_state_matrix(rho))
-    else:
+    if certs.rho is None:
         rho = rs.eye(1.0 / rs.dim)
         y_big = bs.eye(0.0)
-        best = {"z_up": np.inf, "z_lb": -np.inf, "rho": None}
-        history = []
+    else:
+        rho = rs.blocks_from_full(prob.from_state_matrix(certs.rho))
+        y_big = [2.0 * _clip_eig(lam, 0.0, 1.0) - np.eye(len(lam)) for lam in certs.lam]
     rho_bar = rho
     warm = (0.0, 0.0)
     taus = 0.95
@@ -836,20 +864,11 @@ def _solve_pdhg(prob: SdpProblem, tol: float, max_iters: int, record_history: bo
         rho_bar = [2.0 * rn - r for rn, r in zip(rho_new, rho)]
         rho = rho_new
         if it % 25 == 0 or it == max_iters:
-            rho_feas = _project_feasible(prob, prob.to_state_matrix(rs.full_from_blocks(rho)))
-            z_up = _primal_value(prob, rho_feas)
             # Y in [-1, 1] maps to Lambda = (Y + 1)/2 in [0, 1]
-            lam = [(y + np.eye(len(y))) / 2.0 for y in y_big]
-            z_lb = max(_dual_bound(prob, lam), 1.0)
-            if z_up < best["z_up"]:
-                best["z_up"], best["rho"] = z_up, rho_feas
-            best["z_lb"] = max(best["z_lb"], z_lb)
-            if record_history:
-                history.append((best["z_up"], best["z_lb"]))
-            gap = best["z_up"] - best["z_lb"]
-            if gap <= tol * (1.0 + abs(best["z_up"])):
+            if certs.offer(rho, [(y + np.eye(len(y))) / 2.0 for y in y_big]):
                 status = "optimal"
                 break
+            gap = certs.gap
             # stop honestly once the certificates stop improving
             if gap > last_gap - 1e-4 * max(last_gap, 1e-12):
                 stagnant += 1
@@ -858,7 +877,7 @@ def _solve_pdhg(prob: SdpProblem, tol: float, max_iters: int, record_history: bo
             else:
                 stagnant = 0
             last_gap = gap
-    return best, it, status, history
+    return it, status
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +889,6 @@ def solve(
     tol: float = 1e-7,
     max_iters: int | None = None,
     engine: str = "auto",
-    record_history: bool = False,
 ) -> SdpSolution:
     """Run the certification SDP and return certified bounds.
 
@@ -884,47 +902,37 @@ def solve(
         m = prob._big_space.total + 2
         engine = "interior-point" if m <= 2600 else "first-order"
     t0 = time.perf_counter()
+    certs = _Certificates(prob, tol)
     if engine == "interior-point":
-        best, iters, status, history = _solve_ipm(
-            prob, tol, 200 if max_iters is None else max_iters, record_history
-        )
-        gap = best["z_up"] - best["z_lb"]
+        iters, status = _solve_ipm(prob, certs, 200 if max_iters is None else max_iters)
         polish = 8000 if max_iters is None else max_iters - iters
-        if gap > tol * (1.0 + abs(best["z_up"])) and best["rho"] is not None and polish > 0:
+        if not certs.converged and certs.rho is not None and polish > 0:
             # interior-point runs can leave the primal side loose when the
-            # optimal face is degenerate; polish it with warm-started
-            # splitting iterations (the dual bound is usually tight already)
-            y_warm = [2.0 * _clip_eig(lam, 0.0, 1.0) - np.eye(len(lam))
-                      for lam in best["lam"]]
-            best, extra, pstatus, history2 = _solve_pdhg(
-                prob, tol, polish, record_history,
-                warm_start=(best["rho"], y_warm, best, history),
-            )
+            # optimal face is degenerate; polish it with splitting iterations
+            # warm-started from the same certificates (the dual bound is
+            # usually tight already)
+            extra, pstatus = _solve_pdhg(prob, certs, polish)
             iters += extra
             status = pstatus if pstatus == "optimal" else status
-            history = history2
     elif engine == "first-order":
-        best, iters, status, history = _solve_pdhg(
-            prob, tol, 20000 if max_iters is None else max_iters, record_history
-        )
+        iters, status = _solve_pdhg(prob, certs, 20000 if max_iters is None else max_iters)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     wall = time.perf_counter() - t0
-    z_up, z_lb = best["z_up"], max(best["z_lb"], 1.0)
+    z_up, z_lb = certs.z_up, max(certs.z_lb, 1.0)
     if not math.isfinite(z_up):
         raise NumericalFailure("no feasible primal point was recovered")
     s_up, s_lb = _sn_from_z(z_up), _sn_from_z(z_lb)
     rho_state = None
-    if best["rho"] is not None:
+    if certs.rho is not None:
         rho_state = TwoModeState(
-            best["rho"].astype(complex), prob.n_max, NORMAL, validate=False
+            certs.rho.astype(complex), prob.n_max, NORMAL, validate=False
         )
     return SdpSolution(
         z=z_up, s_n=s_up, z_lb=z_lb, s_n_lb=s_lb,
         dual_gap=max(s_up - s_lb, 0.0),
         iterations=iters, status=status, rho=rho_state,
-        history=history if record_history else None,
-        wall_time=wall,
+        history=certs.history, wall_time=wall,
     )
 
 

@@ -173,6 +173,33 @@ class TestErrors:
         assert run(["simulate", "--config", str(tmp_path / "missing.json"),
                     "--out", str(tmp_path)]) == 2
 
+    def test_flags_only_on_their_subcommand(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "--out", str(tmp_path), "--tol", "1e-3", "--seed", "4",
+                 "--threads", "9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3 --seed 4 --threads 9" in capsys.readouterr().err
+
+    def test_unstable_coupling_keeps_its_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": 5.0}))
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "coupling beyond stability" in capsys.readouterr().err
+
+    def test_unknown_engine_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"engine": "fast"}))
+        assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: engine must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "certify.csv").exists()
+
+    def test_score_outside_unit_interval_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_grid": [1.5]}))
+        assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: p_grid values must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "certify.csv").exists()
+
     def test_infeasible_grid_cells_do_not_crash(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -227,11 +227,30 @@ class TestSolve:
         assert s4.certified
 
     def test_weak_duality_along_iterates(self):
-        sol = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-7,
-                    record_history=True)
+        sol = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-7)
         assert sol.history
         for z_up, z_lb in sol.history:
             assert z_up >= z_lb - 1e-12
+
+    def test_polish_warm_starts_from_interior_point(self, monkeypatch):
+        # a tolerance the interior point cannot meet hands the rest of the
+        # budget to the splitting engine on the same certificates; started
+        # cold, 83 splitting iterations would not improve on the
+        # interior-point state
+        entered = []
+        splitting = oscwit.sdp._solve_pdhg
+
+        def spy(prob, certs, max_iters):
+            entered.append(certs.z_up)
+            return splitting(prob, certs, max_iters)
+
+        monkeypatch.setattr(oscwit.sdp, "_solve_pdhg", spy)
+        sol = solve(build_problem(3, np.pi / 4, 0.64, 3), tol=1e-12, max_iters=200)
+        assert sol.iterations == 200
+        assert sol.status == "max-iter"
+        assert sol.z >= sol.z_lb
+        [z_interior_point] = entered
+        assert sol.z < z_interior_point
 
     def test_interior_point_converges_on_its_own(self):
         # certificates stay honest even when the Newton system is wrong, and
