@@ -81,6 +81,23 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list,
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
+def _int_at_least(cfg: dict, key: str, low: int) -> int:
+    try:
+        val = int(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer: {cfg[key]!r}") from exc
+    if val < low:
+        raise ConfigError(f"{key} must be >= {low}, not {val}")
+    return val
+
+
+def _floats(cfg: dict, key: str) -> list:
+    try:
+        return [float(v) for v in cfg[key]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a list of numbers: {cfg[key]!r}") from exc
+
+
 def _distribution_from_config(spec: dict) -> ClassicalDistribution:
     kinds = {
         "gaussian": lambda p: gaussian_cloud(
@@ -143,6 +160,8 @@ SIMULATE_DEFAULTS = {
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(SIMULATE_DEFAULTS, args.config,
                           {"seed": args.seed})
+    k = _int_at_least(cfg, "K", 1)
+    n_rounds = _int_at_least(cfg, "n_rounds", 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dist = _distribution_from_config(cfg["distribution"])
@@ -155,16 +174,15 @@ def cmd_simulate(args) -> int:
             cfg["m1"], cfg["m2"], cfg["omega1"], cfg["omega2"], cfg["g"],
             theta=cfg["theta"],
         )
-    protocol = ProtocolSpec(int(cfg["K"]), cfg["sigma"], cfg["t0"])
+    protocol = ProtocolSpec(k, cfg["sigma"], cfg["t0"])
     records = []
     for i in range(int(cfg["n_seeds"])):
         seed = int(cfg["seed"]) + i
-        est = simulate_classical_score(dist, spec, protocol,
-                                       int(cfg["n_rounds"]), seed)
+        est = simulate_classical_score(dist, spec, protocol, n_rounds, seed)
         records.append({
             "descriptor": dist.descriptor, "K": protocol.K,
             "theta": spec.theta, "seed": seed,
-            "n_rounds": int(cfg["n_rounds"]),
+            "n_rounds": n_rounds,
             "p_value": est.p_value, "stderr": est.stderr,
             "counts": [list(c) for c in est.counts],
         })
@@ -193,24 +211,22 @@ def cmd_certify(args) -> int:
     })
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k = int(cfg["K"])
-    n_max = int(cfg["n_max"])
-    theta_grid = cfg["theta_grid"]
-    if theta_grid is None:
-        theta_grid = [i * math.pi / 16.0 for i in range(5)]
-    p_grid = cfg["p_grid"]
-    if p_grid is None:
+    k = _int_at_least(cfg, "K", 1)
+    n_max = _int_at_least(cfg, "n_max", 0)
+    if cfg["theta_grid"] is None:
+        cfg["theta_grid"] = [i * math.pi / 16.0 for i in range(5)]
+    if cfg["p_grid"] is None:
         # stay clear of the spectral edge, where solves are facial and slow
         p_top, _ = max_score(k, n_max)
         p_hi = 0.5 + 0.9 * (p_top - 0.5)
-        p_grid = [0.5 + i * (p_hi - 0.5) / 4.0 for i in range(5)]
-    cfg["theta_grid"] = [float(t) for t in theta_grid]
-    cfg["p_grid"] = [float(p) for p in p_grid]
+        cfg["p_grid"] = [0.5 + i * (p_hi - 0.5) / 4.0 for i in range(5)]
+    cfg["theta_grid"] = _floats(cfg, "theta_grid")
+    cfg["p_grid"] = _floats(cfg, "p_grid")
     if cfg["engine"] not in ENGINES:
         raise ConfigError(f"engine must be one of {list(ENGINES)}, not {cfg['engine']!r}")
     if not all(0.0 <= p <= 1.0 for p in cfg["p_grid"]):
         raise ConfigError(f"p_grid values must lie in [0, 1]: {cfg['p_grid']}")
-    res = sweep(theta_grid, p_grid, k, n_max, tol=float(cfg["tol"]),
+    res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=float(cfg["tol"]),
                 engine=cfg["engine"], threads=int(cfg["threads"]))
     (out_dir / "certify.csv").write_text(
         res.to_csv(include_timing=bool(cfg["record_timing"]))

@@ -95,20 +95,29 @@ def _smat(v: np.ndarray, d: int, data) -> np.ndarray:
     return m
 
 
-def _symkron(a: np.ndarray, b: np.ndarray, data) -> np.ndarray:
+def _symkron_table(d: int):
+    """Flat gather indices and entry scales of ``_symkron`` for d x d blocks.
+
+    Four int64 arrays and one float array, each svec size squared: about
+    10 GB for one big sector at n = 11 (svec size 15,576), so only the
+    interior-point engine builds them."""
+    rows, cols, scale = _svec_data(d)
+    return (rows[:, None] * d + rows, cols[:, None] * d + cols,
+            rows[:, None] * d + cols, cols[:, None] * d + rows,
+            0.5 * np.outer(scale, scale))
+
+
+def _symkron(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
     """svec-basis matrix of M -> (a M b^T + b M a^T)/2 for symmetric a, b.
 
     Entry ((r1, c1), (r2, c2)) of the symmetrized Kronecker product, folded
     over the swap (r2, c2) -> (c2, r2), with the entries of a and b
-    gathered through flat indices."""
-    rows, cols, scale = data
-    d = a.shape[0]
+    gathered through the flat indices of ``_symkron_table(len(a))``."""
+    rr, cc, rc, cr, half_scale = table
     a, b = a.ravel(), b.ravel()
-    rr, cc = rows[:, None] * d + rows, cols[:, None] * d + cols
-    rc, cr = rows[:, None] * d + cols, cols[:, None] * d + rows
     sub = (0.5 * (a[rr] * b[cc] + b[rr] * a[cc])
            + 0.5 * (a[rc] * b[cr] + b[rc] * a[cr]))
-    sub *= 0.5 * np.outer(scale, scale)
+    sub *= half_scale
     return sub
 
 
@@ -293,11 +302,12 @@ class SdpProblem:
     # (eigenvalue, projector) at the bottom and the top of the spectrum of
     # Q, the unit-trace states that repair the score of a projected iterate
     _q_edges: tuple = field(repr=False)
-    # lazy caches: the interior-point constraint rows scale with the
-    # fourth power of the cutoff and are never needed by the splitting
-    # engine
+    # lazy caches: the interior-point constraint rows and the _symkron
+    # tables (one per block size) scale with the fourth power of the cutoff
+    # and are never needed by the splitting engine
     _g_rows: np.ndarray | None = field(default=None, repr=False)
     _t_rows: np.ndarray | None = field(default=None, repr=False)
+    _kron_tables: dict = field(default_factory=dict, repr=False)
     # the same operator on the whole small and big spaces, one block each
     _whole_op: _SectorOperator | None = field(default=None, repr=False)
 
@@ -441,7 +451,8 @@ def _rotation_rows(u_big: np.ndarray, embed_idx: np.ndarray, n_max: int) -> np.n
 
 
 def _assemble_constraint_rows(prob: SdpProblem) -> None:
-    """Precompute the rho-side svec rows of every linear constraint.
+    """Precompute the rho-side svec rows of every linear constraint, and the
+    ``_symkron`` table of every block size.
 
     ``_t_rows``: trace, then score when active.  ``_g_rows``: the svec
     matrix of Phi from the rho sectors to the big sectors, whose column j
@@ -452,6 +463,7 @@ def _assemble_constraint_rows(prob: SdpProblem) -> None:
     if prob._g_rows is not None:
         return
     rs, bs, op = prob._rho_space, prob._big_space, prob._op
+    prob._kron_tables = {d: _symkron_table(d) for d in {len(g) for g in rs.groups + bs.groups}}
     prob._g_rows = np.column_stack(
         [bs.pack(op.forward(rs.unpack(e))) for e in np.eye(rs.total)])
     t_rows = [rs.pack(rs.eye())]
@@ -499,11 +511,23 @@ def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
     clipped into [0, 1].
 
     z >= min_{rho feasible} <rho, Phi*(Lambda)> for any 0 <= Lambda <= 1.
-    Phi*(Lambda) and Q are block-diagonal over the rho sectors, so the inner
-    minimum is a one-dimensional concave search over the score multiplier
-    mu of the smallest eigenvalue over the blocks (or that bare eigenvalue
-    when the score constraint is inactive).  Every mu gives a valid bound;
-    the search only tightens it.
+    Phi*(Lambda) = H and Q are block-diagonal over the rho sectors, so the
+    inner minimum is the maximum over the score multiplier mu of the concave
+
+        g(mu) = min_b lambda_min(H_b - mu Q_b) + mu p
+
+    (or the bare smallest eigenvalue when the score constraint is inactive).
+    Every mu gives a valid bound; the search only tightens it.
+
+    The search is a bracketed cutting-plane method.  Each evaluation of g
+    also gives the supergradient p - v^T Q_b v from the bottom eigenvector v
+    of the minimizing block.  Doubling finds a bracket whose left end
+    climbs and whose right end descends; the tangents there bound max g from
+    above, and g is next evaluated where they meet, which replaces the end
+    with the same slope sign.  The search stops once that upper bound is
+    within 1e-15 (1 + |g|) of the best value found, so the returned value
+    is provably within that of the maximum (up to rounding in the
+    eigenvalues).
     """
     h = prob._op.adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
     if not prob._score_active:
@@ -511,30 +535,43 @@ def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
     p = prob.p_target
 
     def g(mu):
-        return min(float(np.linalg.eigvalsh(hb - mu * qb)[0])
-                   for hb, qb in zip(h, prob._q_blocks)) + mu * p
+        # the value at mu and the supergradient of the minimizing block
+        low = None
+        for hb, qb in zip(h, prob._q_blocks):
+            w, v = np.linalg.eigh(hb - mu * qb)
+            if low is None or w[0] < low[0]:
+                low = w[0], v[:, 0], qb
+        w0, v0, qb = low
+        return float(w0) + mu * p, p - float(v0 @ qb @ v0)
 
     lo, hi = -1.0, 1.0
-    while g(lo + 1e-6 * (hi - lo)) < g(lo) and abs(lo) < 1e8:
+    (g_lo, s_lo), (g_hi, s_hi) = g(lo), g(hi)
+    while s_lo < 0.0 and lo > -1e8:
+        hi, g_hi, s_hi = lo, g_lo, s_lo
         lo *= 2.0
-    while g(hi - 1e-6 * (hi - lo)) < g(hi) and abs(hi) < 1e8:
+        g_lo, s_lo = g(lo)
+    while s_hi > 0.0 and hi < 1e8:
+        lo, g_lo, s_lo = hi, g_hi, s_hi
         hi *= 2.0
-    # golden-section search: each step keeps one interior point and its value
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    for _ in range(80):
-        if not x1 < x2:
+        g_hi, s_hi = g(hi)
+    best = max(g_lo, g_hi)
+    for _ in range(100):
+        if not s_lo > s_hi:
             break
-        if g1 < g2:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + shrink * (hi - lo)
-            g2 = g(x2)
+        # where the tangents at the bracket ends meet, and their value there
+        mu = (g_hi - g_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
+        upper = g_lo + s_lo * (mu - lo)
+        if upper - best <= 1e-15 * (1.0 + abs(best)) or not lo < mu < hi:
+            break
+        g_mu, s_mu = g(mu)
+        best = max(best, g_mu)
+        if s_mu > 0.0:
+            lo, g_lo, s_lo = mu, g_mu, s_mu
+        elif s_mu < 0.0:
+            hi, g_hi, s_hi = mu, g_mu, s_mu
         else:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - shrink * (hi - lo)
-            g1 = g(x1)
-    return max(g1, g2)
+            break
+    return best
 
 
 class _Certificates:
@@ -647,7 +684,6 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     t_rows, g_rows = prob._t_rows, prob._g_rows
     a_rho = np.vstack([t_rows, g_rows])
     n_t = t_rows.shape[0]
-    svec_data = rs.svec_data + 2 * bs.svec_data
 
     b_vec = np.zeros(a_rho.shape[0])
     b_vec[0] = 1.0
@@ -695,7 +731,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         # Schur complement M = A (X (.) S^-1) A^T: the rho blocks through the
         # stored rows, the varrho_± blocks (incidence -/+ I) straight onto
         # the diagonal of the match rows
-        k = [_symkron(xb, si, sd) for xb, si, sd in zip(x, s_inv, svec_data)]
+        k = [_symkron(xb, si, prob._kron_tables[len(xb)]) for xb, si in zip(x, s_inv)]
         schur = a_rho @ block_diag(*k[:nr]) @ a_rho.T
         schur[n_t:, n_t:] += block_diag(
             *[kp + kq for kp, kq in zip(k[nr:nr + nb], k[nr + nb:])])

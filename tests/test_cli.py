@@ -200,6 +200,21 @@ class TestErrors:
         assert "config error: p_grid values must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "certify.csv").exists()
 
+    @pytest.mark.parametrize("command, values, message", [
+        ("certify", {"n_max": -1}, "n_max must be >= 0, not -1"),
+        ("certify", {"K": 0}, "K must be >= 1, not 0"),
+        ("certify", {"p_grid": ["a"]}, "p_grid must be a list of numbers: ['a']"),
+        ("certify", {"theta_grid": ["a"]}, "theta_grid must be a list of numbers: ['a']"),
+        ("simulate", {"n_rounds": 0}, "n_rounds must be >= 1, not 0"),
+        ("simulate", {"K": 0}, "K must be >= 1, not 0"),
+    ])
+    def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}_manifest.json").exists()
+
     def test_infeasible_grid_cells_do_not_crash(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscwit.sdp
 from oscwit.errors import InfeasibleTarget, NumericalFailure
@@ -15,11 +18,18 @@ from oscwit.fock import (
     partial_transpose_matrix,
 )
 from oscwit.modes import fold_theta, mode_rotation_unitary, transform_state
-from oscwit.protocol import max_score
+from oscwit.protocol import max_score, qk_matrix
 from oscwit.sdp import (
     SweepResult,
     _assemble_constraint_rows,
+    _clip_eig,
+    _dual_bound,
+    _primal_value,
+    _project_feasible,
     _project_spectrahedron,
+    _svec_data,
+    _symkron,
+    _symkron_table,
     build_problem,
     solve,
     sweep,
@@ -199,6 +209,124 @@ class TestFaceProjection:
             assert np.max(np.abs(rs.full_from_blocks(out) - ref)) < 1e-10
 
 
+def golden_dual_bound(prob, lam_blocks):
+    """The dual bound by an 80-step golden-section search over the score
+    multiplier; returns the value and the multiplier (None when the score is
+    inactive)."""
+    h = prob._op.adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
+    if not prob._score_active:
+        return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h), None
+
+    def g(mu):
+        return min(float(np.linalg.eigvalsh(hb - mu * qb)[0])
+                   for hb, qb in zip(h, prob._q_blocks)) + mu * prob.p_target
+
+    lo, hi = -1.0, 1.0
+    while g(lo + 1e-6 * (hi - lo)) < g(lo) and abs(lo) < 1e8:
+        lo *= 2.0
+    while g(hi - 1e-6 * (hi - lo)) < g(hi) and abs(hi) < 1e8:
+        hi *= 2.0
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    g1, g2 = g(x1), g(x2)
+    for _ in range(80):
+        if not x1 < x2:
+            break
+        if g1 < g2:
+            lo, x1, g1 = x1, x2, g2
+            x2 = lo + shrink * (hi - lo)
+            g2 = g(x2)
+        else:
+            hi, x2, g2 = x2, x1, g1
+            x1 = hi - shrink * (hi - lo)
+            g1 = g(x1)
+    return (g1, x1) if g1 >= g2 else (g2, x2)
+
+
+def random_lambda(space):
+    """Symmetric blocks with spectra drawn from [0, 1]."""
+    out = []
+    for g in space.groups:
+        v, _ = np.linalg.qr(rng.normal(size=(len(g), len(g))))
+        out.append((v * rng.uniform(0.0, 1.0, len(g))) @ v.T)
+    return out
+
+
+def bare_problem(p, q_blocks):
+    """A stand-in problem whose Phi* is the identity on its blocks."""
+    return SimpleNamespace(_op=SimpleNamespace(adjoint=list), _score_active=True,
+                           p_target=p, _q_blocks=q_blocks)
+
+
+class TestDualBound:
+    @pytest.mark.parametrize("prob", list(sector_problems()))
+    def test_matches_golden_section(self, prob):
+        rs = prob._rho_space
+        blocks = [b @ b.T for b in random_blocks(rs)]
+        rho = _project_feasible(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
+        z = _primal_value(prob, rho)
+        for _ in range(5):
+            lam = random_lambda(prob._big_space)
+            value = _dual_bound(prob, lam)
+            ref, _ = golden_dual_bound(prob, lam)
+            assert abs(value - ref) < 1e-12
+            # weak duality against an exactly feasible state
+            assert value <= z
+
+    def test_maximizer_at_a_kink(self):
+        # block 1 climbs and block 2 descends where their bottom eigenvalues
+        # cross, so g peaks at the crossing
+        prob = bare_problem(0.5, [np.array([[0.3, 0.05], [0.05, 0.6]]),
+                                  np.array([[0.7, 0.02], [0.02, 0.8]])])
+        lam = [np.diag([0.2, 0.8]), np.diag([0.9, 0.95])]
+        ref, mu = golden_dual_bound(prob, lam)
+        low = [np.linalg.eigh(h - mu * q) for h, q in zip(lam, prob._q_blocks)]
+        assert abs(low[0][0][0] - low[1][0][0]) < 1e-9
+        slopes = [0.5 - v[:, 0] @ q @ v[:, 0] for (_, v), q in zip(low, prob._q_blocks)]
+        assert slopes[0] > 0.1 and slopes[1] < -0.1
+        assert abs(_dual_bound(prob, lam) - ref) < 1e-12
+
+    @pytest.mark.parametrize("h", [[0.0, 1.0], [1.0, 0.0]])
+    def test_bracket_expansion(self, h):
+        prob = bare_problem(0.5, [np.array([[0.45, 0.01], [0.01, 0.55]])])
+        lam = [np.diag(h)]
+        ref, mu = golden_dual_bound(prob, lam)
+        assert abs(mu) > 4.0
+        assert abs(_dual_bound(prob, lam) - ref) < 1e-12
+
+
+def kron_symkron(a, b):
+    """_symkron gathered from the two full Kronecker products."""
+    d = len(a)
+    rows, cols, scale = _svec_data(d)
+    kab, kba = np.kron(a, b), np.kron(b, a)
+    pair, swap = rows * d + cols, cols * d + rows
+    sub = (0.5 * (kab[np.ix_(pair, pair)] + kba[np.ix_(pair, pair)])
+           + 0.5 * (kab[np.ix_(pair, swap)] + kba[np.ix_(pair, swap)]))
+    sub *= 0.5 * np.outer(scale, scale)
+    return sub
+
+
+class TestSymkron:
+    def test_matches_kronecker_reference(self):
+        for d in range(1, 21):
+            a, b, m = (x + x.T for x in rng.normal(size=(3, d, d)))
+            out = _symkron(a, b, _symkron_table(d))
+            assert np.array_equal(out, kron_symkron(a, b))
+            rows, cols, scale = _svec_data(d)
+            want = ((a @ m @ b + b @ m @ a) / 2.0)[rows, cols] * scale
+            assert np.max(np.abs(out @ (m[rows, cols] * scale) - want)) < 1e-12
+
+    def test_tables_only_for_the_interior_point(self):
+        prob = build_problem(3, np.pi / 4, 0.68, 6)
+        solve(prob, engine="first-order", max_iters=25)
+        assert prob._kron_tables == {}
+        prob = build_problem(3, np.pi / 4, 0.62, 3)
+        solve(prob, engine="interior-point", max_iters=2)
+        groups = prob._rho_space.groups + prob._big_space.groups
+        assert sorted(prob._kron_tables) == sorted({len(g) for g in groups})
+
+
 class TestSolve:
     def test_theta_zero_never_certifies(self):
         for p in (0.55, 0.6, 0.66):
@@ -228,6 +356,18 @@ class TestSolve:
 
     def test_weak_duality_along_iterates(self):
         sol = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-7)
+        assert sol.history
+        for z_up, z_lb in sol.history:
+            assert z_up >= z_lb - 1e-12
+
+    @settings(max_examples=15, derandomize=True, deadline=None, database=None)
+    @given(theta=st.floats(0.0, math.pi / 4), frac=st.floats(0.0, 1.0))
+    def test_weak_duality_at_random_cells(self, theta, frac):
+        # any score the n = 3 truncation attains, its faces included; the
+        # budget caps the slow solves just inside a face
+        w = np.linalg.eigvalsh(qk_matrix(3, 3).matrix.real)
+        sol = solve(build_problem(3, theta, w[0] + frac * (w[-1] - w[0]), 3), tol=1e-6,
+                    max_iters=60)
         assert sol.history
         for z_up, z_lb in sol.history:
             assert z_up >= z_lb - 1e-12
