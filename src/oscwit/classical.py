@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import UnstableStep
 from .modes import NormalModeSpec, normal_coordinates
@@ -221,6 +220,8 @@ def hermite_overlap_quadrature(m: int, n: int) -> float:
 
     Ground-truth oracle for the half-line matrix elements of pos(X).
     """
+    from scipy.integrate import quad
+
     if m < 0 or n < 0:
         raise ValueError("indices must be >= 0")
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import (
     DimensionMismatch,
@@ -164,6 +163,8 @@ def identity_matrix(n_max: int, modes: int = 1, basis_tag: str = "single") -> Fo
 
 def coherent_tail_mass(alpha: complex, n_max: int) -> float:
     """Probability weight of the truncated-away levels of |alpha>."""
+    from scipy.special import gammainc
+
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
@@ -177,6 +178,8 @@ def coherent_state(alpha: complex, n_max: int, tol: float = 1e-10) -> np.ndarray
     Raises TruncationInsufficient when the Poisson tail beyond n_max
     exceeds ``tol``.
     """
+    from scipy.special import gammaln
+
     tail = coherent_tail_mass(alpha, n_max)
     if tail > tol:
         raise TruncationInsufficient(

@@ -50,6 +50,16 @@ projects block by block.  The interior-point engine runs one loop over one
 list of PSD sector blocks (rho, varrho_+, varrho_-); its partial-transpose
 match rows are the svec matrix of the same operator.  Only the reported
 primal value is evaluated on the full space.
+
+A sweep certifies each theta row as a unit.  z(rho) = tr Phi(rho)_+ is
+convex in rho and the score is linear in it.  So the mix of two feasible
+states ("anchors") that bracket a score p, in the proportion that hits p,
+is a feasible state whose z is at most the larger anchor z.  When the
+anchors have z = 1 up to the tolerance, the mix meets the trivial dual
+bound z_lb = 1 at once and the cell costs no iterations.  The vacuum is
+always such an anchor (Phi maps it onto itself), and every cell of the row
+that ends with z_lb = 1 adds its state; the row is solved in descending p,
+so only its first z = 1 cell runs an engine.
 """
 
 from __future__ import annotations
@@ -59,7 +69,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import InfeasibleTarget, NumericalFailure
 from .fock import NORMAL, TwoModeState
@@ -501,9 +510,12 @@ def _project_feasible(prob: SdpProblem, rho_small: np.ndarray) -> np.ndarray:
 
 
 def _primal_value(prob: SdpProblem, rho_small: np.ndarray) -> float:
-    """z = tr (Phi(rho))_+ = (tr|Phi(rho)| + 1)/2 at a feasible state."""
+    """z = tr (Phi(rho))_+ = (tr|Phi(rho)| + 1)/2 at a feasible state.
+
+    tr|A| >= tr A = 1, so z >= 1; the clamp, the same as z_lb gets, keeps
+    rounding in the trace from reading z one ulp below 1."""
     w = np.linalg.eigvalsh(prob.phi(rho_small))
-    return 0.5 * (float(np.sum(np.abs(w))) + 1.0)
+    return max(0.5 * (float(np.sum(np.abs(w))) + 1.0), 1.0)
 
 
 def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
@@ -614,6 +626,15 @@ class _Certificates:
         self.history.append((self.z_up, self.z_lb))
         return self.converged
 
+    def offer_state(self, rho_small: np.ndarray) -> bool:
+        """Harvest a density matrix on the small space with the trivial dual
+        bound z_lb = 1 (tr|A| >= tr A = 1); True once the gap meets the
+        tolerance."""
+        self.rho = _project_feasible(self.prob, rho_small)
+        self.z_up, self.z_lb = _primal_value(self.prob, self.rho), 1.0
+        self.history.append((self.z_up, self.z_lb))
+        return self.converged
+
 
 # ---------------------------------------------------------------------------
 # interior-point engine
@@ -678,6 +699,8 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     Each iterate, and the one the last step leaves, is offered to ``certs``
     with Lambda = -y on the match rows.  Returns (iterations, status).
     """
+    from scipy.linalg import block_diag
+
     _assemble_constraint_rows(prob)
     rs, bs = prob._rho_space, prob._big_space
     nr, nb = len(rs.groups), len(bs.groups)
@@ -925,6 +948,7 @@ def solve(
     tol: float = 1e-7,
     max_iters: int | None = None,
     engine: str = "auto",
+    start: np.ndarray | None = None,
 ) -> SdpSolution:
     """Run the certification SDP and return certified bounds.
 
@@ -933,27 +957,38 @@ def solve(
     ``max_iters`` is omitted, engine defaults apply (200 interior-point
     iterations plus up to 8000 splitting polish iterations, or 20000
     splitting iterations); when given, it caps the total of both engines.
+
+    start: a density matrix on the small space with the target score.  If
+    its primal value is within the tolerance of the trivial bound z_lb = 1,
+    it is the answer, after 0 iterations; otherwise the engines run as
+    without it.  Face problems ignore it.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     if engine == "auto":
         m = prob._big_space.total + 2
         engine = "interior-point" if m <= 2600 else "first-order"
     t0 = time.perf_counter()
     certs = _Certificates(prob, tol)
-    if engine == "interior-point":
-        iters, status = _solve_ipm(prob, certs, 200 if max_iters is None else max_iters)
-        polish = 8000 if max_iters is None else max_iters - iters
-        if not certs.converged and certs.rho is not None and polish > 0:
-            # interior-point runs can leave the primal side loose when the
-            # optimal face is degenerate; polish it with splitting iterations
-            # warm-started from the same certificates (the dual bound is
-            # usually tight already)
-            extra, pstatus = _solve_pdhg(prob, certs, polish)
-            iters += extra
-            status = pstatus if pstatus == "optimal" else status
-    elif engine == "first-order":
-        iters, status = _solve_pdhg(prob, certs, 20000 if max_iters is None else max_iters)
+    if start is not None and prob._face_basis is None and certs.offer_state(start):
+        iters, status = 0, "optimal"
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        # a start that falls short leaves no trace: the engines run on a
+        # fresh keeper, exactly as without it
+        certs = _Certificates(prob, tol)
+        if engine == "interior-point":
+            iters, status = _solve_ipm(prob, certs, 200 if max_iters is None else max_iters)
+            polish = 8000 if max_iters is None else max_iters - iters
+            if not certs.converged and certs.rho is not None and polish > 0:
+                # interior-point runs can leave the primal side loose when the
+                # optimal face is degenerate; polish it with splitting
+                # iterations warm-started from the same certificates (the
+                # dual bound is usually tight already)
+                extra, pstatus = _solve_pdhg(prob, certs, polish)
+                iters += extra
+                status = pstatus if pstatus == "optimal" else status
+        else:
+            iters, status = _solve_pdhg(prob, certs, 20000 if max_iters is None else max_iters)
     wall = time.perf_counter() - t0
     z_up, z_lb = certs.z_up, max(certs.z_lb, 1.0)
     if not math.isfinite(z_up):
@@ -1020,16 +1055,27 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _solve_cell(args):
-    K, n_max, theta, p, tol, engine = args
+def _row_start(anchors: list, p: float) -> np.ndarray | None:
+    """The mix of the nearest (score, state) anchors below and above p
+    that hits p, or None when no two anchors bracket p."""
+    below = [a for a in anchors if a[0] <= p]
+    above = [a for a in anchors if a[0] >= p]
+    if not below or not above:
+        return None
+    s_lo, lo = max(below, key=lambda a: a[0])
+    s_hi, hi = min(above, key=lambda a: a[0])
+    if s_hi == s_lo:
+        return lo
+    t = (p - s_lo) / (s_hi - s_lo)
+    return (1.0 - t) * lo + t * hi
+
+
+def _solve_cell(K, n_max, theta, p, tol, engine, anchors):
+    """One row cell, started from its anchors; a solve that ends optimal
+    with z_lb = 1 adds its state to them."""
     try:
         problem = build_problem(K, theta, p, n_max)
-        sol = solve(problem, tol=tol, engine=engine)
-        return {
-            "theta": theta, "p_target": p, "z": sol.z, "s_n": sol.s_n,
-            "dual_gap": sol.dual_gap, "status": sol.status,
-            "iterations": sol.iterations, "wall_time": sol.wall_time,
-        }
+        sol = solve(problem, tol=tol, engine=engine, start=_row_start(anchors, p))
     except InfeasibleTarget:
         return {
             "theta": theta, "p_target": p, "z": float("nan"),
@@ -1043,6 +1089,28 @@ def _solve_cell(args):
             "status": "failed", "iterations": 0, "wall_time": 0.0,
             "reason": str(exc),
         }
+    if sol.status == "optimal" and sol.z_lb == 1.0:
+        rho = sol.rho.matrix.real
+        anchors.append((problem.score_of(rho), rho))
+    return {
+        "theta": theta, "p_target": p, "z": sol.z, "s_n": sol.s_n,
+        "dual_gap": sol.dual_gap, "status": sol.status,
+        "iterations": sol.iterations, "wall_time": sol.wall_time,
+    }
+
+
+def _solve_row(args) -> list:
+    """The cells of one theta row, solved in descending p and returned in
+    grid order.  The anchors start with the vacuum, which Phi maps to
+    itself at every theta."""
+    K, n_max, theta, p_grid, tol, engine = args
+    vacuum = np.zeros(((n_max + 1) ** 2,) * 2)
+    vacuum[0, 0] = 1.0
+    anchors = [(float(qk_matrix(K, n_max).matrix.real[0, 0]), vacuum)]
+    rows = [None] * len(p_grid)
+    for i in sorted(range(len(p_grid)), key=lambda i: -p_grid[i]):
+        rows[i] = _solve_cell(K, n_max, theta, p_grid[i], tol, engine, anchors)
+    return rows
 
 
 def sweep(
@@ -1054,19 +1122,29 @@ def sweep(
     engine: str = "auto",
     threads: int = 1,
 ) -> SweepResult:
-    """One certification solve per grid point; failures recorded per cell."""
-    jobs = [
-        (K, n_max, float(th), float(p), tol, engine)
-        for th in theta_grid for p in p_grid
-    ]
+    """One certification solve per grid point; failures recorded per cell.
+
+    Each theta row is certified as a unit, in descending p, with a list of
+    anchors: (score, state) pairs of feasible states with z = 1, starting
+    with the vacuum.  z(rho) = tr Phi(rho)_+ is convex in rho and the score
+    is linear, so the mix of two anchors that hits a cell's p exactly has
+    z no larger than the larger anchor z.  Such a start usually closes the
+    gap at once (``solve``'s ``start``), and the cell costs no iterations;
+    a cell without a bracket, or whose start falls short, is solved as a
+    stand-alone cell would be.  Rows keep grid order, and each row is
+    deterministic, so ``threads`` spreads whole rows over threads without
+    changing an output byte.
+    """
+    p_grid = [float(p) for p in p_grid]
+    jobs = [(K, n_max, float(th), p_grid, tol, engine) for th in theta_grid]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_solve_cell, jobs))
+            rows = list(pool.map(_solve_row, jobs))
     else:
-        rows = [_solve_cell(j) for j in jobs]
-    return SweepResult(K=K, n_max=n_max, tol=tol, rows=rows)
+        rows = [_solve_row(j) for j in jobs]
+    return SweepResult(K=K, n_max=n_max, tol=tol, rows=[r for row in rows for r in row])
 
 
 def truncation_study(K: int, theta: float, n_list, tol: float = 1e-7,

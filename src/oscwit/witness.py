@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from .errors import EvenK, SearchFailed, TruncationInsufficient
 from .fock import (
@@ -81,6 +80,8 @@ def coherent_witness_erf(r: float, K: int = 3) -> float:
 
     Valid for K = 3: (1 - 2 erf(r) + erf(2r)) / 6.
     """
+    from scipy.special import erf
+
     if K != 3:
         raise ValueError("closed form recorded for K = 3 only")
     return (1.0 - 2.0 * erf(r) + erf(2.0 * r)) / 6.0
@@ -153,6 +154,8 @@ def optimality_probe(p_op: FockOperator, epsilon: float, K: int = 3,
 
 def erfinv_probe_hint(p_expectation: float, epsilon: float) -> float:
     """Displacement beyond which the witness expectation must lose to eps P."""
+    from scipy.special import erfinv
+
     arg = 1.0 - 6.0 * epsilon * p_expectation / (1.0 + epsilon)
     arg = min(max(arg, -1.0 + 1e-15), 1.0 - 1e-15)
     return float(erfinv(arg))

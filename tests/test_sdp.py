@@ -146,6 +146,30 @@ class TestSectorOperator:
         assert np.all(out[~in_sector] == 0.0)
         assert np.max(np.abs(dense_phi(prob, rho)[~in_sector])) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4])
+    def test_vacuum_is_a_ppt_anchor(self, theta, n):
+        # the rotation conserves total number, so Phi maps the vacuum onto
+        # itself exactly: every sweep row can start from it
+        prob = build_problem(3, theta, 0.5, n)
+        vac = np.zeros((prob.small_dim, prob.small_dim))
+        vac[0, 0] = 1.0
+        out = prob.phi(vac)
+        assert np.linalg.eigvalsh(out)[0] >= 0.0
+        assert np.array_equal(out, np.diag(np.eye(prob.big_dim)[0]))
+        assert _primal_value(prob, vac) == 1.0
+        assert prob.score_of(vac) == qk_matrix(3, n).matrix.real[0, 0]
+
+    def test_primal_value_never_below_one(self):
+        # at theta = 0 every product state is PPT, so z = 1; unclamped,
+        # rounding in the spectrum reads some of them one ulp below
+        prob = build_problem(3, 0.0, 0.55, 3)
+        local = np.random.default_rng(3)
+        for _ in range(200):
+            a, b = (m @ m.T for m in local.normal(size=(2, 4, 4)))
+            z = _primal_value(prob, np.kron(a / np.trace(a), b / np.trace(b)))
+            assert 1.0 <= z < 1.0 + 1e-12
+
     def test_frozen_ladder_rung(self):
         # theta = pi/4, p = 0.68 first becomes feasible at n = 6; this is
         # the splitting engine's certified bound after 400 iterations
@@ -426,6 +450,14 @@ class TestSolve:
         assert sol.z >= sol.z_lb - 1e-12
         assert sol.dual_gap > 0
 
+    def test_start_that_falls_short_changes_nothing(self):
+        # at p = 0.62 every state has z > 1, so no start closes the gap
+        cold = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-6)
+        warm = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-6,
+                     start=cold.rho.matrix.real)
+        assert (warm.z, warm.z_lb, warm.iterations, warm.status, warm.history) == (
+            cold.z, cold.z_lb, cold.iterations, cold.status, cold.history)
+
     def test_first_order_engine_agrees(self):
         ipm = solve(build_problem(3, np.pi / 4, 0.66, 3), tol=1e-7)
         pdhg = solve(build_problem(3, np.pi / 4, 0.66, 3), tol=1e-4,
@@ -479,6 +511,17 @@ class TestFaceTargets:
         # the top score, and they carry about 0.729 nats
         assert sol.s_n == pytest.approx(0.7292, abs=1e-3)
 
+    def test_face_ignores_start(self):
+        # on a face the score is no longer a constraint, so a start off the
+        # face, here the vacuum, would pass for a feasible state with z = 1
+        p3, _ = max_score(3, 3)
+        prob = build_problem(3, np.pi / 4, p3, 3)
+        vac = np.zeros((prob.small_dim, prob.small_dim))
+        vac[0, 0] = 1.0
+        sol = solve(prob, tol=1e-7, start=vac)
+        assert sol.iterations > 0
+        assert sol.certified
+
     def test_below_first_coupling_is_separable(self):
         sol = solve(build_problem(3, np.pi / 4, 0.5, 2), tol=1e-7)
         assert sol.s_n <= sol.dual_gap
@@ -526,6 +569,37 @@ class TestSweep:
             assert a["s_n"] == pytest.approx(
                 b["s_n"], abs=a["dual_gap"] + b["dual_gap"] + 1e-9
             )
+        # the thread count never changes an output byte
+        assert threaded.to_csv() == serial.to_csv()
+
+    @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 4])
+    def test_row_reuses_ppt_states(self, theta, monkeypatch):
+        ps = [0.5, 0.5375, 0.575, 0.6125, 0.65]
+        solved = {}
+        inner = oscwit.sdp.solve
+
+        def spy(prob, *args, **kwargs):
+            solved[prob.p_target] = sol = inner(prob, *args, **kwargs)
+            return sol
+
+        monkeypatch.setattr(oscwit.sdp, "solve", spy)
+        res = sweep([theta], ps, 3, 3, tol=1e-6)
+        assert [r["p_target"] for r in res.rows] == ps
+        flat_iterations = []
+        for row in res.rows:
+            alone = inner(build_problem(3, theta, row["p_target"], 3), tol=1e-6)
+            fields = ("z", "s_n", "dual_gap", "status", "iterations")
+            if alone.z_lb > 1.0:
+                assert [row[f] for f in fields] == [getattr(alone, f) for f in fields]
+                continue
+            sol = solved[row["p_target"]]
+            assert sol.status == "optimal"
+            assert sol.z >= sol.z_lb == 1.0
+            assert row["z"] <= alone.z
+            assert row["dual_gap"] <= alone.dual_gap
+            flat_iterations.append(row["iterations"])
+        assert len(flat_iterations) >= 2
+        assert sorted(flat_iterations)[:-1] == [0] * (len(flat_iterations) - 1)
 
     def test_failure_keeps_reason(self, monkeypatch):
         def broken(*args, **kwargs):
