@@ -91,6 +91,13 @@ def _int_at_least(cfg: dict, key: str, low: int) -> int:
     return val
 
 
+def _float(cfg: dict, key: str) -> float:
+    try:
+        return float(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number: {cfg[key]!r}") from exc
+
+
 def _floats(cfg: dict, key: str) -> list:
     try:
         return [float(v) for v in cfg[key]]
@@ -287,11 +294,11 @@ def _compare_row(label, state_physical, state_normal, cfg):
 
 def cmd_compare(args) -> int:
     cfg = _resolve_config(COMPARE_DEFAULTS, args.config, {})
+    k = _int_at_least(cfg, "K", 1)
+    n_max = _int_at_least(cfg, "n_max", 0)
+    theta = _float(cfg, "theta")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k = int(cfg["K"])
-    n_max = int(cfg["n_max"])
-    theta = float(cfg["theta"])
     rows = []
     for spec in cfg["states"]:
         kind = spec.get("kind")
@@ -342,27 +349,31 @@ WITNESS_DEFAULTS = {
 
 def cmd_witness(args) -> int:
     cfg = _resolve_config(WITNESS_DEFAULTS, args.config, {})
+    k = _int_at_least(cfg, "K", 1)
+    proj = _int_at_least(cfg, "proj_level", 0)
+    parent = (2 * proj + 2 if cfg["parent_n_max"] is None
+              else _int_at_least(cfg, "parent_n_max", proj))
+    r_values = _floats(cfg, "erf_r_values")
+    epsilon = _float(cfg, "probe_epsilon")
+    if not epsilon > 0.0:
+        raise ConfigError(f"probe_epsilon must be > 0, not {epsilon}")
+    probe_n_max = _int_at_least(cfg, "probe_n_max", 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k = int(cfg["K"])
-    proj = int(cfg["proj_level"])
-    parent = cfg["parent_n_max"]
-    parent = 2 * proj + 2 if parent is None else int(parent)
     min_eig = nondecomposability_check(k, proj, parent)
     err = 0.0
-    for r in cfg["erf_r_values"]:
-        err = max(err, abs(coherent_expectation(float(r), K=k)
-                           - coherent_witness_erf(float(r), K=k)))
+    for r in r_values:
+        err = max(err, abs(coherent_expectation(r, K=k) - coherent_witness_erf(r, K=k)))
     from .fock import identity_matrix
 
-    probe = identity_matrix(int(cfg["probe_n_max"]), modes=2, basis_tag=NORMAL)
-    r_star, probe_value = optimality_probe(probe, float(cfg["probe_epsilon"]), K=k)
+    probe = identity_matrix(probe_n_max, modes=2, basis_tag=NORMAL)
+    r_star, probe_value = optimality_probe(probe, epsilon, K=k)
     report = {
         "K": k, "proj_level": proj, "parent_truncation": parent,
         "min_eigenvalue": min_eig,
         "erf_check_max_abs_error": err,
         "optimality_probe": {
-            "epsilon": float(cfg["probe_epsilon"]),
+            "epsilon": epsilon,
             "r_star": r_star, "expectation": probe_value,
         },
     }

@@ -14,6 +14,7 @@ input instead of silently producing a basis-dependent answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -162,24 +163,42 @@ def identity_matrix(n_max: int, modes: int = 1, basis_tag: str = "single") -> Fo
 
 
 def coherent_tail_mass(alpha: complex, n_max: int) -> float:
-    """Probability weight of the truncated-away levels of |alpha>."""
-    from scipy.special import gammainc
+    """Probability weight of the truncated-away levels of |alpha>.
 
+    The Poisson tail P(X > n_max), X ~ Poisson(|alpha|^2), summed term by
+    term.  Past the mode (n_max + 1 > lam) the terms from k = n_max + 1 fall
+    at least geometrically: the first is taken in the log domain, each next
+    one is the previous times lam / k, and the sum stops once a term drops
+    below 1e-17 of it.  Otherwise the tail is 1 minus the head sum over
+    k = n_max .. 0, formed the same way downward, clamped at 0.
+    """
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
-    # Poisson tail P(X > n_max); regularized lower incomplete gamma.
-    return float(gammainc(n_max + 1, lam))
+    upward = n_max + 1 > lam
+    k = n_max + 1 if upward else n_max
+    term = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1.0))
+    total = 0.0
+    while term > 1e-17 * total:
+        total += term
+        if upward:
+            k += 1
+            term *= lam / k
+        elif k == 0:
+            break
+        else:
+            term *= k / lam
+            k -= 1
+    return total if upward else max(0.0, 1.0 - total)
 
 
 def coherent_state(alpha: complex, n_max: int, tol: float = 1e-10) -> np.ndarray:
     """Normalized truncated coherent-state vector.
 
-    Raises TruncationInsufficient when the Poisson tail beyond n_max
-    exceeds ``tol``.
+    Amplitudes are formed in the log domain, with log n! from
+    ``math.lgamma``.  Raises TruncationInsufficient when the Poisson tail
+    beyond n_max exceeds ``tol``.
     """
-    from scipy.special import gammaln
-
     tail = coherent_tail_mass(alpha, n_max)
     if tail > tol:
         raise TruncationInsufficient(
@@ -192,7 +211,8 @@ def coherent_state(alpha: complex, n_max: int, tol: float = 1e-10) -> np.ndarray
         vec = np.zeros(n_max + 1, dtype=complex)
         vec[0] = 1.0
         return vec
-    logmod = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - abs(alpha) ** 2 / 2.0
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    logmod = n * np.log(abs(alpha)) - 0.5 * log_fact - abs(alpha) ** 2 / 2.0
     phase = np.exp(1j * np.angle(alpha) * n)
     vec = np.exp(logmod) * phase
     return vec / np.linalg.norm(vec)

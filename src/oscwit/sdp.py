@@ -652,16 +652,15 @@ class _SchurSolver:
         from scipy.linalg import cho_factor
 
         self.schur = schur
-        jitter = 0.0
         scale = max(np.trace(schur) / schur.shape[0], 1e-300)
-        for attempt in range(6):
+        for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            # the shifted copy is built only after a failed factorization
+            shifted = schur if jitter == 0.0 else schur + jitter * scale * np.eye(len(schur))
             try:
-                self.factor = cho_factor(
-                    schur + jitter * scale * np.eye(schur.shape[0]), lower=True
-                )
+                self.factor = cho_factor(shifted, lower=True)
                 return
             except np.linalg.LinAlgError:
-                jitter = 1e-14 if jitter == 0.0 else jitter * 100.0
+                pass
         raise NumericalFailure("Schur factorization failed")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -707,6 +706,9 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     t_rows, g_rows = prob._t_rows, prob._g_rows
     a_rho = np.vstack([t_rows, g_rows])
     n_t = t_rows.shape[0]
+    # the match rows of each big sector: its varrho_± pair's Schur block
+    starts = n_t + np.cumsum([0] + bs.svec_sizes)
+    big_slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
 
     b_vec = np.zeros(a_rho.shape[0])
     b_vec[0] = 1.0
@@ -756,8 +758,8 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         # the diagonal of the match rows
         k = [_symkron(xb, si, prob._kron_tables[len(xb)]) for xb, si in zip(x, s_inv)]
         schur = a_rho @ block_diag(*k[:nr]) @ a_rho.T
-        schur[n_t:, n_t:] += block_diag(
-            *[kp + kq for kp, kq in zip(k[nr:nr + nb], k[nr + nb:])])
+        for sl, kp, kq in zip(big_slices, k[nr:nr + nb], k[nr + nb:]):
+            schur[sl, sl] += kp + kq
         try:
             schur_solver = _SchurSolver(schur)
         except NumericalFailure:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +166,35 @@ class TestWitnessCmd:
         assert rep["optimality_probe"]["expectation"] < 0
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+NUMPY_ONLY_CONFIGS = {
+    "simulate": "simulate_gaussian.json",
+    "compare": "compare_family.json",
+    "witness": "witness_default.json",
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "compare", "witness"])
+def test_command_runs_without_scipy(tmp_path, command):
+    # only certify needs scipy (scipy.linalg); the other commands must not
+    # pay for importing it
+    argv = [command, "--out", str(tmp_path)]
+    if command in NUMPY_ONLY_CONFIGS:
+        argv += ["--config", str(ROOT / "configs" / NUMPY_ONLY_CONFIGS[command])]
+    code = ("import sys\n"
+            "from oscwit.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(rc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestErrors:
     def test_bad_distribution_kind(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -207,6 +239,15 @@ class TestErrors:
         ("certify", {"theta_grid": ["a"]}, "theta_grid must be a list of numbers: ['a']"),
         ("simulate", {"n_rounds": 0}, "n_rounds must be >= 1, not 0"),
         ("simulate", {"K": 0}, "K must be >= 1, not 0"),
+        ("witness", {"probe_epsilon": 0}, "probe_epsilon must be > 0, not 0.0"),
+        ("witness", {"probe_epsilon": -0.1}, "probe_epsilon must be > 0, not -0.1"),
+        ("witness", {"probe_n_max": -1}, "probe_n_max must be >= 0, not -1"),
+        ("witness", {"proj_level": -1}, "proj_level must be >= 0, not -1"),
+        ("witness", {"erf_r_values": ["a"]}, "erf_r_values must be a list of numbers: ['a']"),
+        ("witness", {"parent_n_max": 1}, "parent_n_max must be >= 2, not 1"),
+        ("compare", {"n_max": -1}, "n_max must be >= 0, not -1"),
+        ("compare", {"K": 0}, "K must be >= 1, not 0"),
+        ("compare", {"theta": "a"}, "theta must be a number: 'a'"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"

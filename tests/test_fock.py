@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaln
 
+import oscwit.fock
 from oscwit.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -14,6 +18,7 @@ from oscwit.fock import (
     TwoModeState,
     annihilation_matrix,
     coherent_state,
+    coherent_tail_mass,
     displacement_matrix,
     eig_hermitian,
     hermitian_basis,
@@ -82,6 +87,69 @@ class TestCoherent:
     def test_minimum_cutoff(self):
         n = minimum_coherent_cutoff(2.0, tol=1e-12)
         coherent_state(2.0, n, tol=1e-12)  # must not raise
+
+
+def scipy_tail_mass(alpha, n_max):
+    lam = abs(alpha) ** 2
+    return 0.0 if lam == 0.0 else float(gammainc(n_max + 1, lam))
+
+
+def witness_displacements():
+    """Every r the witness command evaluates: its erf check and the
+    optimality probe's walk in steps of 0.05 up to r = 20."""
+    rs = [0.0, 0.5, 1.0, 2.0]
+    r = 0.05
+    while r <= 20.0 + 0.05:
+        rs.append(r)
+        r += 0.05
+    return rs
+
+
+class TestTailMass:
+    """The math-only Poisson tail against scipy's incomplete gamma."""
+
+    def test_matches_gammainc(self):
+        for lam in np.linspace(0.0, 60.0, 241):
+            for n in range(151):
+                got = coherent_tail_mass(math.sqrt(lam), n)
+                ref = scipy_tail_mass(math.sqrt(lam), n)
+                if ref == 0.0:
+                    assert abs(got) <= 1e-300, (lam, n, got)
+                else:
+                    assert abs(got - ref) <= 1e-12 * ref, (lam, n, got, ref)
+
+    def test_minimum_cutoff_matches_gammainc_reference(self, monkeypatch):
+        rs = witness_displacements()
+        amps = [-math.sqrt(2.0) * r for r in rs]
+        got = [minimum_coherent_cutoff(a, tol=1e-12, margin=8) for a in amps]
+        # the probe state at the command's probe_n_max = 40 passes the same
+        # tail guard under both forms
+        guard = [coherent_tail_mass(a, 40) > 1e-10 for a in amps]
+        monkeypatch.setattr(oscwit.fock, "coherent_tail_mass", scipy_tail_mass)
+        assert got == [minimum_coherent_cutoff(a, tol=1e-12, margin=8) for a in amps]
+        assert guard == [scipy_tail_mass(a, 40) > 1e-10 for a in amps]
+
+    @staticmethod
+    def gammaln_form(alpha, n_max):
+        n = np.arange(n_max + 1)
+        logmod = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - abs(alpha) ** 2 / 2.0
+        ref = np.exp(logmod) * np.exp(1j * np.angle(alpha) * n)
+        return ref / np.linalg.norm(ref)
+
+    # the witness command's amplitudes: -sqrt(2) r for r <= 2
+    @pytest.mark.parametrize("alpha", [0.05, -0.7, 0.7 + 0.3j, 2.0, 2.5j, -2.8284271247461903])
+    def test_coherent_state_matches_gammaln_form(self, alpha):
+        n_max = minimum_coherent_cutoff(alpha, tol=1e-12, margin=8)
+        got = coherent_state(alpha, n_max, tol=1e-12)
+        assert np.max(np.abs(got - self.gammaln_form(alpha, n_max))) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [5.5j, -12.0, -28.0])
+    def test_coherent_state_far_displaced(self, alpha):
+        # exp of log-moduli of size ~|alpha|^2 log|alpha| amplifies the
+        # ulp-level difference between math.lgamma and gammaln
+        n_max = minimum_coherent_cutoff(alpha, tol=1e-12, margin=8)
+        got = coherent_state(alpha, n_max, tol=1e-12)
+        assert np.max(np.abs(got - self.gammaln_form(alpha, n_max))) <= 1e-13
 
 
 class TestDisplacement:

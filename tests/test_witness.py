@@ -10,11 +10,13 @@ from oscwit.fock import (
     PHYSICAL,
     FockOperator,
     TwoModeState,
+    coherent_state,
     identity_matrix,
     tensor,
 )
 from oscwit.protocol import classical_bound, max_score, score_state
 from oscwit.witness import (
+    _probe_state_expectation,
     coherent_expectation,
     coherent_witness_erf,
     nondecomposability_check,
@@ -92,6 +94,11 @@ class TestCoherentExpectation:
         assert coherent_witness_erf(1.0) == pytest.approx(0.0516534465, abs=1e-9)
         assert coherent_expectation(1.0) == pytest.approx(0.0516534465, abs=1e-8)
 
+    @pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.75, 1.0, 2.0, 3.5, 20.0])
+    def test_math_erf_matches_scipy_form(self, r):
+        ref = (1.0 - 2.0 * erf(r) + erf(2.0 * r)) / 6.0
+        assert abs(coherent_witness_erf(r) - ref) <= 1e-15
+
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
     def test_numeric_matches_erf(self, r):
         assert coherent_expectation(r) == pytest.approx(
@@ -141,6 +148,24 @@ class TestOptimalityProbe:
         p = identity_matrix(40, modes=2, basis_tag=PHYSICAL)
         r, value = optimality_probe(p, epsilon=0.2)
         assert value < 0.0
+
+    @pytest.mark.parametrize("tag", [NORMAL, PHYSICAL])
+    @pytest.mark.parametrize("r", [0.05, 0.4, 1.1])
+    def test_probe_expectation_matches_dense(self, tag, r):
+        n_max = 20
+        d = n_max + 1
+        gen = np.random.default_rng(5)
+        m = gen.normal(size=(d * d, d * d)) + 1j * gen.normal(size=(d * d, d * d))
+        p = FockOperator((m + m.conj().T) / 2.0, n_max, 2, tag)
+        if tag == NORMAL:
+            vac = np.zeros(d)
+            vac[0] = 1.0
+            vec = np.kron(coherent_state(-math.sqrt(2.0) * r, n_max), vac)
+        else:
+            single = coherent_state(-r, n_max)
+            vec = np.kron(single, single)
+        dense = np.vdot(vec, p.matrix @ vec).real
+        assert _probe_state_expectation(p, r, 1e-10) == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
     def test_erfinv_hint_bounds_search(self):
         # beyond the hinted displacement the witness expectation must fall
