@@ -73,7 +73,6 @@ from .sdp import (
     build_problem,
     solve,
     sweep,
-    truncation_study,
 )
 from .criteria import (
     FamilyState,

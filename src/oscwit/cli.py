@@ -98,6 +98,13 @@ def _float(cfg: dict, key: str) -> float:
         raise ConfigError(f"{key} must be a number: {cfg[key]!r}") from exc
 
 
+def _positive(cfg: dict, key: str) -> float:
+    val = _float(cfg, key)
+    if not val > 0.0:
+        raise ConfigError(f"{key} must be > 0, not {val}")
+    return val
+
+
 def _floats(cfg: dict, key: str) -> list:
     try:
         return [float(v) for v in cfg[key]]
@@ -117,6 +124,8 @@ def _distribution_from_config(spec: dict) -> ClassicalDistribution:
         "bimodal": lambda p: bimodal(p.get("offset", 1.5), p.get("scale", 0.3)),
         "uniform": lambda p: uniform_box(p.get("half_width", 1.0)),
     }
+    if not isinstance(spec, dict):
+        raise ConfigError(f"distribution must be an object: {spec!r}")
     kind = spec.get("kind")
     if kind not in kinds:
         raise ConfigError(f"unknown distribution kind {kind!r}")
@@ -129,6 +138,13 @@ def _distribution_from_config(spec: dict) -> ClassicalDistribution:
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown distribution keys for {kind}: {sorted(unknown)}")
+    for key in params:
+        if key in ("scale", "radius", "half_width"):
+            _positive(params, key)
+        elif key != "center":
+            _float(params, key)
+        elif len(_floats(params, key)) != 4:
+            raise ConfigError(f"center must list 4 numbers: {params[key]!r}")
     return kinds[kind](params)
 
 
@@ -169,22 +185,24 @@ def cmd_simulate(args) -> int:
                           {"seed": args.seed})
     k = _int_at_least(cfg, "K", 1)
     n_rounds = _int_at_least(cfg, "n_rounds", 1)
+    n_seeds = _int_at_least(cfg, "n_seeds", 1)
+    first_seed = _int_at_least(cfg, "seed", 0)
+    system = [_positive(cfg, key) for key in ("m1", "m2", "omega1", "omega2")]
+    system.append(_float(cfg, "g"))
+    theta, t0 = _float(cfg, "theta"), _float(cfg, "t0")
+    if cfg["sigma"] not in ("+", "-"):
+        raise ConfigError(f"sigma must be '+' or '-', not {cfg['sigma']!r}")
+    dist = _distribution_from_config(cfg["distribution"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dist = _distribution_from_config(cfg["distribution"])
     try:
-        spec = normal_mode_params(
-            cfg["m1"], cfg["m2"], cfg["omega1"], cfg["omega2"], cfg["g"],
-        )
+        spec = normal_mode_params(*system)
     except DegenerateAngle:
-        spec = normal_mode_params(
-            cfg["m1"], cfg["m2"], cfg["omega1"], cfg["omega2"], cfg["g"],
-            theta=cfg["theta"],
-        )
-    protocol = ProtocolSpec(k, cfg["sigma"], cfg["t0"])
+        spec = normal_mode_params(*system, theta=theta)
+    protocol = ProtocolSpec(k, cfg["sigma"], t0)
     records = []
-    for i in range(int(cfg["n_seeds"])):
-        seed = int(cfg["seed"]) + i
+    for i in range(n_seeds):
+        seed = first_seed + i
         est = simulate_classical_score(dist, spec, protocol, n_rounds, seed)
         records.append({
             "descriptor": dist.descriptor, "K": protocol.K,
@@ -220,6 +238,8 @@ def cmd_certify(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     k = _int_at_least(cfg, "K", 1)
     n_max = _int_at_least(cfg, "n_max", 0)
+    tol = _positive(cfg, "tol")
+    threads = _int_at_least(cfg, "threads", 1)
     if cfg["theta_grid"] is None:
         cfg["theta_grid"] = [i * math.pi / 16.0 for i in range(5)]
     if cfg["p_grid"] is None:
@@ -233,8 +253,8 @@ def cmd_certify(args) -> int:
         raise ConfigError(f"engine must be one of {list(ENGINES)}, not {cfg['engine']!r}")
     if not all(0.0 <= p <= 1.0 for p in cfg["p_grid"]):
         raise ConfigError(f"p_grid values must lie in [0, 1]: {cfg['p_grid']}")
-    res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=float(cfg["tol"]),
-                engine=cfg["engine"], threads=int(cfg["threads"]))
+    res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol,
+                engine=cfg["engine"], threads=threads)
     (out_dir / "certify.csv").write_text(
         res.to_csv(include_timing=bool(cfg["record_timing"]))
     )
@@ -354,9 +374,7 @@ def cmd_witness(args) -> int:
     parent = (2 * proj + 2 if cfg["parent_n_max"] is None
               else _int_at_least(cfg, "parent_n_max", proj))
     r_values = _floats(cfg, "erf_r_values")
-    epsilon = _float(cfg, "probe_epsilon")
-    if not epsilon > 0.0:
-        raise ConfigError(f"probe_epsilon must be > 0, not {epsilon}")
+    epsilon = _positive(cfg, "probe_epsilon")
     probe_n_max = _int_at_least(cfg, "probe_n_max", 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

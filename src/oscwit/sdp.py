@@ -48,8 +48,12 @@ partial-transpose).  The splitting engine holds rho and its dual variable
 as sector blocks, applies Phi and Phi* through that operator, and clips and
 projects block by block.  The interior-point engine runs one loop over one
 list of PSD sector blocks (rho, varrho_+, varrho_-); its partial-transpose
-match rows are the svec matrix of the same operator.  Only the reported
-primal value is evaluated on the full space.
+match rows are the svec matrix of the same operator.  The certificate
+keeper works in the same sector blocks: it projects a state block by block,
+repairs its score inside one sector and takes its primal value from the
+spectra of the big sector blocks.  An eigenspace face is spanned sector by
+sector, so it keeps the blocks too.  The full density matrix is built once,
+for the returned solution.
 
 A sweep certifies each theta row as a unit.  z(rho) = tr Phi(rho)_+ is
 convex in rho and the score is linear in it.  So the mix of two feasible
@@ -71,9 +75,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleTarget, NumericalFailure
-from .fock import NORMAL, TwoModeState
+from .fock import NORMAL, TwoModeState, partial_transpose_matrix
 from .modes import mode_rotation_unitary
-from .protocol import max_score, qk_matrix
+from .protocol import qk_matrix
 
 FACE_TOL = 1e-9
 ENGINES = ("auto", "interior-point", "first-order")
@@ -308,17 +312,16 @@ class SdpProblem:
     # space, and Q on the rho sectors (None when the score is inactive)
     _op: _SectorOperator = field(repr=False)
     _q_blocks: list | None = field(repr=False)
-    # (eigenvalue, projector) at the bottom and the top of the spectrum of
-    # Q, the unit-trace states that repair the score of a projected iterate
-    _q_edges: tuple = field(repr=False)
+    # (eigenvalue, sector blocks of its projector) at the bottom and the top
+    # of the spectrum of Q: the unit-trace states that repair the score of a
+    # projected iterate (None when the score is inactive)
+    _q_edges: list | None = field(repr=False)
     # lazy caches: the interior-point constraint rows and the _symkron
     # tables (one per block size) scale with the fourth power of the cutoff
     # and are never needed by the splitting engine
     _g_rows: np.ndarray | None = field(default=None, repr=False)
     _t_rows: np.ndarray | None = field(default=None, repr=False)
     _kron_tables: dict = field(default_factory=dict, repr=False)
-    # the same operator on the whole small and big spaces, one block each
-    _whole_op: _SectorOperator | None = field(default=None, repr=False)
 
     @property
     def small_dim(self) -> int:
@@ -336,25 +339,15 @@ class SdpProblem:
             return m
         return self._face_basis @ m @ self._face_basis.T
 
-    def from_state_matrix(self, m: np.ndarray) -> np.ndarray:
-        if self._face_basis is None:
-            return m
-        return self._face_basis.T @ m @ self._face_basis
-
-    def _whole_space_op(self) -> _SectorOperator:
-        if self._whole_op is None:
-            ds, db = self.small_dim, self.big_dim
-            self._whole_op = _SectorOperator(
-                self._u_rows, _BlockSpace(ds, [np.arange(ds)]), [range(self.K)],
-                _BlockSpace(db, [np.arange(db)]), self.n_max, self.K)
-        return self._whole_op
-
     def phi(self, rho_small: np.ndarray) -> np.ndarray:
-        """Embed, rotate to the physical basis, partial-transpose."""
-        return self._whole_space_op().forward([rho_small])[0]
+        """Embed, rotate to the physical basis, partial-transpose: the dense
+        form of the sector-blocked ``_op`` that the engines use."""
+        u = self._u_rows
+        return partial_transpose_matrix(u.T @ rho_small @ u, 2 * self.n_max + 1)
 
     def phi_adjoint(self, y_big: np.ndarray) -> np.ndarray:
-        return self._whole_space_op().adjoint([y_big])[0]
+        u = self._u_rows
+        return u @ partial_transpose_matrix(y_big, 2 * self.n_max + 1) @ u.T
 
     def score_of(self, rho_small: np.ndarray) -> float:
         return float(np.tensordot(self._q_small, rho_small, 2))
@@ -372,7 +365,8 @@ def build_problem(
     Raises InfeasibleTarget when no state within the truncation attains
     ``p_target``.  Targets exactly at the spectral edge are reduced to the
     corresponding eigenspace face, where the score constraint holds
-    identically.
+    identically; the face basis is taken from the spectrum of Q in every
+    sector, so the solver variable keeps the sector blocks.
     """
     if not 0.0 <= p_target <= 1.0:
         raise ValueError("p_target must lie in [0, 1]")
@@ -382,26 +376,6 @@ def build_problem(
     ds = d1 * d1
     q1 = qk_matrix(K, n_max).matrix.real
     q_small = np.kron(q1, np.eye(d1))
-    w_q, v_q = np.linalg.eigh(q_small)
-    lam_min, lam_max = w_q[0], w_q[-1]
-    if p_target > lam_max + FACE_TOL or p_target < lam_min - FACE_TOL:
-        raise InfeasibleTarget(
-            f"p_target={p_target} outside the attainable range "
-            f"[{lam_min:.9f}, {lam_max:.9f}] at n_max={n_max}"
-        )
-
-    degenerate_q = lam_max - lam_min < 1e-13
-    face_basis = None
-    score_active = True
-    if degenerate_q:
-        # Q is exactly (1/2) identity below the first coupling level
-        score_active = False
-    elif p_target > lam_max - FACE_TOL:
-        face_basis = v_q[:, w_q > lam_max - FACE_TOL]
-        score_active = False
-    elif p_target < lam_min + FACE_TOL:
-        face_basis = v_q[:, w_q < lam_min + FACE_TOL]
-        score_active = False
 
     # sector labels: N_tot mod K on the small space, (n1 - n2) mod K on the
     # doubled physical space
@@ -411,26 +385,54 @@ def build_problem(
     a_idx, b_idx = np.divmod(np.arange(D1 * D1), D1)
     big_labels = a_idx - b_idx
 
-    # residue of every solver coordinate; None when face vectors mix
-    # residues, and the face is then a single block
-    dim = ds if face_basis is None else face_basis.shape[1]
-    coord_res = rho_labels % K
-    if face_basis is not None:
-        coord_res = []
-        for c in range(dim):
-            sup = np.nonzero(np.abs(face_basis[:, c]) > 1e-11)[0]
-            res = set((rho_labels[sup] % K).tolist())
-            if len(res) != 1:
-                coord_res = None
-                break
-            coord_res.append(res.pop())
-    if coord_res is None:
-        rho_space = _BlockSpace(dim, [np.arange(dim)])
-        residues = [range(K)]
+    # Q couples only levels equal mod K, so its spectrum is taken sector by
+    # sector
+    sectors = _residue_groups(rho_labels, K, symmetry_reduction)
+    spectra = [np.linalg.eigh(q_small[np.ix_(g, g)]) for g in sectors]
+    lam_min = min(w[0] for w, _ in spectra)
+    lam_max = max(w[-1] for w, _ in spectra)
+    if p_target > lam_max + FACE_TOL or p_target < lam_min - FACE_TOL:
+        raise InfeasibleTarget(
+            f"p_target={p_target} outside the attainable range "
+            f"[{lam_min:.9f}, {lam_max:.9f}] at n_max={n_max}"
+        )
+
+    # Q is exactly (1/2) identity below the first coupling level, and the
+    # score holds identically on an eigenspace face
+    on_face = None
+    degenerate_q = lam_max - lam_min < 1e-13
+    if not degenerate_q and p_target > lam_max - FACE_TOL:
+        on_face = [w > lam_max - FACE_TOL for w, _ in spectra]
+    elif not degenerate_q and p_target < lam_min + FACE_TOL:
+        on_face = [w < lam_min + FACE_TOL for w, _ in spectra]
+    score_active = not degenerate_q and on_face is None
+
+    residues = [set((rho_labels[g] % K).tolist()) for g in sectors]
+    face_basis, q_edges = None, None
+    if on_face is None:
+        rho_space = _BlockSpace(ds, sectors)
     else:
-        coord_res = np.array(coord_res)
-        rho_space = _BlockSpace(dim, _residue_groups(coord_res, K, symmetry_reduction))
-        residues = [set(coord_res[g].tolist()) for g in rho_space.groups]
+        # the face is spanned sector by sector, so its coordinates keep the
+        # sector blocks
+        kept = [k for k, sel in enumerate(on_face) if sel.any()]
+        vecs = [spectra[k][1][:, on_face[k]] for k in kept]
+        ends = np.cumsum([v.shape[1] for v in vecs])
+        rho_space = _BlockSpace(int(ends[-1]), [
+            np.arange(end - v.shape[1], end) for v, end in zip(vecs, ends)])
+        face_basis = np.zeros((ds, rho_space.dim))
+        for k, v, cols in zip(kept, vecs, rho_space.groups):
+            face_basis[np.ix_(sectors[k], cols)] = v
+        residues = [residues[k] for k in kept]
+    if score_active:
+        # the states that repair the score: one sector's bottom and top
+        # eigenvector, as sector blocks
+        q_edges = []
+        for pick, col in ((min, 0), (max, -1)):
+            k = pick(range(len(sectors)), key=lambda k: spectra[k][0][col])
+            v = spectra[k][1][:, col]
+            blocks = rho_space.eye(0.0)
+            blocks[k] = np.outer(v, v)
+            q_edges.append((spectra[k][0][col], blocks))
     big_space = _BlockSpace(D1 * D1, _residue_groups(big_labels, K, symmetry_reduction))
 
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
@@ -444,8 +446,7 @@ def build_problem(
         _face_basis=face_basis, _score_active=score_active,
         _op=_SectorOperator(rows, rho_space, residues, big_space, n_max, K),
         _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
-        _q_edges=((lam_min, np.outer(v_q[:, 0], v_q[:, 0])),
-                  (lam_max, np.outer(v_q[:, -1], v_q[:, -1]))),
+        _q_edges=q_edges,
     )
 
 
@@ -485,36 +486,37 @@ def _assemble_constraint_rows(prob: SdpProblem) -> None:
 # honest certificates
 
 
-def _project_feasible(prob: SdpProblem, rho_small: np.ndarray) -> np.ndarray:
-    """Nearest convenient exactly feasible state: PSD clip, renormalize,
-    then repair the score by mixing with a spectral-edge state."""
-    m = (rho_small + rho_small.T) / 2.0
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    if w.sum() <= 0.0:
-        m = np.eye(m.shape[0]) / m.shape[0]
+def _project_feasible(prob: SdpProblem, blocks: list) -> list:
+    """Nearest convenient exactly feasible state, as solver-variable sector
+    blocks: PSD clip and renormalize every block, then repair the score by
+    mixing with a spectral-edge state."""
+    eigs = (np.linalg.eigh((b + b.T) / 2.0) for b in blocks)
+    rho = [(v * np.clip(w, 0.0, None)) @ v.T for w, v in eigs]
+    trace = sum(np.trace(b) for b in rho)
+    if trace <= 0.0:
+        rho = prob._rho_space.eye(1.0 / prob._rho_space.dim)
     else:
-        m = (v * w) @ v.T
-        m /= np.trace(m)
+        rho = [b / trace for b in rho]
     if not prob._score_active:
-        return m
-    p_now = prob.score_of(m)
+        return rho
+    p_now = sum(np.tensordot(q, b, 2) for q, b in zip(prob._q_blocks, rho))
     p_want = prob.p_target
     if abs(p_now - p_want) < 1e-15:
-        return m
+        return rho
     (lam_lo, state_lo), (lam_hi, state_hi) = prob._q_edges
     ref_lam, ref = (lam_hi, state_hi) if p_want > p_now else (lam_lo, state_lo)
     t = (p_want - p_now) / (ref_lam - p_now)
     t = min(max(t, 0.0), 1.0)
-    return (1.0 - t) * m + t * ref
+    return [(1.0 - t) * b + t * e for b, e in zip(rho, ref)]
 
 
-def _primal_value(prob: SdpProblem, rho_small: np.ndarray) -> float:
-    """z = tr (Phi(rho))_+ = (tr|Phi(rho)| + 1)/2 at a feasible state.
+def _primal_value(prob: SdpProblem, blocks: list) -> float:
+    """z = tr (Phi(rho))_+ = (tr|Phi(rho)| + 1)/2 at a feasible state given
+    as solver-variable sector blocks.
 
     tr|A| >= tr A = 1, so z >= 1; the clamp, the same as z_lb gets, keeps
     rounding in the trace from reading z one ulp below 1."""
-    w = np.linalg.eigvalsh(prob.phi(rho_small))
+    w = np.concatenate([np.linalg.eigvalsh(b) for b in prob._op.forward(blocks)])
     return max(0.5 * (float(np.sum(np.abs(w))) + 1.0), 1.0)
 
 
@@ -599,7 +601,7 @@ class _Certificates:
         self.prob = prob
         self.tol = tol
         self.z_up, self.z_lb = np.inf, -np.inf
-        self.rho = None   # best feasible density matrix on the small space
+        self.rho = None   # best feasible state, as solver-variable sector blocks
         self.lam = None   # best Lambda, as big sector blocks
         self.history = []
 
@@ -611,27 +613,18 @@ class _Certificates:
     def converged(self) -> bool:
         return self.gap <= self.tol * (1.0 + abs(self.z_up))
 
-    def offer(self, rho_blocks: list, lam_blocks: list) -> bool:
+    def offer(self, rho_blocks: list, lam_blocks: list | None = None) -> bool:
         """Harvest solver-variable rho sector blocks and Lambda big sector
-        blocks; True once the gap meets the tolerance."""
+        blocks; without Lambda the dual bound is the trivial z_lb = 1
+        (tr|A| >= tr A = 1).  True once the gap meets the tolerance."""
         prob = self.prob
-        rho = _project_feasible(
-            prob, prob.to_state_matrix(prob._rho_space.full_from_blocks(rho_blocks)))
+        rho = _project_feasible(prob, rho_blocks)
         z_up = _primal_value(prob, rho)
-        z_lb = max(_dual_bound(prob, lam_blocks), 1.0)
+        z_lb = 1.0 if lam_blocks is None else max(_dual_bound(prob, lam_blocks), 1.0)
         if z_up < self.z_up:
             self.z_up, self.rho = z_up, rho
         if z_lb > self.z_lb:
             self.z_lb, self.lam = z_lb, lam_blocks
-        self.history.append((self.z_up, self.z_lb))
-        return self.converged
-
-    def offer_state(self, rho_small: np.ndarray) -> bool:
-        """Harvest a density matrix on the small space with the trivial dual
-        bound z_lb = 1 (tr|A| >= tr A = 1); True once the gap meets the
-        tolerance."""
-        self.rho = _project_feasible(self.prob, rho_small)
-        self.z_up, self.z_lb = _primal_value(self.prob, self.rho), 1.0
         self.history.append((self.z_up, self.z_lb))
         return self.converged
 
@@ -898,15 +891,15 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
     where the optimum lies (module docstring), so the dual clip and the
     projection work one block at a time.  Iterates are offered to ``certs``
     periodically.  When ``certs`` already holds bounds from another engine,
-    the run warm-starts from its best rho, pinched to its sector blocks,
-    and its best Lambda.  Returns (iterations, status).
+    the run warm-starts from its best rho and its best Lambda.  Returns
+    (iterations, status).
     """
     rs, bs, op = prob._rho_space, prob._big_space, prob._op
     if certs.rho is None:
         rho = rs.eye(1.0 / rs.dim)
         y_big = bs.eye(0.0)
     else:
-        rho = rs.blocks_from_full(prob.from_state_matrix(certs.rho))
+        rho = certs.rho
         y_big = [2.0 * _clip_eig(lam, 0.0, 1.0) - np.eye(len(lam)) for lam in certs.lam]
     rho_bar = rho
     warm = (0.0, 0.0)
@@ -960,10 +953,11 @@ def solve(
     iterations plus up to 8000 splitting polish iterations, or 20000
     splitting iterations); when given, it caps the total of both engines.
 
-    start: a density matrix on the small space with the target score.  If
-    its primal value is within the tolerance of the trivial bound z_lb = 1,
-    it is the answer, after 0 iterations; otherwise the engines run as
-    without it.  Face problems ignore it.
+    start: a density matrix on the small space with the target score.  It
+    is pinched to the N_tot mod K sectors, which keeps its trace and score
+    and cannot raise its z.  If that z is within the tolerance of the
+    trivial bound z_lb = 1, the start is the answer, after 0 iterations;
+    otherwise the engines run as without it.  Face problems ignore it.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -971,8 +965,9 @@ def solve(
         m = prob._big_space.total + 2
         engine = "interior-point" if m <= 2600 else "first-order"
     t0 = time.perf_counter()
+    rs = prob._rho_space
     certs = _Certificates(prob, tol)
-    if start is not None and prob._face_basis is None and certs.offer_state(start):
+    if start is not None and prob._face_basis is None and certs.offer(rs.blocks_from_full(start)):
         iters, status = 0, "optimal"
     else:
         # a start that falls short leaves no trace: the engines run on a
@@ -998,9 +993,8 @@ def solve(
     s_up, s_lb = _sn_from_z(z_up), _sn_from_z(z_lb)
     rho_state = None
     if certs.rho is not None:
-        rho_state = TwoModeState(
-            certs.rho.astype(complex), prob.n_max, NORMAL, validate=False
-        )
+        rho = prob.to_state_matrix(rs.full_from_blocks(certs.rho))
+        rho_state = TwoModeState(rho.astype(complex), prob.n_max, NORMAL, validate=False)
     return SdpSolution(
         z=z_up, s_n=s_up, z_lb=z_lb, s_n_lb=s_lb,
         dual_gap=max(s_up - s_lb, 0.0),
@@ -1147,30 +1141,3 @@ def sweep(
     else:
         rows = [_solve_row(j) for j in jobs]
     return SweepResult(K=K, n_max=n_max, tol=tol, rows=[r for row in rows for r in row])
-
-
-def truncation_study(K: int, theta: float, n_list, tol: float = 1e-7,
-                     engine: str = "auto") -> list:
-    """Certified minimum entanglement of maximally violating states per n.
-
-    For each truncation the target is the top eigenvalue of the protocol
-    operator there, which lands on the eigenspace face.
-    """
-    rows = []
-    for n in n_list:
-        p_max, _ = max_score(K, n)
-        try:
-            problem = build_problem(K, theta, p_max, n)
-            sol = solve(problem, tol=tol, engine=engine)
-            rows.append({
-                "n_max": int(n), "p_target": p_max, "z": sol.z, "s_n": sol.s_n,
-                "dual_gap": sol.dual_gap, "status": sol.status,
-                "iterations": sol.iterations,
-            })
-        except (InfeasibleTarget, NumericalFailure) as exc:
-            rows.append({
-                "n_max": int(n), "p_target": p_max, "z": float("nan"),
-                "s_n": float("nan"), "dual_gap": float("nan"),
-                "status": type(exc).__name__, "iterations": 0,
-            })
-    return rows

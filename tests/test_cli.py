@@ -248,6 +248,26 @@ class TestErrors:
         ("compare", {"n_max": -1}, "n_max must be >= 0, not -1"),
         ("compare", {"K": 0}, "K must be >= 1, not 0"),
         ("compare", {"theta": "a"}, "theta must be a number: 'a'"),
+        ("certify", {"tol": "x"}, "tol must be a number: 'x'"),
+        ("certify", {"tol": 0}, "tol must be > 0, not 0.0"),
+        ("certify", {"threads": "x"}, "threads must be an integer: 'x'"),
+        ("certify", {"threads": 0}, "threads must be >= 1, not 0"),
+        ("simulate", {"n_seeds": "a"}, "n_seeds must be an integer: 'a'"),
+        ("simulate", {"n_seeds": 0}, "n_seeds must be >= 1, not 0"),
+        ("simulate", {"seed": "z"}, "seed must be an integer: 'z'"),
+        ("simulate", {"seed": -1}, "seed must be >= 0, not -1"),
+        ("simulate", {"t0": "q"}, "t0 must be a number: 'q'"),
+        ("simulate", {"sigma": "x"}, "sigma must be '+' or '-', not 'x'"),
+        ("simulate", {"m1": -1}, "m1 must be > 0, not -1.0"),
+        ("simulate", {"omega2": 0}, "omega2 must be > 0, not 0.0"),
+        ("simulate", {"g": "a"}, "g must be a number: 'a'"),
+        ("simulate", {"distribution": {"kind": "gaussian", "scale": -1}},
+         "scale must be > 0, not -1.0"),
+        ("simulate", {"distribution": {"kind": "uniform", "half_width": "a"}},
+         "half_width must be a number: 'a'"),
+        ("simulate", {"distribution": "x"}, "distribution must be an object: 'x'"),
+        ("simulate", {"distribution": {"kind": "gaussian", "center": [1]}},
+         "center must list 4 numbers: [1]"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"

@@ -33,7 +33,6 @@ from oscwit.sdp import (
     build_problem,
     solve,
     sweep,
-    truncation_study,
 )
 
 rng = np.random.default_rng(7)
@@ -114,8 +113,19 @@ def sector_problems():
                 yield build_problem(3, theta, p, n)
 
 
+def q_spectrum(n):
+    return np.linalg.eigh(np.kron(qk_matrix(3, n).matrix.real, np.eye(n + 1)))
+
+
+def n8_face(end):
+    """The K = 3, n = 8 problem on the bottom (end = 0) or top (end = -1)
+    face of the score range."""
+    w, _ = q_spectrum(8)
+    return build_problem(3, np.pi / 4, w[end], 8)
+
+
 class TestSectorOperator:
-    @pytest.mark.parametrize("prob", list(sector_problems()))
+    @pytest.mark.parametrize("prob", list(sector_problems()) + [n8_face(-1)])
     def test_blocked_phi_matches_dense_reference(self, prob):
         rs, bs = prob._rho_space, prob._big_space
         blocks = random_blocks(rs)
@@ -157,18 +167,41 @@ class TestSectorOperator:
         out = prob.phi(vac)
         assert np.linalg.eigvalsh(out)[0] >= 0.0
         assert np.array_equal(out, np.diag(np.eye(prob.big_dim)[0]))
-        assert _primal_value(prob, vac) == 1.0
+        assert _primal_value(prob, prob._rho_space.blocks_from_full(vac)) == 1.0
         assert prob.score_of(vac) == qk_matrix(3, n).matrix.real[0, 0]
 
     def test_primal_value_never_below_one(self):
-        # at theta = 0 every product state is PPT, so z = 1; unclamped,
-        # rounding in the spectrum reads some of them one ulp below
+        # at theta = 0 every product state is PPT, and so is its pinching to
+        # the sectors, so z = 1; unclamped, rounding in the spectrum reads
+        # some of them one ulp below
         prob = build_problem(3, 0.0, 0.55, 3)
+        rs = prob._rho_space
         local = np.random.default_rng(3)
         for _ in range(200):
             a, b = (m @ m.T for m in local.normal(size=(2, 4, 4)))
-            z = _primal_value(prob, np.kron(a / np.trace(a), b / np.trace(b)))
+            product = np.kron(a / np.trace(a), b / np.trace(b))
+            z = _primal_value(prob, rs.blocks_from_full(product))
             assert 1.0 <= z < 1.0 + 1e-12
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(theta=st.floats(0.0, math.pi / 4), n=st.sampled_from([2, 3, 4]),
+           frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocked_phi_is_an_isometry(self, theta, n, frac, seed):
+        # any score the truncation attains, its faces included
+        w, _ = q_spectrum(n)
+        prob = build_problem(3, theta, w[0] + frac * (w[-1] - w[0]), n)
+        rs = prob._rho_space
+        local = np.random.default_rng(seed)
+        blocks = [m @ m.T for m in (local.normal(size=(len(g), len(g))) for g in rs.groups)]
+        trace = sum(np.trace(b) for b in blocks)
+        blocks = [b / trace for b in blocks]
+        out = prob._op.forward(blocks)
+        assert sum(np.trace(b) for b in out) == pytest.approx(1.0, abs=1e-12)
+        assert math.hypot(*(np.linalg.norm(b) for b in out)) == pytest.approx(
+            math.hypot(*(np.linalg.norm(b) for b in blocks)), abs=1e-12)
+        ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
+        z_ref = 0.5 * (np.sum(np.abs(np.linalg.eigvalsh(ref))) + 1.0)
+        assert abs(_primal_value(prob, blocks) - z_ref) < 1e-12
 
     def test_frozen_ladder_rung(self):
         # theta = pi/4, p = 0.68 first becomes feasible at n = 6; this is
@@ -286,8 +319,7 @@ class TestDualBound:
     @pytest.mark.parametrize("prob", list(sector_problems()))
     def test_matches_golden_section(self, prob):
         rs = prob._rho_space
-        blocks = [b @ b.T for b in random_blocks(rs)]
-        rho = _project_feasible(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
+        rho = _project_feasible(prob, [b @ b.T for b in random_blocks(rs)])
         z = _primal_value(prob, rho)
         for _ in range(5):
             lam = random_lambda(prob._big_space)
@@ -467,6 +499,18 @@ class TestSolve:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("p", [0.62, max_score(3, 3)[0]])
+    def test_state_stays_in_the_sectors(self, p):
+        # the keeper holds rho as sector blocks, with the score repaired
+        # inside one sector, so the reported state is exactly zero between
+        # different N_tot mod K
+        sol = solve(build_problem(3, np.pi / 4, p, 3), tol=1e-7)
+        i, j = np.divmod(np.arange(16), 4)
+        label = (i + j) % 3
+        off = label[:, None] != label[None, :]
+        assert np.any(sol.rho.matrix[~off] != 0.0)
+        assert np.all(sol.rho.matrix[off] == 0.0)
+
     def test_minimizer_consistency(self):
         prob = build_problem(3, np.pi / 4, 0.64, 3)
         sol = solve(prob, tol=1e-7)
@@ -503,6 +547,18 @@ class TestReconstruction:
 
 
 class TestFaceTargets:
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_face_keeps_the_sectors(self, end):
+        # the face basis is built sector by sector, so a face that spans
+        # every sector stays in sector blocks
+        prob = n8_face(end)
+        assert [len(g) for g in prob._rho_space.groups] == [3, 3, 3]
+        f = prob._face_basis
+        assert np.max(np.abs(f.T @ f - np.eye(9))) < 1e-12
+        w, v = q_spectrum(8)
+        face = v[:, np.abs(w - w[end]) < oscwit.sdp.FACE_TOL]
+        assert np.max(np.abs(f @ f.T - face @ face.T)) < 1e-12
+
     def test_max_score_target_certifies(self):
         p3, _ = max_score(3, 3)
         sol = solve(build_problem(3, np.pi / 4, p3, 3), tol=1e-7)
@@ -525,6 +581,29 @@ class TestFaceTargets:
     def test_below_first_coupling_is_separable(self):
         sol = solve(build_problem(3, np.pi / 4, 0.5, 2), tol=1e-7)
         assert sol.s_n <= sol.dual_gap
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_top_score_below_first_coupling_is_separable(self, n):
+        # below the first protocol coupling the top score is 1/2 and the
+        # vacuum attains it: no entanglement
+        p_top, _ = max_score(3, n)
+        assert p_top == pytest.approx(0.5)
+        sol = solve(build_problem(3, np.pi / 4, p_top, n), tol=1e-6)
+        assert sol.s_n <= sol.dual_gap
+        assert not sol.certified
+
+    def test_top_score_relaxes_along_its_plateau(self):
+        # at the coupling the maximally violating face is entangled; within
+        # a plateau of the top score the certified minimum relaxes as the
+        # space grows (frozen solver values, cross-checked at tol 1e-7)
+        (p3, _), (p4, _) = max_score(3, 3), max_score(3, 4)
+        assert p3 == pytest.approx(0.662867503968, abs=1e-10)
+        assert p4 == pytest.approx(p3, abs=1e-12)
+        s3 = solve(build_problem(3, np.pi / 4, p3, 3), tol=1e-6)
+        s4 = solve(build_problem(3, np.pi / 4, p4, 4), tol=1e-6)
+        assert s3.s_n == pytest.approx(0.7292, abs=1e-3)
+        assert s4.s_n == pytest.approx(0.6981, abs=1e-3)
+        assert s4.s_n < s3.s_n
 
 
 class TestSweep:
@@ -620,22 +699,3 @@ class TestSweep:
         assert header.split(",") == list(SweepResult.COLUMNS)
         # timing column is zeroed unless explicitly requested
         assert res.to_csv().splitlines()[1].endswith(",0.000")
-
-
-class TestTruncationStudy:
-    def test_rows(self):
-        rows = truncation_study(3, np.pi / 4, [1, 2, 3, 4], tol=1e-6)
-        by = {r["n_max"]: r for r in rows}
-        # below the first protocol coupling the top score is 1/2 and the
-        # vacuum attains it: no entanglement
-        assert by[1]["p_target"] == pytest.approx(0.5)
-        assert by[1]["s_n"] <= by[1]["dual_gap"]
-        assert by[2]["s_n"] <= by[2]["dual_gap"]
-        # at the coupling the maximally violating face is entangled; within
-        # a plateau of the top score the certified minimum relaxes as the
-        # space grows (frozen solver values, cross-checked at tol 1e-7)
-        assert by[3]["p_target"] == pytest.approx(0.662867503968, abs=1e-10)
-        assert by[4]["p_target"] == pytest.approx(by[3]["p_target"], abs=1e-12)
-        assert by[3]["s_n"] == pytest.approx(0.7292, abs=1e-3)
-        assert by[4]["s_n"] == pytest.approx(0.6981, abs=1e-3)
-        assert by[4]["s_n"] < by[3]["s_n"]
