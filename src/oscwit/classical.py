@@ -43,7 +43,8 @@ def gaussian_cloud(scale: float = 1.0, center=(0.0, 0.0, 0.0, 0.0)) -> Classical
     return ClassicalDistribution(sample, f"gaussian(scale={scale},center={c})")
 
 
-def point_mass(x1: float, p1: float, x2: float, p2: float) -> ClassicalDistribution:
+def point_mass(x1: float = 1.0, p1: float = 0.0, x2: float = 1.0,
+               p2: float = 0.0) -> ClassicalDistribution:
     vals = (x1, p1, x2, p2)
 
     def sample(rng, size):

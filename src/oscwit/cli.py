@@ -3,7 +3,9 @@
 Subcommands: bounds, simulate, certify, compare, witness.  Every run
 resolves its configuration (JSON file over built-in defaults, unknown keys
 rejected), executes deterministically for a given seed, and writes the
-outputs plus a manifest sufficient to reproduce them byte for byte.
+outputs plus a manifest sufficient to reproduce them byte for byte.  A
+``cmd_*`` only computes; ``main`` writes its outputs and manifest once it has
+succeeded, so a run that fails writes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -37,7 +39,7 @@ from .criteria import (
     zhang_detects,
 )
 from .errors import ConfigError, DegenerateAngle, NumericalFailure, OscwitError, UnstableStep
-from .fock import NORMAL, PHYSICAL, TwoModeState, log_negativity
+from .fock import NORMAL, PHYSICAL, TwoModeState, identity_matrix, log_negativity
 from .modes import normal_mode_params
 from .protocol import ProtocolSpec, classical_bound, max_score, score_state
 from .sdp import ENGINES, sweep
@@ -60,11 +62,7 @@ def _resolve_config(defaults: dict, path: str | None, overrides: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    for key, val in overrides.items():
-        if val is not None:
-            if key not in defaults:
-                raise ConfigError(f"unknown override {key}")
-            cfg[key] = val
+    cfg.update((key, val) for key, val in overrides.items() if val is not None)
     return cfg
 
 
@@ -84,7 +82,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list,
 def _int_at_least(cfg: dict, key: str, low: int) -> int:
     try:
         val = int(cfg[key])
-    except (TypeError, ValueError) as exc:
+        if val != cfg[key]:
+            raise ValueError("not a whole number")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be an integer: {cfg[key]!r}") from exc
     if val < low:
         raise ConfigError(f"{key} must be >= {low}, not {val}")
@@ -112,29 +112,30 @@ def _floats(cfg: dict, key: str) -> list:
         raise ConfigError(f"{key} must be a list of numbers: {cfg[key]!r}") from exc
 
 
+def _grid(cfg: dict, key: str, what: str, ok) -> None:
+    vals = _floats(cfg, key)
+    if not vals or not all(ok(v) for v in vals):
+        raise ConfigError(f"{key} must list {what} numbers: {cfg[key]!r}")
+
+
+# kind -> (factory, the keys it takes); a missing key takes the factory default
+DISTRIBUTIONS = {
+    "gaussian": (gaussian_cloud, {"scale", "center"}),
+    "point": (point_mass, {"x1", "p1", "x2", "p2"}),
+    "ring": (ring, {"radius"}),
+    "bimodal": (bimodal, {"offset", "scale"}),
+    "uniform": (uniform_box, {"half_width"}),
+}
+
+
 def _distribution_from_config(spec: dict) -> ClassicalDistribution:
-    kinds = {
-        "gaussian": lambda p: gaussian_cloud(
-            p.get("scale", 1.0), tuple(p.get("center", (0.0, 0.0, 0.0, 0.0)))
-        ),
-        "point": lambda p: point_mass(
-            p.get("x1", 1.0), p.get("p1", 0.0), p.get("x2", 1.0), p.get("p2", 0.0)
-        ),
-        "ring": lambda p: ring(p.get("radius", 1.0)),
-        "bimodal": lambda p: bimodal(p.get("offset", 1.5), p.get("scale", 0.3)),
-        "uniform": lambda p: uniform_box(p.get("half_width", 1.0)),
-    }
     if not isinstance(spec, dict):
         raise ConfigError(f"distribution must be an object: {spec!r}")
     kind = spec.get("kind")
-    if kind not in kinds:
+    if kind not in DISTRIBUTIONS:
         raise ConfigError(f"unknown distribution kind {kind!r}")
+    factory, allowed = DISTRIBUTIONS[kind]
     params = {k: v for k, v in spec.items() if k != "kind"}
-    allowed = {
-        "gaussian": {"scale", "center"}, "point": {"x1", "p1", "x2", "p2"},
-        "ring": {"radius"}, "bimodal": {"offset", "scale"},
-        "uniform": {"half_width"},
-    }[kind]
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown distribution keys for {kind}: {sorted(unknown)}")
@@ -145,30 +146,31 @@ def _distribution_from_config(spec: dict) -> ClassicalDistribution:
             _float(params, key)
         elif len(_floats(params, key)) != 4:
             raise ConfigError(f"center must list 4 numbers: {params[key]!r}")
-    return kinds[kind](params)
+    return factory(**params)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps its resolved configuration to (outputs, extra), the
+# text of every output file by name and the extra manifest fields
+
+BOUNDS_DEFAULTS = {"k_list": [2, 3, 4, 5], "n_max": 30}
 
 
-def cmd_bounds(args) -> int:
-    defaults = {"k_list": [2, 3, 4, 5], "n_max": 30}
-    cfg = _resolve_config(defaults, args.config, {})
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_bounds(cfg: dict) -> tuple[dict, dict]:
+    n_max = _int_at_least(cfg, "n_max", 0)
+    _floats(cfg, "k_list")
+    for k in cfg["k_list"]:
+        _int_at_least({"k_list": k}, "k_list", 1)
     lines = ["K,classical_bound,classical_bound_float,quantum_max_truncated,n_max"]
     print(f"{'K':>3} {'classical':>12} {'quantum max':>14}  (truncation {cfg['n_max']})")
     for k in cfg["k_list"]:
         bound = classical_bound(int(k))
-        p_max, _ = max_score(int(k), int(cfg["n_max"]))
+        p_max, _ = max_score(int(k), n_max)
         print(f"{k:>3} {str(bound):>12} {p_max:>14.9f}")
         lines.append(
             f"{k},{bound},{float(bound):.12g},{p_max:.12g},{cfg['n_max']}"
         )
-    (out_dir / "bounds.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out_dir, "bounds", cfg, ["bounds.csv"])
-    return 0
+    return {"bounds.csv": "\n".join(lines) + "\n"}, {}
 
 
 SIMULATE_DEFAULTS = {
@@ -180,9 +182,7 @@ SIMULATE_DEFAULTS = {
 }
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(SIMULATE_DEFAULTS, args.config,
-                          {"seed": args.seed})
+def cmd_simulate(cfg: dict) -> tuple[dict, dict]:
     k = _int_at_least(cfg, "K", 1)
     n_rounds = _int_at_least(cfg, "n_rounds", 1)
     n_seeds = _int_at_least(cfg, "n_seeds", 1)
@@ -193,8 +193,6 @@ def cmd_simulate(args) -> int:
     if cfg["sigma"] not in ("+", "-"):
         raise ConfigError(f"sigma must be '+' or '-', not {cfg['sigma']!r}")
     dist = _distribution_from_config(cfg["distribution"])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         spec = normal_mode_params(*system)
     except DegenerateAngle:
@@ -215,31 +213,23 @@ def cmd_simulate(args) -> int:
         flag = "" if est.p_value <= bound + 4 * est.stderr else "  <-- BOUND EXCEEDED"
         print(f"seed={seed}: p={est.p_value:.6f} (stderr {est.stderr:.2g}, "
               f"classical bound {bound:.6f}){flag}")
-    (out_dir / "simulate.json").write_text(
-        json.dumps(records, sort_keys=True, indent=1) + "\n"
-    )
-    _write_manifest(out_dir, "simulate", cfg, ["simulate.json"])
-    return 0
+    return {"simulate.json": json.dumps(records, sort_keys=True, indent=1) + "\n"}, {}
 
 
 CERTIFY_DEFAULTS = {
     "K": 3, "n_max": 3,
     "theta_grid": None,  # defaults to 5 angles in [0, pi/4]
     "p_grid": None,      # defaults to 5 scores across the feasible range
-    "tol": 1e-6, "engine": "auto", "threads": 1, "record_timing": False,
+    "tol": 1e-6, "engine": "auto", "threads": 1,
 }
 
 
-def cmd_certify(args) -> int:
-    cfg = _resolve_config(CERTIFY_DEFAULTS, args.config, {
-        "tol": args.tol, "threads": args.threads,
-    })
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_certify(cfg: dict) -> tuple[dict, dict]:
     k = _int_at_least(cfg, "K", 1)
     n_max = _int_at_least(cfg, "n_max", 0)
     tol = _positive(cfg, "tol")
     threads = _int_at_least(cfg, "threads", 1)
+    # the resolved grids go into cfg, so that the manifest records them
     if cfg["theta_grid"] is None:
         cfg["theta_grid"] = [i * math.pi / 16.0 for i in range(5)]
     if cfg["p_grid"] is None:
@@ -255,9 +245,6 @@ def cmd_certify(args) -> int:
         raise ConfigError(f"p_grid values must lie in [0, 1]: {cfg['p_grid']}")
     res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol,
                 engine=cfg["engine"], threads=threads)
-    (out_dir / "certify.csv").write_text(
-        res.to_csv(include_timing=bool(cfg["record_timing"]))
-    )
     violations = res.monotonicity_violations()
     certified = sum(
         1 for r in res.rows
@@ -269,8 +256,7 @@ def cmd_certify(args) -> int:
         {"theta": r["theta"], "p_target": r["p_target"], "reason": r["reason"]}
         for r in res.rows if r["status"] == "failed"
     ]
-    _write_manifest(out_dir, "certify", cfg, ["certify.csv"], failed_cells=failed)
-    return 0
+    return {"certify.csv": res.to_csv()}, {"failed_cells": failed}
 
 
 COMPARE_DEFAULTS = {
@@ -287,77 +273,77 @@ COMPARE_DEFAULTS = {
     "c_grid": None, "kappa_grid": [0.5, 1.0, 2.0], "sigma_grid": [0.5, 1.0, 2.0],
 }
 
+# state kind -> the keys it takes besides "kind"
+STATE_KEYS = {"vacuum": set(), "max_eigenstate": set(), "family": {"psi", "support_mode"}}
 
-def _compare_row(label, state_physical, state_normal, cfg):
+
+def _state_spec(spec: dict) -> tuple:
+    """(kind, psi, support mode) of one ``states`` entry, checked."""
+    kind = spec.get("kind")
+    if kind not in STATE_KEYS:
+        raise ConfigError(f"unknown state kind {kind!r}")
+    unknown = set(spec) - STATE_KEYS[kind] - {"kind"}
+    if unknown:
+        raise ConfigError(f"unknown state keys for {kind}: {sorted(unknown)}")
+    if kind != "family":
+        return kind, None, "levels"
+    try:
+        psi = np.array([complex(re, im) for re, im in spec.get("psi")])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"psi must be a list of [re, im] pairs: {spec.get('psi')!r}") from exc
+    mode = spec.get("support_mode", "levels")
+    if mode not in ("levels", "multiples"):
+        raise ConfigError(f"support_mode must be 'levels' or 'multiples', not {mode!r}")
+    return kind, psi, mode
+
+
+def _compare_row(label, state_physical, state_normal, cfg) -> str:
+    """The ``compare.csv`` line of one state, also printed as a summary."""
     k = int(cfg["K"])
     score = score_state(state_normal, k)
     s_n = log_negativity(state_physical)
     m = moments(state_physical)
-    c_grid = cfg["c_grid"]
-    _, duan_best, _ = duan_detects(m, c_grid)
+    _, duan, _ = duan_detects(m, cfg["c_grid"])
     try:
         zh = zhang_detects(m).detected
     except OscwitError:
         zh = False  # simplified test inapplicable (nonzero first moments)
     hz = hillery_zubairy_detects(m).detected
-    ab_best = min(
-        abiuso_margin(m, float(kp), float(sg))
-        for kp in cfg["kappa_grid"] for sg in cfg["sigma_grid"]
-    )
+    abiuso = min(abiuso_margin(m, float(kp), float(sg))
+                 for kp in cfg["kappa_grid"] for sg in cfg["sigma_grid"])
     dew = score > float(classical_bound(k))
-    return {
-        "descriptor": label, "score": score, "s_n": s_n,
-        "duan_min_margin": duan_best, "zhang": zh, "hz": hz,
-        "abiuso_min_margin": ab_best, "dew": dew,
-    }
+    print(f"{label:>28}: score={score:.4f} S_N={s_n:.4f} duan>{0 if duan > 0 else '!'}"
+          f" zhang={zh} hz={hz} dew={dew}")
+    return f"{label},{score:.12g},{s_n:.12g},{duan:.12g},{zh},{hz},{abiuso:.12g},{dew}"
 
 
-def cmd_compare(args) -> int:
-    cfg = _resolve_config(COMPARE_DEFAULTS, args.config, {})
+def cmd_compare(cfg: dict) -> tuple[dict, dict]:
     k = _int_at_least(cfg, "K", 1)
     n_max = _int_at_least(cfg, "n_max", 0)
     theta = _float(cfg, "theta")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for spec in cfg["states"]:
-        kind = spec.get("kind")
+    if cfg["c_grid"] is not None:
+        _grid(cfg, "c_grid", "nonzero", lambda v: v != 0.0)
+    _grid(cfg, "kappa_grid", "nonzero", lambda v: v != 0.0)
+    _grid(cfg, "sigma_grid", "positive", lambda v: v > 0.0)
+    specs = cfg["states"]
+    if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+        raise ConfigError(f"states must be a list of objects: {specs!r}")
+    lines = ["descriptor,score,s_n,duan_min_margin,zhang,hz,abiuso_min_margin,dew"]
+    for kind, psi, mode in [_state_spec(spec) for spec in specs]:
         if kind == "vacuum":
-            d = n_max + 1
-            vac = np.zeros(d * d)
+            vac = np.zeros((n_max + 1) ** 2)
             vac[0] = 1.0
-            normal = TwoModeState.from_pure(vac, n_max, NORMAL)
-            physical = TwoModeState.from_pure(vac, n_max, PHYSICAL)
-            rows.append(_compare_row("vacuum", physical, normal, cfg))
+            lines.append(_compare_row("vacuum", TwoModeState.from_pure(vac, n_max, PHYSICAL),
+                                      TwoModeState.from_pure(vac, n_max, NORMAL), cfg))
             continue
         if kind == "max_eigenstate":
-            _, vec = max_score(k, n_max)
-            psi = vec
-            mode = "levels"
+            _, psi = max_score(k, n_max)
             label = f"max_eigenstate_n{n_max}"
-        elif kind == "family":
-            psi = np.array([complex(re, im) for re, im in spec["psi"]])
-            mode = spec.get("support_mode", "levels")
-            label = f"family_{mode}_{len(psi)}"
         else:
-            raise ConfigError(f"unknown state kind {kind!r}")
+            label = f"family_{mode}_{len(psi)}"
         fs = family_state(psi, K=k, theta=theta, n_max=n_max, support_mode=mode)
-        rows.append(_compare_row(label, fs.state_physical, fs.state_normal, cfg))
-    header = ("descriptor,score,s_n,duan_min_margin,zhang,hz,"
-              "abiuso_min_margin,dew")
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['descriptor']},{r['score']:.12g},{r['s_n']:.12g},"
-            f"{r['duan_min_margin']:.12g},{r['zhang']},{r['hz']},"
-            f"{r['abiuso_min_margin']:.12g},{r['dew']}"
-        )
-        print(f"{r['descriptor']:>28}: score={r['score']:.4f} "
-              f"S_N={r['s_n']:.4f} duan>{0 if r['duan_min_margin']>0 else '!'}"
-              f" zhang={r['zhang']} hz={r['hz']} dew={r['dew']}")
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out_dir, "compare", cfg, ["compare.csv"])
-    return 0
+        lines.append(_compare_row(label, fs.state_physical, fs.state_normal, cfg))
+    return {"compare.csv": "\n".join(lines) + "\n"}, {}
 
 
 WITNESS_DEFAULTS = {
@@ -367,8 +353,7 @@ WITNESS_DEFAULTS = {
 }
 
 
-def cmd_witness(args) -> int:
-    cfg = _resolve_config(WITNESS_DEFAULTS, args.config, {})
+def cmd_witness(cfg: dict) -> tuple[dict, dict]:
     k = _int_at_least(cfg, "K", 1)
     proj = _int_at_least(cfg, "proj_level", 0)
     parent = (2 * proj + 2 if cfg["parent_n_max"] is None
@@ -376,14 +361,10 @@ def cmd_witness(args) -> int:
     r_values = _floats(cfg, "erf_r_values")
     epsilon = _positive(cfg, "probe_epsilon")
     probe_n_max = _int_at_least(cfg, "probe_n_max", 0)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     min_eig = nondecomposability_check(k, proj, parent)
     err = 0.0
     for r in r_values:
         err = max(err, abs(coherent_expectation(r, K=k) - coherent_witness_erf(r, K=k)))
-    from .fock import identity_matrix
-
     probe = identity_matrix(probe_n_max, modes=2, basis_tag=NORMAL)
     r_star, probe_value = optimality_probe(probe, epsilon, K=k)
     report = {
@@ -399,11 +380,17 @@ def cmd_witness(args) -> int:
           f"(level {proj}, parent {parent})")
     print(f"erf closed-form max abs error: {err:.2e}")
     print(f"optimality probe: r={r_star:.2f} gives expectation {probe_value:.3e}")
-    (out_dir / "witness.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1) + "\n"
-    )
-    _write_manifest(out_dir, "witness", cfg, ["witness.json"])
-    return 0
+    return {"witness.json": json.dumps(report, sort_keys=True, indent=1) + "\n"}, {}
+
+
+# name -> (command, its configuration defaults)
+COMMANDS = {
+    "bounds": (cmd_bounds, BOUNDS_DEFAULTS),
+    "simulate": (cmd_simulate, SIMULATE_DEFAULTS),
+    "certify": (cmd_certify, CERTIFY_DEFAULTS),
+    "compare": (cmd_compare, COMPARE_DEFAULTS),
+    "witness": (cmd_witness, WITNESS_DEFAULTS),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     subs = {}
-    for name, fn in [("bounds", cmd_bounds), ("simulate", cmd_simulate),
-                     ("certify", cmd_certify), ("compare", cmd_compare),
-                     ("witness", cmd_witness)]:
+    for name in COMMANDS:
         p = subs[name] = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--out", default="oscwit_out", help="output directory")
-        p.set_defaults(func=fn)
     subs["simulate"].add_argument("--seed", type=int, default=None)
     subs["certify"].add_argument("--threads", type=int, default=None)
     subs["certify"].add_argument("--tol", type=float, default=None)
@@ -433,8 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, defaults = COMMANDS[args.command]
+    # each flag exists only on the subcommands whose defaults hold its key
+    flags = {key: getattr(args, key, None) for key in ("seed", "threads", "tol")}
     try:
-        return args.func(args)
+        cfg = _resolve_config(defaults, args.config, flags)
+        outputs, extra = command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -444,6 +432,12 @@ def main(argv=None) -> int:
     except OscwitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text)
+    _write_manifest(out_dir, args.command, cfg, list(outputs), **extra)
+    return 0
 
 
 if __name__ == "__main__":

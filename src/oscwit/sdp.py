@@ -1039,14 +1039,14 @@ class SweepResult:
                         out.append((label, key, a[along], b[along]))
         return out
 
-    def to_csv(self, include_timing: bool = False) -> str:
+    def to_csv(self) -> str:
+        """The rows as CSV; ``wall_time`` reads 0.000, so reruns write the same bytes."""
         lines = [",".join(self.COLUMNS)]
         for r in self.rows:
-            wall = f"{r['wall_time']:.3f}" if include_timing else "0.000"
             lines.append(
                 f"{r['theta']:.12g},{r['p_target']:.12g},{r['z']:.12g},"
                 f"{r['s_n']:.12g},{r['dual_gap']:.12g},{r['status']},"
-                f"{r['iterations']},{wall}"
+                f"{r['iterations']},0.000"
             )
         return "\n".join(lines) + "\n"
 
@@ -1076,14 +1076,13 @@ def _solve_cell(K, n_max, theta, p, tol, engine, anchors):
         return {
             "theta": theta, "p_target": p, "z": float("nan"),
             "s_n": float("nan"), "dual_gap": float("nan"),
-            "status": "infeasible", "iterations": 0, "wall_time": 0.0,
+            "status": "infeasible", "iterations": 0,
         }
     except NumericalFailure as exc:
         return {
             "theta": theta, "p_target": p, "z": float("nan"),
             "s_n": float("nan"), "dual_gap": float("nan"),
-            "status": "failed", "iterations": 0, "wall_time": 0.0,
-            "reason": str(exc),
+            "status": "failed", "iterations": 0, "reason": str(exc),
         }
     if sol.status == "optimal" and sol.z_lb == 1.0:
         rho = sol.rho.matrix.real
@@ -1091,7 +1090,7 @@ def _solve_cell(K, n_max, theta, p, tol, engine, anchors):
     return {
         "theta": theta, "p_target": p, "z": sol.z, "s_n": sol.s_n,
         "dual_gap": sol.dual_gap, "status": sol.status,
-        "iterations": sol.iterations, "wall_time": sol.wall_time,
+        "iterations": sol.iterations,
     }
 
 

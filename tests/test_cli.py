@@ -268,6 +268,29 @@ class TestErrors:
         ("simulate", {"distribution": "x"}, "distribution must be an object: 'x'"),
         ("simulate", {"distribution": {"kind": "gaussian", "center": [1]}},
          "center must list 4 numbers: [1]"),
+        ("bounds", {"k_list": ["a"]}, "k_list must be a list of numbers: ['a']"),
+        ("bounds", {"k_list": [0]}, "k_list must be >= 1, not 0"),
+        ("bounds", {"k_list": 3}, "k_list must be a list of numbers: 3"),
+        ("bounds", {"k_list": [2.5]}, "k_list must be an integer: 2.5"),
+        ("bounds", {"n_max": -1}, "n_max must be >= 0, not -1"),
+        ("bounds", {"n_max": "x"}, "n_max must be an integer: 'x'"),
+        ("compare", {"c_grid": [0]}, "c_grid must list nonzero numbers: [0]"),
+        ("compare", {"c_grid": ["a"]}, "c_grid must be a list of numbers: ['a']"),
+        ("compare", {"kappa_grid": [0]}, "kappa_grid must list nonzero numbers: [0]"),
+        ("compare", {"kappa_grid": "x"}, "kappa_grid must be a list of numbers: 'x'"),
+        ("compare", {"sigma_grid": [-1]}, "sigma_grid must list positive numbers: [-1]"),
+        ("compare", {"states": 3}, "states must be a list of objects: 3"),
+        ("compare", {"states": [3]}, "states must be a list of objects: [3]"),
+        ("compare", {"states": [{"kind": "family", "psi": "x"}]},
+         "psi must be a list of [re, im] pairs: 'x'"),
+        ("compare", {"states": [{"kind": "family", "psi": [[0.0, 0.0], [1.0, 0.0]],
+                                 "support_mode": "zz"}]},
+         "support_mode must be 'levels' or 'multiples', not 'zz'"),
+        ("compare", {"states": [{"kind": "family", "psi": [[0.0, 0.0], [1.0, 0.0]],
+                                 "extra": 1}]},
+         "unknown state keys for family: ['extra']"),
+        ("simulate", {"K": 2.5}, "K must be an integer: 2.5"),
+        ("certify", {"record_timing": False}, "unknown config keys: ['record_timing']"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"
@@ -275,6 +298,18 @@ class TestErrors:
         assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("command, values", [
+        ("certify", {"K": 0}),
+        ("simulate", {"g": 5.0}),             # coupling beyond stability
+        ("witness", {"probe_n_max": 3}),      # the probe search runs out of levels
+    ])
+    def test_failed_run_writes_nothing(self, tmp_path, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_infeasible_grid_cells_do_not_crash(self, tmp_path):
         cfg = tmp_path / "cfg.json"
