@@ -107,6 +107,8 @@ def _positive(cfg: dict, key: str) -> float:
 
 def _floats(cfg: dict, key: str) -> list:
     try:
+        if not isinstance(cfg[key], list):
+            raise TypeError("not a JSON list")
         return [float(v) for v in cfg[key]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a list of numbers: {cfg[key]!r}") from exc
@@ -365,8 +367,8 @@ def cmd_witness(cfg: dict) -> tuple[dict, dict]:
     err = 0.0
     for r in r_values:
         err = max(err, abs(coherent_expectation(r, K=k) - coherent_witness_erf(r, K=k)))
-    probe = identity_matrix(probe_n_max, modes=2, basis_tag=NORMAL)
-    r_star, probe_value = optimality_probe(probe, epsilon, K=k)
+    # P is the + mode identity: the probe keeps the - mode in vacuum
+    r_star, probe_value = optimality_probe(identity_matrix(probe_n_max), epsilon, K=k)
     report = {
         "K": k, "proj_level": proj, "parent_truncation": parent,
         "min_eigenvalue": min_eig,
@@ -418,6 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command, defaults = COMMANDS[args.command]
+    out_dir = Path(args.out)
+    # checked up front, so that an unwritable --out costs no work
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        print(f"error: --out {args.out}: {existing} is not a directory", file=sys.stderr)
+        return 2
     # each flag exists only on the subcommands whose defaults hold its key
     flags = {key: getattr(args, key, None) for key in ("seed", "threads", "tol")}
     try:
@@ -432,7 +440,6 @@ def main(argv=None) -> int:
     except OscwitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
         (out_dir / name).write_text(text)

@@ -15,7 +15,8 @@ decouple H into two oscillators of mass mu and frequencies
 w_pm^2 = (w1^2 + w2^2)/2 +- sqrt(((w1^2 - w2^2)/2)^2 + g^2/(4 mu^2)),
 the + sign belonging to x+.  The momentum rows carry the reciprocal mass
 weights so the map is symplectic; uniform precession of (x_s, p_s) needs
-the canonical pairing.
+the canonical pairing.  On Fock states the rotation is the unitary of
+``mode_rotation_unitary``, built one total-number block at a time.
 
 Note the sign of the cross term: with coupling -g x1 x2 / 2 the angle and
 frequency assignment above would fail to diagonalize H; the three formulas
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAngle, SameBasis, Unstable
-from .fock import NORMAL, PHYSICAL, FockOperator, TwoModeState, annihilation_matrix
+from .fock import NORMAL, PHYSICAL, FockOperator, TwoModeState
 
 #: below this scale (relative to mu * max(w1,w2)^2) both arctan2 arguments
 #: count as zero and the angle is caller-supplied
@@ -157,21 +158,28 @@ def physical_coordinates(xp, pp, xm, pm, spec: NormalModeSpec):
 def mode_rotation_unitary(theta: float, n_max: int) -> FockOperator:
     """Two-mode unitary U with U^dag a1 U = cos(t) a1 + sin(t) a2 etc.
 
-    U = exp(theta (a1^dag a2 - a2^dag a1)) conserves total excitation
-    number, so it is exact on every complete total-number block of the
-    truncated space.  Normal-mode Fock states map to physical ones via
-    |m,k>_{+-} = U^dag |m,k>_{12}.
+    U = exp(theta G), G = a1^dag a2 - a2^dag a1, conserves the total number
+    N, so it is built one N block at a time and is exactly zero between
+    blocks.  On the levels |k, N-k>, G[k+1, k] = -G[k, k+1] = sqrt((k+1)(N-k))
+    and G = -i D J D^dag with D = diag(i^k) and J real symmetric, so
+    U[a, b] = sum over J's eigenpairs (w, v) of Re(i^(a-b) e^(-i theta w)) v_a v_b.
+    Blocks with N > n_max keep only the levels inside the cutoff, as the
+    truncated ladder operators do, so U is exact on every complete block.
+    Normal-mode Fock states map to physical ones via |m,k>_{+-} = U^dag |m,k>_{12}.
     """
-    a = annihilation_matrix(n_max).matrix
-    eye = np.eye(n_max + 1)
-    a1 = np.kron(a, eye)
-    a2 = np.kron(eye, a)
-    gen = a1.conj().T @ a2 - a2.conj().T @ a1
-    w, v = np.linalg.eigh(1j * gen)
-    u = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    if abs(theta) > 0 and np.max(np.abs(u.imag)) < 1e-13:
-        u = u.real.astype(complex)
-    return FockOperator(u, n_max, 2, PHYSICAL)
+    d = n_max + 1
+    u = np.zeros((d * d, d * d))
+    for total in range(2 * n_max + 1):
+        k = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        off = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        c = (v * np.cos(theta * w)) @ v.T
+        s = (v * np.sin(theta * w)) @ v.T
+        # i^(a-b) is 1, i, -1 or -i
+        quarter = np.subtract.outer(k, k) % 4
+        idx = k * d + total - k
+        u[np.ix_(idx, idx)] = np.choose(quarter, [c, s, -c, -s])
+    return FockOperator(u.astype(complex), n_max, 2, PHYSICAL)
 
 
 def _rotate(m: np.ndarray, theta: float, n_max: int, target_basis: str) -> np.ndarray:

@@ -213,12 +213,12 @@ def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.
 class _SectorOperator:
     """Phi(X) = PT(R^T X R) from rho sector blocks to big sector blocks.
 
-    R holds the rows U[embed_idx, :] of the rotation with the face basis
-    folded in, kept on the exact total-number blocks of U.  Rho sector r
-    reaches only the big columns ``cols[r]`` of total number <= 2 n_max in
-    its residues mod K, so R^T X_r R is one small dense product; the partial
-    transpose then moves its entries into the (n1 - n2) mod K sectors of
-    the big space by a fixed gather.  The adjoint is the same gather read
+    R holds the rows of the rotation U at the levels of the small space,
+    with the face basis folded in; U is exactly zero between total numbers.
+    Rho sector r reaches only the big columns ``cols[r]`` of total number
+    <= 2 n_max in its residues mod K, so R^T X_r R is one small dense
+    product; the partial transpose then moves its entries into the
+    (n1 - n2) mod K sectors of the big space by a fixed gather.  The adjoint is the same gather read
     backwards followed by R_r (.) R_r^T.
     """
 
@@ -301,7 +301,7 @@ class SdpProblem:
     n_max: int
     # internal solver data
     _q_small: np.ndarray = field(repr=False)
-    # rows U[embed_idx, :] of the rotation on the small space, before any
+    # rows of the rotation U at the levels of the small space, before any
     # face basis is folded in
     _u_rows: np.ndarray = field(repr=False)
     _rho_space: _BlockSpace = field(repr=False)
@@ -316,12 +316,6 @@ class SdpProblem:
     # of the spectrum of Q: the unit-trace states that repair the score of a
     # projected iterate (None when the score is inactive)
     _q_edges: list | None = field(repr=False)
-    # lazy caches: the interior-point constraint rows and the _symkron
-    # tables (one per block size) scale with the fourth power of the cutoff
-    # and are never needed by the splitting engine
-    _g_rows: np.ndarray | None = field(default=None, repr=False)
-    _t_rows: np.ndarray | None = field(default=None, repr=False)
-    _kron_tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def small_dim(self) -> int:
@@ -436,8 +430,7 @@ def build_problem(
     big_space = _BlockSpace(D1 * D1, _residue_groups(big_labels, K, symmetry_reduction))
 
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
-    embed_idx = np.array([i * D1 + j for i in range(d1) for j in range(d1)])
-    u_rows = _rotation_rows(u_big, embed_idx, n_max)
+    u_rows = u_big[i_idx * D1 + j_idx]  # the small space embedded in the big one
     rows = u_rows if face_basis is None else face_basis.T @ u_rows
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
@@ -450,36 +443,24 @@ def build_problem(
     )
 
 
-def _rotation_rows(u_big: np.ndarray, embed_idx: np.ndarray, n_max: int) -> np.ndarray:
-    """Rows U[embed_idx, :] of the rotation.  U conserves total excitation
-    number, so its entries between different totals are rounding noise and
-    are set to zero."""
-    D1 = 2 * n_max + 1
-    n_tot = np.sum(np.divmod(np.arange(D1 * D1), D1), axis=0)
-    same = n_tot[embed_idx][:, None] == n_tot[None, :]
-    return np.where(same, u_big[embed_idx, :], 0.0)
+def _assemble_constraint_rows(prob: SdpProblem):
+    """The interior point's workspace: the rho-side svec rows of every
+    linear constraint, and the ``_symkron`` table of every block size.
 
-
-def _assemble_constraint_rows(prob: SdpProblem) -> None:
-    """Precompute the rho-side svec rows of every linear constraint, and the
-    ``_symkron`` table of every block size.
-
-    ``_t_rows``: trace, then score when active.  ``_g_rows``: the svec
-    matrix of Phi from the rho sectors to the big sectors, whose column j
-    is Phi of the j-th svec basis element of rho; these are the rho parts
-    of the partial-transpose match rows.  The varrho_± parts of those rows
-    are -/+ the svec identity, so they never need storing.
+    Returns ``(t_rows, g_rows, tables)``.  ``t_rows``: trace, then score
+    when active.  ``g_rows``: the svec matrix of Phi from the rho sectors to
+    the big sectors, whose column j is Phi of the j-th svec basis element of
+    rho; these are the rho parts of the partial-transpose match rows.  The
+    varrho_± parts of those rows are -/+ the svec identity, so they never
+    need storing.  ``tables`` maps each block size to its table.
     """
-    if prob._g_rows is not None:
-        return
     rs, bs, op = prob._rho_space, prob._big_space, prob._op
-    prob._kron_tables = {d: _symkron_table(d) for d in {len(g) for g in rs.groups + bs.groups}}
-    prob._g_rows = np.column_stack(
-        [bs.pack(op.forward(rs.unpack(e))) for e in np.eye(rs.total)])
+    tables = {d: _symkron_table(d) for d in {len(g) for g in rs.groups + bs.groups}}
+    g_rows = np.column_stack([bs.pack(op.forward(rs.unpack(e))) for e in np.eye(rs.total)])
     t_rows = [rs.pack(rs.eye())]
     if prob._score_active:
         t_rows.append(rs.pack(prob._q_blocks))
-    prob._t_rows = np.array(t_rows)
+    return np.array(t_rows), g_rows, tables
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +674,9 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     """
     from scipy.linalg import block_diag
 
-    _assemble_constraint_rows(prob)
+    t_rows, g_rows, tables = _assemble_constraint_rows(prob)
     rs, bs = prob._rho_space, prob._big_space
     nr, nb = len(rs.groups), len(bs.groups)
-    t_rows, g_rows = prob._t_rows, prob._g_rows
     a_rho = np.vstack([t_rows, g_rows])
     n_t = t_rows.shape[0]
     # the match rows of each big sector: its varrho_± pair's Schur block
@@ -749,7 +729,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         # Schur complement M = A (X (.) S^-1) A^T: the rho blocks through the
         # stored rows, the varrho_± blocks (incidence -/+ I) straight onto
         # the diagonal of the match rows
-        k = [_symkron(xb, si, prob._kron_tables[len(xb)]) for xb, si in zip(x, s_inv)]
+        k = [_symkron(xb, si, tables[len(xb)]) for xb, si in zip(x, s_inv)]
         schur = a_rho @ block_diag(*k[:nr]) @ a_rho.T
         for sl, kp, kq in zip(big_slices, k[nr:nr + nb], k[nr + nb:]):
             schur[sl, sl] += kp + kq

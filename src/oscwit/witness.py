@@ -107,12 +107,14 @@ def _probe_state_expectation(p_op: FockOperator, r: float, tail_tol: float) -> f
     """<r|P|r> in whichever basis P is tagged with.
 
     In the normal basis the probe is |-sqrt(2) r>|0>, whose support is the
-    levels (i, 0): every d-th row and column of P, read as a view.
+    levels (i, 0): every d-th row and column of P, read as a view.  A
+    single-mode P is that + mode block itself.
     """
     d = p_op.n_max + 1
-    if p_op.basis_tag == NORMAL:
+    if p_op.modes == 1 or p_op.basis_tag == NORMAL:
         plus = coherent_state(-math.sqrt(2.0) * r, p_op.n_max, tol=tail_tol)
-        return float(np.vdot(plus, p_op.matrix[::d, ::d] @ plus).real)
+        block = p_op.matrix if p_op.modes == 1 else p_op.matrix[::d, ::d]
+        return float(np.vdot(plus, block @ plus).real)
     single = coherent_state(-r, p_op.n_max, tol=tail_tol)
     vec = np.kron(single, single)
     return float(np.vdot(vec, p_op.matrix @ vec).real)
@@ -122,15 +124,16 @@ def optimality_probe(p_op: FockOperator, epsilon: float, K: int = 3,
                      r_step: float = 0.05, tail_tol: float = 1e-10):
     """Displacement r at which (1+eps) W - eps P fails on a separable state.
 
-    Walks r upward until the verified expectation turns negative; raises
-    SearchFailed when the truncation of P cannot carry the required
-    displacement, and ValueError for P = 0 (W itself is a witness and no r
-    exists).
+    P acts on the two-mode space, or on the + mode alone with the - mode
+    in vacuum.  Walks r upward until the verified expectation turns
+    negative; raises SearchFailed when the truncation of P cannot carry the
+    required displacement, and ValueError for P = 0 (W itself is a witness
+    and no r exists).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if p_op.modes != 2:
-        raise ValueError("P must act on the two-mode space")
+    if p_op.modes not in (1, 2):
+        raise ValueError("P must act on the + mode or on the two-mode space")
     if not p_op.matrix.any():
         raise ValueError("P = 0 leaves the witness intact; no probe exists")
     r = r_step

@@ -291,6 +291,11 @@ class TestErrors:
          "unknown state keys for family: ['extra']"),
         ("simulate", {"K": 2.5}, "K must be an integer: 2.5"),
         ("certify", {"record_timing": False}, "unknown config keys: ['record_timing']"),
+        ("certify", {"theta_grid": "05"}, "theta_grid must be a list of numbers: '05'"),
+        ("certify", {"theta_grid": {"0": 1}}, "theta_grid must be a list of numbers: {'0': 1}"),
+        ("compare", {"kappa_grid": "12"}, "kappa_grid must be a list of numbers: '12'"),
+        ("witness", {"erf_r_values": "05"}, "erf_r_values must be a list of numbers: '05'"),
+        ("bounds", {"k_list": "23"}, "k_list must be a list of numbers: '23'"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"
@@ -310,6 +315,19 @@ class TestErrors:
         out = tmp_path / "out"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [None, "sub"])
+    def test_out_through_a_file_rejected_before_the_run(self, tmp_path, capsys, below):
+        # --out names an existing file, or a path through one
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken if below is None else taken / below
+        assert run(["bounds", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --out {out}: {taken} is not a directory" in captured.err
+        assert captured.out == ""  # bounds prints its table as it runs
+        assert taken.read_text() == "keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_infeasible_grid_cells_do_not_crash(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscwit.errors import DegenerateAngle, SameBasis, Unstable
-from oscwit.fock import NORMAL, PHYSICAL, TwoModeState
+from oscwit.fock import NORMAL, PHYSICAL, TwoModeState, annihilation_matrix
 from oscwit.modes import (
     NormalModeSpec,
     fold_theta,
@@ -15,6 +15,7 @@ from oscwit.modes import (
     stiffness_matrix,
     transform_state,
 )
+from oscwit.sdp import build_problem
 
 rng = np.random.default_rng(42)
 
@@ -101,7 +102,42 @@ class TestNormalCoordinates:
         assert np.allclose(np.array(back, dtype=float), pt, atol=1e-12)
 
 
+def dense_rotation(theta, n_max):
+    """exp(theta G) from one complex eigh of the whole generator
+    G = a1^dag a2 - a2^dag a1 built from the truncated ladder operators."""
+    a = annihilation_matrix(n_max).matrix
+    eye = np.eye(n_max + 1)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    w, v = np.linalg.eigh(1j * (a1.conj().T @ a2 - a2.conj().T @ a1))
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+ROTATION_CASES = [(n, t) for n in (0, 1, 3, 8, 22)
+                  for t in (0.0, 0.3, math.pi / 4, 1.0, -0.7)]
+
+
 class TestRotationUnitary:
+    @pytest.mark.parametrize("n_max,theta", ROTATION_CASES)
+    def test_real_and_exactly_block_diagonal(self, n_max, theta):
+        u = mode_rotation_unitary(theta, n_max).matrix
+        d = n_max + 1
+        n_tot = np.add.outer(np.arange(d), np.arange(d)).ravel()
+        assert not u.imag.any()
+        assert not u[n_tot[:, None] != n_tot[None, :]].any()
+
+    @pytest.mark.parametrize("n_max,theta", ROTATION_CASES)
+    def test_matches_dense_generator(self, n_max, theta):
+        u = mode_rotation_unitary(theta, n_max).matrix
+        assert np.max(np.abs(u - dense_rotation(theta, n_max))) < 1e-13
+
+    @pytest.mark.parametrize("theta,p,n_max", [(0.3, 0.6, 3), (math.pi / 4, 0.68, 6)])
+    def test_problem_rows_are_rows_of_u(self, theta, p, n_max):
+        prob = build_problem(3, theta, p, n_max)
+        u = mode_rotation_unitary(theta, 2 * n_max).matrix.real
+        d_big = 2 * n_max + 1
+        rows = [i * d_big + j for i in range(n_max + 1) for j in range(n_max + 1)]
+        assert np.array_equal(prob._u_rows, u[rows])
+
     def test_zero_angle(self):
         u = mode_rotation_unitary(0.0, 3)
         assert np.allclose(u.matrix, np.eye(16))

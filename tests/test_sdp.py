@@ -216,18 +216,18 @@ class TestConstraintRows:
     @pytest.mark.parametrize("prob", list(sector_problems()) + [
         build_problem(3, 0.3, 0.6, 3, symmetry_reduction=False)])
     def test_rows_match_dense_reference(self, prob):
-        _assemble_constraint_rows(prob)
+        t_rows, g_rows, _ = _assemble_constraint_rows(prob)
         rs, bs = prob._rho_space, prob._big_space
         for _ in range(3):
             blocks = random_blocks(rs)
             ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
-            out = prob._g_rows @ rs.pack(blocks)
+            out = g_rows @ rs.pack(blocks)
             assert np.max(np.abs(out - bs.pack(bs.blocks_from_full(ref)))) < 1e-12
-        assert np.array_equal(prob._t_rows[0], rs.pack(rs.eye()))
+        assert np.array_equal(t_rows[0], rs.pack(rs.eye()))
         if prob._score_active:
-            assert np.array_equal(prob._t_rows[1], rs.pack(prob._q_blocks))
+            assert np.array_equal(t_rows[1], rs.pack(prob._q_blocks))
         else:
-            assert prob._t_rows.shape[0] == 1
+            assert t_rows.shape[0] == 1
 
 
 def bisection_face_projection(m0):
@@ -373,14 +373,21 @@ class TestSymkron:
             want = ((a @ m @ b + b @ m @ a) / 2.0)[rows, cols] * scale
             assert np.max(np.abs(out @ (m[rows, cols] * scale) - want)) < 1e-12
 
-    def test_tables_only_for_the_interior_point(self):
+    def test_tables_only_for_the_interior_point(self, monkeypatch):
+        built = []
+
+        def spy(d):
+            built.append(d)
+            return _symkron_table(d)
+
+        monkeypatch.setattr(oscwit.sdp, "_symkron_table", spy)
         prob = build_problem(3, np.pi / 4, 0.68, 6)
         solve(prob, engine="first-order", max_iters=25)
-        assert prob._kron_tables == {}
+        assert built == []
         prob = build_problem(3, np.pi / 4, 0.62, 3)
         solve(prob, engine="interior-point", max_iters=2)
         groups = prob._rho_space.groups + prob._big_space.groups
-        assert sorted(prob._kron_tables) == sorted({len(g) for g in groups})
+        assert sorted(built) == sorted({len(g) for g in groups})
 
 
 class TestSolve:

@@ -128,6 +128,14 @@ class TestOptimalityProbe:
         # the probe state is separable, so no improvement of W survives
         assert (1.0 + 0.1) * coherent_expectation(r) - 0.1 < 0.0
 
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.3])
+    def test_single_mode_probe_is_the_plus_mode_block(self, epsilon):
+        # a single-mode P is read with the - mode in vacuum, exactly as the
+        # normal-basis two-mode P through its (i, 0) levels
+        single = optimality_probe(identity_matrix(40), epsilon)
+        two_mode = optimality_probe(identity_matrix(40, modes=2, basis_tag=NORMAL), epsilon)
+        assert single == two_mode
+
     def test_zero_probe_rejected(self):
         zero = FockOperator(np.zeros((25, 25)), 4, 2, NORMAL)
         with pytest.raises(ValueError):
