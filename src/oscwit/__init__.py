@@ -26,23 +26,18 @@ from .errors import (
     SearchFailed,
     TruncationInsufficient,
     Unstable,
-    UnstableStep,
     WrongBasisTag,
 )
 from .fock import (
     NORMAL,
     PHYSICAL,
     FockOperator,
-    HermitianBasis,
     TwoModeState,
     annihilation_matrix,
     coherent_state,
-    displacement_matrix,
     eig_hermitian,
-    hermitian_basis,
     log_negativity,
     partial_transpose,
-    tensor,
 )
 from .modes import (
     NormalModeSpec,
@@ -63,8 +58,6 @@ from .protocol import (
 )
 from .classical import (
     ClassicalDistribution,
-    hermite_overlap_quadrature,
-    integrate_trajectory,
     simulate_classical_score,
 )
 from .sdp import (
@@ -85,7 +78,6 @@ from .criteria import (
     zhang_detects,
 )
 from .witness import (
-    WitnessOperator,
     coherent_expectation,
     nondecomposability_check,
     optimality_probe,

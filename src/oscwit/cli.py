@@ -38,7 +38,7 @@ from .criteria import (
     moments,
     zhang_detects,
 )
-from .errors import ConfigError, DegenerateAngle, NumericalFailure, OscwitError, UnstableStep
+from .errors import ConfigError, DegenerateAngle, NumericalFailure, OscwitError
 from .fock import NORMAL, PHYSICAL, TwoModeState, identity_matrix, log_negativity
 from .modes import normal_mode_params
 from .protocol import ProtocolSpec, classical_bound, max_score, score_state
@@ -58,6 +58,8 @@ def _resolve_config(defaults: dict, path: str | None, overrides: dict) -> dict:
             loaded = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {path} must be a JSON object: {loaded!r}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -82,7 +84,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, outputs: list,
 def _int_at_least(cfg: dict, key: str, low: int) -> int:
     try:
         val = int(cfg[key])
-        if val != cfg[key]:
+        if val != cfg[key] or isinstance(cfg[key], bool):
             raise ValueError("not a whole number")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be an integer: {cfg[key]!r}") from exc
@@ -93,6 +95,8 @@ def _int_at_least(cfg: dict, key: str, low: int) -> int:
 
 def _float(cfg: dict, key: str) -> float:
     try:
+        if isinstance(cfg[key], bool):
+            raise TypeError("a JSON boolean is not a number")
         return float(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a number: {cfg[key]!r}") from exc
@@ -107,8 +111,8 @@ def _positive(cfg: dict, key: str) -> float:
 
 def _floats(cfg: dict, key: str) -> list:
     try:
-        if not isinstance(cfg[key], list):
-            raise TypeError("not a JSON list")
+        if not isinstance(cfg[key], list) or any(isinstance(v, bool) for v in cfg[key]):
+            raise TypeError("not a JSON list of numbers")
         return [float(v) for v in cfg[key]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a list of numbers: {cfg[key]!r}") from exc
@@ -291,6 +295,8 @@ def _state_spec(spec: dict) -> tuple:
         return kind, None, "levels"
     try:
         psi = np.array([complex(re, im) for re, im in spec.get("psi")])
+        if any(isinstance(v, bool) for pair in spec["psi"] for v in pair):
+            raise TypeError("a JSON boolean is not a number")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"psi must be a list of [re, im] pairs: {spec.get('psi')!r}") from exc
     mode = spec.get("support_mode", "levels")
@@ -434,7 +440,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, UnstableStep, ArithmeticError) as exc:
+    except (NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OscwitError as exc:

@@ -157,17 +157,6 @@ def moments(rho: TwoModeState) -> MomentTable:
     )
 
 
-def family_moments_closed_form(fs: FamilyState) -> MomentTable:
-    """The analytic moments of a family state (for cross-validation)."""
-    c, s = math.cos(fs.theta), math.sin(fs.theta)
-    n = fs.mean_n
-    return MomentTable(
-        a1=0.0, a2=0.0, a1_sq=0.0, a2_sq=0.0, a1_a2=0.0,
-        n1=c * c * n, n2=s * s * n, a1d_a2=s * c * n,
-        n1_n2=(s * c) ** 2 * (fs.mean_n_sq - n),
-    )
-
-
 def _as_moments(source) -> MomentTable:
     if isinstance(source, MomentTable):
         return source
@@ -216,13 +205,6 @@ def duan_margin(m: MomentTable, c: float) -> float:
         - 2.0 * (abs(c) / c) * _p1_p2(m)
     )
     return (u_sq - u_mean ** 2) + (v_sq - v_mean ** 2) - (cc + 1.0 / cc)
-
-
-def duan_family_margin_closed_form(fs: FamilyState, c: float) -> float:
-    """Analytic family-state margin: sin(2t) <n> (c^2/tan t + tan t / c^2)."""
-    t = fs.theta
-    cc = c * c
-    return math.sin(2 * t) * fs.mean_n * (cc / math.tan(t) + math.tan(t) / cc)
 
 
 def duan_detects(m: MomentTable, c_grid=None):
@@ -306,16 +288,3 @@ def abiuso_margin(source, kappa: float, sigma_src: float) -> float:
     lhs = coef * (1.0 + (3.0 - 2.0 * math.sqrt(2.0)) * sigma_src ** 2) + sys_u + sys_v
     rhs = coef * sigma_src ** 2 / (1.0 + sigma_src ** 2)
     return lhs - rhs
-
-
-def abiuso_family_margin_closed_form(fs: FamilyState, kappa: float,
-                                     sigma_src: float) -> float:
-    """Analytic family margin; reduces to the kappa = 1 display formula."""
-    k2 = kappa * kappa
-    coef = 0.5 * (k2 + 1.0 / k2)
-    c, s = math.cos(fs.theta), math.sin(fs.theta)
-    lhs = (
-        coef * ((3.0 - 2.0 * math.sqrt(2.0)) * sigma_src ** 2 + 2.0)
-        + fs.mean_n * (k2 * c * c + s * s / k2)
-    )
-    return lhs - coef * sigma_src ** 2 / (1.0 + sigma_src ** 2)

@@ -33,10 +33,6 @@ class Unstable(OscwitError):
     """Coupling strong enough to make the soft normal mode unstable."""
 
 
-class UnstableStep(OscwitError):
-    """Integrator step size violates the stability bound."""
-
-
 class InfeasibleTarget(OscwitError):
     """No state within the truncation attains the requested score."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,31 +70,6 @@ class FockOperator:
             )
         self.matrix.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Trace-orthonormal Hermitian basis with element 0 proportional to 1."""
-
-    elements: tuple
-    n_max: int
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def expand(self, matrix: np.ndarray) -> np.ndarray:
-        """Real coefficients c_j = tr(B_j M) of a Hermitian matrix."""
-        return np.array([np.trace(b @ matrix).real for b in self.elements])
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(self.elements[0])
-        for c, b in zip(coeffs, self.elements):
-            out = out + c * b
-        return out
-
 
 @dataclass(frozen=True)
 class TwoModeState:
@@ -129,23 +103,11 @@ class TwoModeState:
                 raise ValueError(f"minimum eigenvalue {w[0]} below {self.EIG_FLOOR}")
         self.matrix.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def from_pure(cls, vec: np.ndarray, n_max: int, basis_tag: str) -> "TwoModeState":
         v = np.asarray(vec, dtype=complex)
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()), n_max, basis_tag)
-
-    def operator(self) -> FockOperator:
-        return FockOperator(self.matrix, self.n_max, 2, self.basis_tag)
-
-
-class Displacement(NamedTuple):
-    operator: FockOperator
-    unitarity_defect: float
 
 
 def annihilation_matrix(n_max: int) -> FockOperator:
@@ -234,35 +196,6 @@ def minimum_coherent_cutoff(alpha: complex, tol: float = 1e-10, margin: int = 2)
     return lo + margin
 
 
-def displacement_matrix(alpha: complex, n_max: int) -> Displacement:
-    """exp(alpha a^dag - alpha* a) on the truncated space.
-
-    The generator is anti-Hermitian so the truncated exponential is exactly
-    unitary; the reported defect measures how far D|0> drifts from the
-    normalized coherent expansion, i.e. the truncation error proper.
-    """
-    a = annihilation_matrix(n_max).matrix
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    # expm via eigendecomposition of the Hermitian matrix i*gen
-    w, v = np.linalg.eigh(1j * gen)
-    d = (v * np.exp(-1j * w)) @ v.conj().T
-    op = FockOperator(d, n_max, 1)
-    defect = float(np.max(np.abs(d.conj().T @ d - np.eye(n_max + 1))))
-    # unitarity of the truncated exponential is exact; the meaningful defect
-    # is the mismatch against the analytic coherent amplitudes
-    tail = coherent_tail_mass(alpha, n_max)
-    return Displacement(op, max(defect, tail))
-
-
-def tensor(a: FockOperator, b: FockOperator, basis_tag: str = PHYSICAL) -> FockOperator:
-    """Kronecker product, mode 1 slowest index."""
-    if a.modes != 1 or b.modes != 1:
-        raise DimensionMismatch("tensor expects two single-mode operators")
-    if a.n_max != b.n_max:
-        raise DimensionMismatch(f"mixed truncations {a.n_max} != {b.n_max}")
-    return FockOperator(np.kron(a.matrix, b.matrix), a.n_max, 2, basis_tag)
-
-
 def partial_transpose_matrix(matrix: np.ndarray, dim_per_mode: int) -> np.ndarray:
     d = dim_per_mode
     return (
@@ -284,35 +217,6 @@ def partial_transpose(op: FockOperator) -> FockOperator:
     )
 
 
-def hermitian_basis(n_max: int) -> HermitianBasis:
-    """Orthonormal Hermitian basis (normalized generalized Gell-Mann set).
-
-    Element 0 is 1/sqrt(d); then all symmetric and antisymmetric pair
-    matrices, then the diagonal traceless ladder.  tr(B_j B_k) = delta_jk
-    holds exactly by construction.
-    """
-    d = n_max + 1
-    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2.0)
-            m[k, j] = 1j / np.sqrt(2.0)
-            mats.append(m)
-    for l in range(1, d):
-        diag = np.zeros(d, dtype=complex)
-        diag[:l] = 1.0
-        diag[l] = -l
-        mats.append(np.diag(diag) / np.sqrt(l * (l + 1.0)))
-    assert len(mats) == d * d
-    for m in mats:
-        m.setflags(write=False)
-    return HermitianBasis(tuple(mats), n_max)
-
-
 def eig_hermitian(op: FockOperator | np.ndarray, tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
 
@@ -331,26 +235,6 @@ def eig_hermitian(op: FockOperator | np.ndarray, tol: float = HERMITICITY_TOL):
 def trace_norm_hermitian(matrix: np.ndarray) -> float:
     w = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
     return float(np.sum(np.abs(w)))
-
-
-def embed_state(rho: TwoModeState, n_max_new: int) -> TwoModeState:
-    """Isometric embedding into a larger per-mode cutoff.
-
-    Needed before basis rotations whenever the state's total excitation can
-    exceed the current cutoff: rotation is exact only on complete
-    total-number blocks.
-    """
-    if n_max_new < rho.n_max:
-        raise DimensionMismatch("target cutoff below current one")
-    if n_max_new == rho.n_max:
-        return rho
-    d_old, d_new = rho.n_max + 1, n_max_new + 1
-    out = np.zeros((d_new * d_new, d_new * d_new), dtype=complex)
-    r4 = rho.matrix.reshape(d_old, d_old, d_old, d_old)
-    out.reshape(d_new, d_new, d_new, d_new)[
-        :d_old, :d_old, :d_old, :d_old
-    ] = r4
-    return TwoModeState(out, n_max_new, rho.basis_tag, validate=rho.validate)
 
 
 def log_negativity(rho: TwoModeState, clamp: float = 1e-9) -> float:

@@ -119,16 +119,6 @@ def normal_mode_params(
     )
 
 
-def stiffness_matrix(spec: NormalModeSpec) -> np.ndarray:
-    """Mass-weighted potential matrix in coordinates xi_j = sqrt(m_j) x_j."""
-    return np.array(
-        [
-            [spec.omega1 ** 2, spec.g / (2.0 * spec.mu)],
-            [spec.g / (2.0 * spec.mu), spec.omega2 ** 2],
-        ]
-    )
-
-
 def normal_coordinates(x1, p1, x2, p2, spec: NormalModeSpec):
     """Map phase-space points to normal coordinates (x+, p+, x-, p-).
 
@@ -142,17 +132,6 @@ def normal_coordinates(x1, p1, x2, p2, spec: NormalModeSpec):
     pp = (1.0 / r) * c * np.asarray(p1) + r * s * np.asarray(p2)
     pm = r * c * np.asarray(p2) - (1.0 / r) * s * np.asarray(p1)
     return xp, pp, xm, pm
-
-
-def physical_coordinates(xp, pp, xm, pm, spec: NormalModeSpec):
-    """Inverse of normal_coordinates."""
-    c, s = math.cos(spec.theta), math.sin(spec.theta)
-    r = (spec.m1 / spec.m2) ** 0.25
-    x1 = (1.0 / r) * (c * np.asarray(xp) - s * np.asarray(xm))
-    x2 = r * (s * np.asarray(xp) + c * np.asarray(xm))
-    p1 = r * (c * np.asarray(pp) - s * np.asarray(pm))
-    p2 = (1.0 / r) * (s * np.asarray(pp) + c * np.asarray(pm))
-    return x1, p1, x2, p2
 
 
 def mode_rotation_unitary(theta: float, n_max: int) -> FockOperator:

@@ -131,22 +131,6 @@ def qk_matrix(K: int, n_max: int, t0: float = 0.0) -> FockOperator:
     return FockOperator(q, n_max, 1)
 
 
-def qk_matrix_timeavg(K: int, n_max: int, t0: float = 0.0) -> FockOperator:
-    """Brute-force oracle: (1/K) sum_k R(t_k) pos(X) R(t_k)^dag.
-
-    R(t) = diag(exp(i n t)) is the free-rotation phase matrix.  Kept
-    independent of qk_matrix as a cross-check of the mod-K mask.
-    """
-    pos = pos_x_matrix(n_max).matrix
-    n = np.arange(n_max + 1)
-    acc = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for k in range(K):
-        t = 2.0 * math.pi * k / K + t0
-        r = np.exp(1j * n * t)
-        acc += (r[:, None] * pos) * r.conj()[None, :]
-    return FockOperator(acc / K, n_max, 1)
-
-
 def max_score(K: int, n_max: int):
     """Top eigenpair of Q_K within the truncation."""
     q = qk_matrix(K, n_max)
@@ -155,7 +139,10 @@ def max_score(K: int, n_max: int):
 
 
 def score_operator(K: int, n_max: int, sigma: str = "+") -> FockOperator:
-    """Q_K acting on the chosen normal mode of the two-mode space."""
+    """Q_K acting on the chosen normal mode of the two-mode space.
+
+    The + mode is the slow (first) index of the two-mode basis.
+    """
     q = qk_matrix(K, n_max).matrix
     eye = np.eye(n_max + 1)
     m = np.kron(q, eye) if sigma == "+" else np.kron(eye, q)

@@ -77,7 +77,7 @@ import numpy as np
 from .errors import InfeasibleTarget, NumericalFailure
 from .fock import NORMAL, TwoModeState, partial_transpose_matrix
 from .modes import mode_rotation_unitary
-from .protocol import qk_matrix
+from .protocol import qk_matrix, score_operator
 
 FACE_TOL = 1e-9
 ENGINES = ("auto", "interior-point", "first-order")
@@ -368,8 +368,7 @@ def build_problem(
         raise ValueError("n_max must be >= 0")
     d1 = n_max + 1
     ds = d1 * d1
-    q1 = qk_matrix(K, n_max).matrix.real
-    q_small = np.kron(q1, np.eye(d1))
+    q_small = score_operator(K, n_max).matrix.real
 
     # sector labels: N_tot mod K on the small space, (n1 - n2) mod K on the
     # doubled physical space

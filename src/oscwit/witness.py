@@ -15,7 +15,6 @@ transpose of W in the physical basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,55 +23,21 @@ from .fock import (
     NORMAL,
     PHYSICAL,
     FockOperator,
-    TwoModeState,
     coherent_state,
-    embed_state,
     minimum_coherent_cutoff,
     partial_transpose_matrix,
 )
-from .modes import transform_state
-from .protocol import classical_bound, qk_matrix, score_state
+from .modes import transform_operator
+from .protocol import classical_bound, qk_matrix, score_operator
 
 
-@dataclass(frozen=True)
-class WitnessOperator:
-    """W on the truncated two-mode normal-mode space."""
-
-    matrix: np.ndarray
-    K: int
-    n_max: int
-    basis_tag: str = NORMAL
-
-    @property
-    def bound(self) -> float:
-        return float(classical_bound(self.K))
-
-    def operator(self) -> FockOperator:
-        return FockOperator(self.matrix, self.n_max, 2, self.basis_tag)
-
-
-def witness_matrix(K: int, n_max: int) -> WitnessOperator:
+def witness_matrix(K: int, n_max: int) -> FockOperator:
     """W = classical_bound * 1 - Q_K on the + slot; odd K only."""
     if K % 2 == 0:
         raise EvenK("the witness construction needs the odd-K classical bound")
     d = n_max + 1
-    q = qk_matrix(K, n_max).matrix
-    w = float(classical_bound(K)) * np.eye(d * d) - np.kron(q, np.eye(d))
-    return WitnessOperator(matrix=w, K=K, n_max=n_max)
-
-
-def witness_expectation(K: int, rho: TwoModeState, theta: float = math.pi / 4) -> float:
-    """tr(W rho) = classical_bound - score, evaluated exactly.
-
-    Physical-basis states are embedded into the doubled cutoff before the
-    rotation so the basis change is exact for any support.
-    """
-    if rho.basis_tag == NORMAL:
-        score = score_state(rho, K)
-    else:
-        big = embed_state(rho, 2 * rho.n_max)
-        score = score_state(transform_state(big, theta, NORMAL), K)
-    return float(classical_bound(K)) - score
+    w = float(classical_bound(K)) * np.eye(d * d) - score_operator(K, n_max).matrix
+    return FockOperator(w, n_max, 2, NORMAL)
 
 
 def coherent_witness_erf(r: float, K: int = 3) -> float:
@@ -154,15 +119,6 @@ def optimality_probe(p_op: FockOperator, epsilon: float, K: int = 3,
         r += r_step
 
 
-def erfinv_probe_hint(p_expectation: float, epsilon: float) -> float:
-    """Displacement beyond which the witness expectation must lose to eps P."""
-    from scipy.special import erfinv
-
-    arg = 1.0 - 6.0 * epsilon * p_expectation / (1.0 + epsilon)
-    arg = min(max(arg, -1.0 + 1e-15), 1.0 - 1e-15)
-    return float(erfinv(arg))
-
-
 def nondecomposability_check(K: int, proj_level: int, n_max: int | None = None) -> float:
     """Smallest eigenvalue of the level-projected partial transpose of W.
 
@@ -177,10 +133,7 @@ def nondecomposability_check(K: int, proj_level: int, n_max: int | None = None) 
         n_max = 2 * proj_level + 2
     if n_max < proj_level:
         raise ValueError("n_max must be at least proj_level")
-    from .modes import transform_operator
-
-    w = witness_matrix(K, n_max)
-    w_phys = transform_operator(w.operator(), math.pi / 4, PHYSICAL)
+    w_phys = transform_operator(witness_matrix(K, n_max), math.pi / 4, PHYSICAL)
     pt = partial_transpose_matrix(w_phys.matrix, n_max + 1)
     d = n_max + 1
     keep = [i * d + j for i in range(proj_level + 1) for j in range(proj_level + 1)]

@@ -12,12 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscwit.classical import bundled_distributions, simulate_classical_score
+from oscwit.classical import simulate_classical_score
 from oscwit.cli import main as cli_main
 from oscwit.criteria import (
     abiuso_margin,
     duan_detects,
-    family_moments_closed_form,
     family_state,
     hillery_zubairy_detects,
     moments,
@@ -28,7 +27,6 @@ from oscwit.fock import (
     NORMAL,
     PHYSICAL,
     TwoModeState,
-    embed_state,
     log_negativity,
 )
 from oscwit.modes import normal_mode_params, transform_state
@@ -39,12 +37,17 @@ from oscwit.protocol import (
     pos_x_matrix,
     score_state,
 )
-from oscwit.classical import hermite_overlap_quadrature
 from oscwit.sdp import build_problem, solve, sweep
 from oscwit.witness import (
     coherent_expectation,
     coherent_witness_erf,
     nondecomposability_check,
+)
+from oracles import (
+    bundled_distributions,
+    embed_state,
+    family_moments_closed_form,
+    hermite_overlap_quadrature,
 )
 
 rng = np.random.default_rng(2024)

@@ -5,21 +5,23 @@ import pytest
 
 from oscwit.classical import (
     bimodal,
-    bundled_distributions,
-    energy,
-    evolve_exact,
     gaussian_cloud,
-    hermite_overlap_quadrature,
-    integrate_trajectory,
     point_mass,
     ring,
     simulate_classical_score,
     uniform_box,
 )
-from oscwit.errors import UnstableStep
 from oscwit.modes import normal_mode_params
 from oscwit.protocol import ProtocolSpec, classical_bound
 from oscwit.protocol import pos_x_matrix
+from oracles import (
+    UnstableStep,
+    bundled_distributions,
+    energy,
+    evolve_exact,
+    hermite_overlap_quadrature,
+    integrate_trajectory,
+)
 
 
 SPEC_SYMMETRIC = normal_mode_params(1.0, 1.0, 1.0, 1.0, 0.0, theta=math.pi / 4)

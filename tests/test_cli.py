@@ -296,6 +296,15 @@ class TestErrors:
         ("compare", {"kappa_grid": "12"}, "kappa_grid must be a list of numbers: '12'"),
         ("witness", {"erf_r_values": "05"}, "erf_r_values must be a list of numbers: '05'"),
         ("bounds", {"k_list": "23"}, "k_list must be a list of numbers: '23'"),
+        # JSON booleans are Python ints, but no numeric key takes one
+        ("bounds", {"n_max": True}, "n_max must be an integer: True"),
+        ("bounds", {"k_list": [3, True]}, "k_list must be a list of numbers: [3, True]"),
+        ("simulate", {"K": True}, "K must be an integer: True"),
+        ("certify", {"theta_grid": [True]}, "theta_grid must be a list of numbers: [True]"),
+        ("simulate", {"g": False}, "g must be a number: False"),
+        ("witness", {"probe_epsilon": True}, "probe_epsilon must be a number: True"),
+        ("compare", {"states": [{"kind": "family", "psi": [[False, False], [True, False]]}]},
+         "psi must be a list of [re, im] pairs: [[False, False], [True, False]]"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"
@@ -303,6 +312,15 @@ class TestErrors:
         assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("text", ["5", "null", '[["K", 3]]', '"ab"'])
+    def test_config_not_an_object_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: config {cfg} must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, values", [
         ("certify", {"K": 0}),

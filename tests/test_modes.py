@@ -11,11 +11,10 @@ from oscwit.modes import (
     mode_rotation_unitary,
     normal_coordinates,
     normal_mode_params,
-    physical_coordinates,
-    stiffness_matrix,
     transform_state,
 )
 from oscwit.sdp import build_problem
+from oracles import physical_coordinates, stiffness_matrix
 
 rng = np.random.default_rng(42)
 

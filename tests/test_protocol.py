@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscwit.classical import hermite_overlap_quadrature
 from oscwit.errors import WrongBasisTag
 from oscwit.fock import NORMAL, PHYSICAL, TwoModeState
 from oscwit.protocol import (
@@ -12,9 +11,9 @@ from oscwit.protocol import (
     max_score,
     pos_x_matrix,
     qk_matrix,
-    qk_matrix_timeavg,
     score_state,
 )
+from oracles import hermite_overlap_quadrature, qk_matrix_timeavg
 
 rng = np.random.default_rng(99)
 

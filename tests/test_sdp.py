@@ -12,8 +12,6 @@ from oscwit.fock import (
     NORMAL,
     PHYSICAL,
     TwoModeState,
-    embed_state,
-    hermitian_basis,
     log_negativity,
     partial_transpose_matrix,
 )
@@ -34,6 +32,7 @@ from oscwit.sdp import (
     solve,
     sweep,
 )
+from oracles import embed_state, hermitian_basis
 
 rng = np.random.default_rng(7)
 

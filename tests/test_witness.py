@@ -12,7 +12,6 @@ from oscwit.fock import (
     TwoModeState,
     coherent_state,
     identity_matrix,
-    tensor,
 )
 from oscwit.protocol import classical_bound, max_score, score_state
 from oscwit.witness import (
@@ -21,9 +20,9 @@ from oscwit.witness import (
     coherent_witness_erf,
     nondecomposability_check,
     optimality_probe,
-    witness_expectation,
     witness_matrix,
 )
+from oracles import erfinv_probe_hint, witness_expectation
 
 rng = np.random.default_rng(23)
 
@@ -178,8 +177,6 @@ class TestOptimalityProbe:
     def test_erfinv_hint_bounds_search(self):
         # beyond the hinted displacement the witness expectation must fall
         # below eps <P> / (1+eps); for P = identity the probe lands near it
-        from oscwit.witness import erfinv_probe_hint
-
         hint = erfinv_probe_hint(1.0, 0.1)
         p = identity_matrix(40, modes=2, basis_tag=NORMAL)
         r, _ = optimality_probe(p, epsilon=0.1, r_step=0.01)
