@@ -93,12 +93,20 @@ def _int_at_least(cfg: dict, key: str, low: int) -> int:
     return val
 
 
+def _number(val) -> float:
+    """A JSON number as a float.  Booleans and strings are not numbers, and
+    neither are the NaN and Infinity that Python's json reader accepts."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError(f"not a number: {val!r}")
+    if not math.isfinite(val):
+        raise ValueError(f"not finite: {val!r}")
+    return float(val)
+
+
 def _float(cfg: dict, key: str) -> float:
     try:
-        if isinstance(cfg[key], bool):
-            raise TypeError("a JSON boolean is not a number")
-        return float(cfg[key])
-    except (TypeError, ValueError) as exc:
+        return _number(cfg[key])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number: {cfg[key]!r}") from exc
 
 
@@ -111,10 +119,10 @@ def _positive(cfg: dict, key: str) -> float:
 
 def _floats(cfg: dict, key: str) -> list:
     try:
-        if not isinstance(cfg[key], list) or any(isinstance(v, bool) for v in cfg[key]):
-            raise TypeError("not a JSON list of numbers")
-        return [float(v) for v in cfg[key]]
-    except (TypeError, ValueError) as exc:
+        if not isinstance(cfg[key], list):
+            raise TypeError("not a JSON list")
+        return [_number(v) for v in cfg[key]]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a list of numbers: {cfg[key]!r}") from exc
 
 
@@ -165,17 +173,14 @@ BOUNDS_DEFAULTS = {"k_list": [2, 3, 4, 5], "n_max": 30}
 def cmd_bounds(cfg: dict) -> tuple[dict, dict]:
     n_max = _int_at_least(cfg, "n_max", 0)
     _floats(cfg, "k_list")
-    for k in cfg["k_list"]:
-        _int_at_least({"k_list": k}, "k_list", 1)
+    k_list = [_int_at_least({"k_list": k}, "k_list", 1) for k in cfg["k_list"]]
     lines = ["K,classical_bound,classical_bound_float,quantum_max_truncated,n_max"]
-    print(f"{'K':>3} {'classical':>12} {'quantum max':>14}  (truncation {cfg['n_max']})")
-    for k in cfg["k_list"]:
-        bound = classical_bound(int(k))
-        p_max, _ = max_score(int(k), n_max)
+    print(f"{'K':>3} {'classical':>12} {'quantum max':>14}  (truncation {n_max})")
+    for k in k_list:
+        bound = classical_bound(k)
+        p_max, _ = max_score(k, n_max)
         print(f"{k:>3} {str(bound):>12} {p_max:>14.9f}")
-        lines.append(
-            f"{k},{bound},{float(bound):.12g},{p_max:.12g},{cfg['n_max']}"
-        )
+        lines.append(f"{k},{bound},{float(bound):.12g},{p_max:.12g},{n_max}")
     return {"bounds.csv": "\n".join(lines) + "\n"}, {}
 
 
@@ -252,16 +257,11 @@ def cmd_certify(cfg: dict) -> tuple[dict, dict]:
     res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol,
                 engine=cfg["engine"], threads=threads)
     violations = res.monotonicity_violations()
-    certified = sum(
-        1 for r in res.rows
-        if r["status"] in ("optimal", "max-iter") and r["s_n"] - r["dual_gap"] > 0
-    )
-    print(f"{len(res.rows)} cells solved; {certified} certify entanglement")
+    certified = sum(sol.certified for _, _, sol in res.cells)
+    print(f"{len(res.cells)} cells solved; {certified} certify entanglement")
     print(f"monotonicity violations: {len(violations)}")
-    failed = [
-        {"theta": r["theta"], "p_target": r["p_target"], "reason": r["reason"]}
-        for r in res.rows if r["status"] == "failed"
-    ]
+    failed = [{"theta": theta, "p_target": p, "reason": sol.reason}
+              for theta, p, sol in res.cells if sol.status == "failed"]
     return {"certify.csv": res.to_csv()}, {"failed_cells": failed}
 
 
@@ -294,10 +294,8 @@ def _state_spec(spec: dict) -> tuple:
     if kind != "family":
         return kind, None, "levels"
     try:
-        psi = np.array([complex(re, im) for re, im in spec.get("psi")])
-        if any(isinstance(v, bool) for pair in spec["psi"] for v in pair):
-            raise TypeError("a JSON boolean is not a number")
-    except (TypeError, ValueError) as exc:
+        psi = np.array([complex(_number(re), _number(im)) for re, im in spec.get("psi")])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"psi must be a list of [re, im] pairs: {spec.get('psi')!r}") from exc
     mode = spec.get("support_mode", "levels")
     if mode not in ("levels", "multiples"):

@@ -264,7 +264,9 @@ class SdpSolution:
     ``z`` is the objective value at an exactly feasible state; ``z_lb`` the
     best feasible dual bound; ``s_n`` / ``s_n_lb`` their log-domain images
     and ``dual_gap`` their difference, so s_n - dual_gap > 0 certifies
-    entanglement.
+    entanglement.  A sweep cell that could not be solved has NaN values,
+    status ``infeasible`` or ``failed`` and the error's message as its
+    ``reason``.
     """
 
     z: float
@@ -278,10 +280,18 @@ class SdpSolution:
     # the best (z, z_lb) after every certificate harvest
     history: list = field(default_factory=list)
     wall_time: float = 0.0
+    reason: str = ""
+
+    @property
+    def solved(self) -> bool:
+        return self.status in ("optimal", "max-iter")
 
     @property
     def certified(self) -> bool:
-        return self.status in ("optimal", "max-iter") and self.s_n_lb > 0.0
+        """s_n_lb > 0 on a solved cell: the one test of certified entanglement.
+        It agrees with s_n - dual_gap = min(s_n, s_n_lb) > 0 unless z < z_lb,
+        which weak duality rules out up to rounding."""
+        return self.solved and self.s_n_lb > 0.0
 
 
 def _sn_from_z(z: float, tol: float = 1e-12) -> float:
@@ -988,10 +998,9 @@ def solve(
 
 @dataclass
 class SweepResult:
-    K: int
-    n_max: int
-    tol: float
-    rows: list
+    """One (theta, p_target, SdpSolution) cell per grid point, in grid order."""
+
+    cells: list
 
     COLUMNS = ("theta", "p_target", "z", "s_n", "dual_gap", "status",
                "iterations", "wall_time")
@@ -1002,30 +1011,27 @@ class SweepResult:
         Compares lower-bounded values against upper values so solver gaps
         cannot produce spurious reports.
         """
-        ok_rows = [r for r in self.rows if r["status"] in ("optimal", "max-iter")]
+        solved = [c for c in self.cells if c[2].solved]
         out = []
-        for label, along, fixed in (("p", "p_target", "theta"),
-                                    ("theta", "theta", "p_target")):
+        for label, along, fixed in (("p", 1, 0), ("theta", 0, 1)):
             lines = {}
-            for r in ok_rows:
-                lines.setdefault(round(r[fixed], 12), []).append(r)
-            for key, rows in lines.items():
-                rows = sorted(rows, key=lambda r: r[along])
-                for a, b in zip(rows, rows[1:]):
-                    if (b["s_n"] - b["dual_gap"]) < (a["s_n"] - a["dual_gap"]) - (
-                        a["dual_gap"] + b["dual_gap"] + slack
-                    ):
+            for c in solved:
+                lines.setdefault(round(c[fixed], 12), []).append(c)
+            for key, cells in lines.items():
+                cells = sorted(cells, key=lambda c: c[along])
+                for a, b in zip(cells, cells[1:]):
+                    sa, sb = a[2], b[2]
+                    if sb.s_n_lb < sa.s_n_lb - (sa.dual_gap + sb.dual_gap + slack):
                         out.append((label, key, a[along], b[along]))
         return out
 
     def to_csv(self) -> str:
-        """The rows as CSV; ``wall_time`` reads 0.000, so reruns write the same bytes."""
+        """The cells as CSV; ``wall_time`` reads 0.000, so reruns write the same bytes."""
         lines = [",".join(self.COLUMNS)]
-        for r in self.rows:
+        for theta, p, sol in self.cells:
             lines.append(
-                f"{r['theta']:.12g},{r['p_target']:.12g},{r['z']:.12g},"
-                f"{r['s_n']:.12g},{r['dual_gap']:.12g},{r['status']},"
-                f"{r['iterations']},0.000"
+                f"{theta:.12g},{p:.12g},{sol.z:.12g},{sol.s_n:.12g},"
+                f"{sol.dual_gap:.12g},{sol.status},{sol.iterations},0.000"
             )
         return "\n".join(lines) + "\n"
 
@@ -1045,32 +1051,20 @@ def _row_start(anchors: list, p: float) -> np.ndarray | None:
     return (1.0 - t) * lo + t * hi
 
 
-def _solve_cell(K, n_max, theta, p, tol, engine, anchors):
+def _solve_cell(K, n_max, theta, p, tol, engine, anchors) -> tuple:
     """One row cell, started from its anchors; a solve that ends optimal
     with z_lb = 1 adds its state to them."""
     try:
         problem = build_problem(K, theta, p, n_max)
         sol = solve(problem, tol=tol, engine=engine, start=_row_start(anchors, p))
-    except InfeasibleTarget:
-        return {
-            "theta": theta, "p_target": p, "z": float("nan"),
-            "s_n": float("nan"), "dual_gap": float("nan"),
-            "status": "infeasible", "iterations": 0,
-        }
-    except NumericalFailure as exc:
-        return {
-            "theta": theta, "p_target": p, "z": float("nan"),
-            "s_n": float("nan"), "dual_gap": float("nan"),
-            "status": "failed", "iterations": 0, "reason": str(exc),
-        }
+    except (InfeasibleTarget, NumericalFailure) as exc:
+        status = "infeasible" if isinstance(exc, InfeasibleTarget) else "failed"
+        nan = float("nan")
+        return theta, p, SdpSolution(nan, nan, nan, nan, nan, 0, status, reason=str(exc))
     if sol.status == "optimal" and sol.z_lb == 1.0:
         rho = sol.rho.matrix.real
         anchors.append((problem.score_of(rho), rho))
-    return {
-        "theta": theta, "p_target": p, "z": sol.z, "s_n": sol.s_n,
-        "dual_gap": sol.dual_gap, "status": sol.status,
-        "iterations": sol.iterations,
-    }
+    return theta, p, sol
 
 
 def _solve_row(args) -> list:
@@ -1081,10 +1075,10 @@ def _solve_row(args) -> list:
     vacuum = np.zeros(((n_max + 1) ** 2,) * 2)
     vacuum[0, 0] = 1.0
     anchors = [(float(qk_matrix(K, n_max).matrix.real[0, 0]), vacuum)]
-    rows = [None] * len(p_grid)
+    cells = [None] * len(p_grid)
     for i in sorted(range(len(p_grid)), key=lambda i: -p_grid[i]):
-        rows[i] = _solve_cell(K, n_max, theta, p_grid[i], tol, engine, anchors)
-    return rows
+        cells[i] = _solve_cell(K, n_max, theta, p_grid[i], tol, engine, anchors)
+    return cells
 
 
 def sweep(
@@ -1096,7 +1090,9 @@ def sweep(
     engine: str = "auto",
     threads: int = 1,
 ) -> SweepResult:
-    """One certification solve per grid point; failures recorded per cell.
+    """One (theta, p, SdpSolution) cell per grid point, in grid order; a cell
+    that raises ``InfeasibleTarget`` or ``NumericalFailure`` keeps its
+    status and reason in its solution.
 
     Each theta row is certified as a unit, in descending p, with a list of
     anchors: (score, state) pairs of feasible states with z = 1, starting
@@ -1118,4 +1114,4 @@ def sweep(
             rows = list(pool.map(_solve_row, jobs))
     else:
         rows = [_solve_row(j) for j in jobs]
-    return SweepResult(K=K, n_max=n_max, tol=tol, rows=[r for row in rows for r in row])
+    return SweepResult([cell for row in rows for cell in row])

@@ -232,13 +232,13 @@ class TestCriterion6:
         thetas = [i * math.pi / 16 for i in range(5)]
         ps = [0.5 + 0.15 * i / 4 for i in range(5)]
         res = sweep(thetas, ps, 3, 3, tol=1e-6)
-        assert all(r["status"] in ("optimal", "max-iter") for r in res.rows)
+        assert all(sol.status in ("optimal", "max-iter") for _, _, sol in res.cells)
         assert res.monotonicity_violations() == []
-        certified = [r for r in res.rows if r["s_n"] - r["dual_gap"] > 1e-6]
+        certified = [sol for _, _, sol in res.cells if sol.s_n - sol.dual_gap > 1e-6]
         assert certified, "no grid cell certified entanglement"
-        for r in res.rows:
-            if abs(r["theta"]) < 1e-12:
-                assert r["s_n"] <= r["dual_gap"] + 1e-12
+        for theta, _, sol in res.cells:
+            if abs(theta) < 1e-12:
+                assert sol.s_n <= sol.dual_gap + 1e-12
         report(6, f"5x5 grid monotone along both axes; "
                   f"{len(certified)} cells certify")
 

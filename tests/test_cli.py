@@ -27,6 +27,17 @@ class TestBounds:
         assert float(rows["3"][3]) == pytest.approx(0.697334774, abs=1e-8)
         assert (tmp_path / "bounds_manifest.json").exists()
 
+    def test_writes_the_checked_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 3.0, "k_list": [3.0, 5]}))
+        assert run(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        csv = (tmp_path / "bounds.csv").read_text().splitlines()
+        assert [(row[0], row[4]) for row in (line.split(",") for line in csv[1:])] == [
+            ("3", "3"), ("5", "3")]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("(truncation 3)")
+        assert [line.split()[0] for line in out[1:]] == ["3", "5"]
+
 
 class TestSimulate:
     def test_default_gaussian_within_bound(self, tmp_path):
@@ -119,6 +130,21 @@ class TestCertify:
             "theta": 0.5, "p_target": 0.5,
             "reason": "no feasible primal point was recovered",
         }]
+
+    def test_summary_count_matches_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "K": 3, "n_max": 3, "theta_grid": [0.0, math.pi / 8, math.pi / 4],
+            "p_grid": [0.5, 0.6, 0.64, 0.66], "tol": 1e-6,
+        }))
+        assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "certify.csv").read_text().splitlines()[1:]]
+        certified = sum(1 for r in rows if r[5] in ("optimal", "max-iter")
+                        and float(r[3]) - float(r[4]) > 0)
+        assert 0 < certified < len(rows)
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary == f"{len(rows)} cells solved; {certified} certify entanglement"
 
     def test_certifying_cell(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -305,6 +331,19 @@ class TestErrors:
         ("witness", {"probe_epsilon": True}, "probe_epsilon must be a number: True"),
         ("compare", {"states": [{"kind": "family", "psi": [[False, False], [True, False]]}]},
          "psi must be a list of [re, im] pairs: [[False, False], [True, False]]"),
+        # Python's json reads NaN and Infinity, but they are not JSON numbers,
+        # and a numeric string is not a number either
+        ("simulate", {"g": math.nan}, "g must be a number: nan"),
+        ("simulate", {"t0": "0.25"}, "t0 must be a number: '0.25'"),
+        ("compare", {"theta": math.inf}, "theta must be a number: inf"),
+        ("witness", {"probe_epsilon": -math.inf}, "probe_epsilon must be a number: -inf"),
+        ("certify", {"theta_grid": [math.nan], "p_grid": [0.5]},
+         "theta_grid must be a list of numbers: [nan]"),
+        ("certify", {"p_grid": ["0.5"]}, "p_grid must be a list of numbers: ['0.5']"),
+        ("compare", {"states": [{"kind": "family", "psi": [[math.inf, 0.0], [1.0, 0.0]]}]},
+         "psi must be a list of [re, im] pairs: [[inf, 0.0], [1.0, 0.0]]"),
+        ("compare", {"states": [{"kind": "family", "psi": [["1", 0.0], [1.0, 0.0]]}]},
+         "psi must be a list of [re, im] pairs: [['1', 0.0], [1.0, 0.0]]"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"
@@ -312,6 +351,7 @@ class TestErrors:
         assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / f"{command}_manifest.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("text", ["5", "null", '[["K", 3]]', '"ab"'])
     def test_config_not_an_object_rejected(self, tmp_path, capsys, text):

@@ -18,6 +18,7 @@ from oscwit.fock import (
 from oscwit.modes import fold_theta, mode_rotation_unitary, transform_state
 from oscwit.protocol import max_score, qk_matrix
 from oscwit.sdp import (
+    SdpSolution,
     SweepResult,
     _assemble_constraint_rows,
     _clip_eig,
@@ -615,23 +616,22 @@ class TestFaceTargets:
 class TestSweep:
     def test_small_grid(self):
         res = sweep([0.0, np.pi / 4], [0.5, 0.62], 3, 3, tol=1e-6)
-        assert len(res.rows) == 4
-        by = {(round(r["theta"], 6), r["p_target"]): r for r in res.rows}
-        assert by[(0.0, 0.5)]["s_n"] <= by[(0.0, 0.5)]["dual_gap"]
-        assert by[(0.0, 0.62)]["s_n"] <= by[(0.0, 0.62)]["dual_gap"]
+        assert len(res.cells) == 4
+        by = {(round(theta, 6), p): sol for theta, p, sol in res.cells}
+        assert by[(0.0, 0.5)].s_n <= by[(0.0, 0.5)].dual_gap
+        assert by[(0.0, 0.62)].s_n <= by[(0.0, 0.62)].dual_gap
         hot = by[(round(np.pi / 4, 6), 0.62)]
-        assert hot["s_n"] - hot["dual_gap"] > 0.3
+        assert hot.s_n - hot.dual_gap > 0.3
         assert res.monotonicity_violations() == []
 
     def test_monotonicity_reports_both_axes(self):
         def row(theta, p, lb):
-            return {"theta": theta, "p_target": p, "z": 1.0, "s_n": lb,
-                    "dual_gap": 0.0, "status": "optimal", "iterations": 1,
-                    "wall_time": 0.0}
+            return theta, p, SdpSolution(z=1.0, s_n=lb, z_lb=1.0, s_n_lb=lb,
+                                         dual_gap=0.0, iterations=1, status="optimal")
 
         # certified values drop from p = 0.5 to 0.6 at theta = 0, and from
         # theta = 0 to 1 at p = 0.5; both other lines increase
-        res = SweepResult(K=3, n_max=3, tol=1e-6, rows=[
+        res = SweepResult([
             row(0.0, 0.5, 0.3), row(0.0, 0.6, 0.1),
             row(1.0, 0.5, 0.1), row(1.0, 0.6, 0.2)])
         assert res.monotonicity_violations() == [
@@ -639,7 +639,7 @@ class TestSweep:
 
     def test_infeasible_cells_recorded(self):
         res = sweep([0.0], [0.5, 0.9], 3, 2, tol=1e-6)
-        status = {r["p_target"]: r["status"] for r in res.rows}
+        status = {p: sol.status for _, p, sol in res.cells}
         assert status[0.5] == "optimal"
         assert status[0.9] == "infeasible"
 
@@ -647,12 +647,10 @@ class TestSweep:
         grid = ([0.0, np.pi / 4], [0.5, 0.6])
         serial = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=1)
         threaded = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=2)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert (a["theta"], a["p_target"], a["status"]) == (
-                b["theta"], b["p_target"], b["status"]
-            )
-            assert a["s_n"] == pytest.approx(
-                b["s_n"], abs=a["dual_gap"] + b["dual_gap"] + 1e-9
+        for (th_a, p_a, a), (th_b, p_b, b) in zip(serial.cells, threaded.cells):
+            assert (th_a, p_a, a.status) == (th_b, p_b, b.status)
+            assert a.s_n == pytest.approx(
+                b.s_n, abs=a.dual_gap + b.dual_gap + 1e-9
             )
         # the thread count never changes an output byte
         assert threaded.to_csv() == serial.to_csv()
@@ -669,20 +667,20 @@ class TestSweep:
 
         monkeypatch.setattr(oscwit.sdp, "solve", spy)
         res = sweep([theta], ps, 3, 3, tol=1e-6)
-        assert [r["p_target"] for r in res.rows] == ps
+        assert [p for _, p, _ in res.cells] == ps
         flat_iterations = []
-        for row in res.rows:
-            alone = inner(build_problem(3, theta, row["p_target"], 3), tol=1e-6)
+        for _, p, row in res.cells:
+            alone = inner(build_problem(3, theta, p, 3), tol=1e-6)
             fields = ("z", "s_n", "dual_gap", "status", "iterations")
             if alone.z_lb > 1.0:
-                assert [row[f] for f in fields] == [getattr(alone, f) for f in fields]
+                assert [getattr(row, f) for f in fields] == [getattr(alone, f) for f in fields]
                 continue
-            sol = solved[row["p_target"]]
+            sol = solved[p]
             assert sol.status == "optimal"
             assert sol.z >= sol.z_lb == 1.0
-            assert row["z"] <= alone.z
-            assert row["dual_gap"] <= alone.dual_gap
-            flat_iterations.append(row["iterations"])
+            assert row.z <= alone.z
+            assert row.dual_gap <= alone.dual_gap
+            flat_iterations.append(row.iterations)
         assert len(flat_iterations) >= 2
         assert sorted(flat_iterations)[:-1] == [0] * (len(flat_iterations) - 1)
 
@@ -692,9 +690,9 @@ class TestSweep:
 
         monkeypatch.setattr(oscwit.sdp, "solve", broken)
         res = sweep([0.0], [0.5], 3, 2, tol=1e-6)
-        (row,) = res.rows
-        assert row["status"] == "failed"
-        assert row["reason"] == "Schur factorization failed"
+        ((_, _, row),) = res.cells
+        assert row.status == "failed"
+        assert row.reason == "Schur factorization failed"
         # the reason stays out of the CSV
         assert res.to_csv().splitlines()[1] == "0,0.5,nan,nan,nan,failed,0,0.000"
 
