@@ -40,9 +40,9 @@ from .criteria import (
 )
 from .errors import ConfigError, DegenerateAngle, NumericalFailure, OscwitError
 from .fock import NORMAL, PHYSICAL, TwoModeState, identity_matrix, log_negativity
-from .modes import normal_mode_params
+from .modes import fold_theta, normal_mode_params
 from .protocol import ProtocolSpec, classical_bound, max_score, score_state
-from .sdp import ENGINES, sweep
+from .sdp import sweep
 from .witness import (
     coherent_expectation,
     coherent_witness_erf,
@@ -118,17 +118,21 @@ def _positive(cfg: dict, key: str) -> float:
 
 
 def _floats(cfg: dict, key: str) -> list:
+    """A nonempty JSON list of numbers: an empty one would run, and report,
+    nothing."""
     try:
         if not isinstance(cfg[key], list):
             raise TypeError("not a JSON list")
-        return [_number(v) for v in cfg[key]]
+        vals = [_number(v) for v in cfg[key]]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a list of numbers: {cfg[key]!r}") from exc
+    if not vals:
+        raise ConfigError(f"{key} must not be empty")
+    return vals
 
 
 def _grid(cfg: dict, key: str, what: str, ok) -> None:
-    vals = _floats(cfg, key)
-    if not vals or not all(ok(v) for v in vals):
+    if not all(ok(v) for v in _floats(cfg, key)):
         raise ConfigError(f"{key} must list {what} numbers: {cfg[key]!r}")
 
 
@@ -231,7 +235,7 @@ CERTIFY_DEFAULTS = {
     "K": 3, "n_max": 3,
     "theta_grid": None,  # defaults to 5 angles in [0, pi/4]
     "p_grid": None,      # defaults to 5 scores across the feasible range
-    "tol": 1e-6, "engine": "auto", "threads": 1,
+    "tol": 1e-6, "threads": 1,
 }
 
 
@@ -250,12 +254,9 @@ def cmd_certify(cfg: dict) -> tuple[dict, dict]:
         cfg["p_grid"] = [0.5 + i * (p_hi - 0.5) / 4.0 for i in range(5)]
     cfg["theta_grid"] = _floats(cfg, "theta_grid")
     cfg["p_grid"] = _floats(cfg, "p_grid")
-    if cfg["engine"] not in ENGINES:
-        raise ConfigError(f"engine must be one of {list(ENGINES)}, not {cfg['engine']!r}")
     if not all(0.0 <= p <= 1.0 for p in cfg["p_grid"]):
         raise ConfigError(f"p_grid values must lie in [0, 1]: {cfg['p_grid']}")
-    res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol,
-                engine=cfg["engine"], threads=threads)
+    res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol, threads=threads)
     violations = res.monotonicity_violations()
     certified = sum(sol.certified for _, _, sol in res.cells)
     print(f"{len(res.cells)} cells solved; {certified} certify entanglement")
@@ -317,7 +318,9 @@ def _compare_row(label, state_physical, state_normal, cfg) -> str:
     hz = hillery_zubairy_detects(m).detected
     abiuso = min(abiuso_margin(m, float(kp), float(sg))
                  for kp in cfg["kappa_grid"] for sg in cfg["sigma_grid"])
-    dew = score > float(classical_bound(k))
+    # the score test witnesses entanglement only at the folded angle pi/4
+    at_pi4 = abs(fold_theta(float(cfg["theta"])) - math.pi / 4) < 1e-12
+    dew = at_pi4 and score > float(classical_bound(k))
     print(f"{label:>28}: score={score:.4f} S_N={s_n:.4f} duan>{0 if duan > 0 else '!'}"
           f" zhang={zh} hz={hz} dew={dew}")
     return f"{label},{score:.12g},{s_n:.12g},{duan:.12g},{zh},{hz},{abiuso:.12g},{dew}"
@@ -334,6 +337,8 @@ def cmd_compare(cfg: dict) -> tuple[dict, dict]:
     specs = cfg["states"]
     if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
         raise ConfigError(f"states must be a list of objects: {specs!r}")
+    if not specs:
+        raise ConfigError("states must not be empty")
     lines = ["descriptor,score,s_n,duan_min_margin,zhang,hz,abiuso_min_margin,dew"]
     for kind, psi, mode in [_state_spec(spec) for spec in specs]:
         if kind == "vacuum":

@@ -43,12 +43,13 @@ without raising the objective, so the optimum is attained on states
 block-diagonal in N_tot mod K, and varrho_± can be taken block-diagonal in
 (n_1 - n_2) mod K.  The reduction is exact, not a truncation; tests
 compare reduced and unreduced solves.  Both engines work per sector and
-share one sector-blocked operator, ``_SectorOperator`` (embed, rotate,
-partial-transpose).  The splitting engine holds rho and its dual variable
-as sector blocks, applies Phi and Phi* through that operator, and clips and
-projects block by block.  The interior-point engine runs one loop over one
-list of PSD sector blocks (rho, varrho_+, varrho_-); its partial-transpose
-match rows are the svec matrix of the same operator.  The certificate
+share one sector-blocked map, the problem's own ``SdpProblem.phi`` (embed,
+rotate, partial-transpose) and its adjoint ``SdpProblem.phi_adjoint``.  The
+splitting engine holds rho and its dual variable as sector blocks, applies
+Phi and Phi* through them, and clips and projects block by block.  The
+interior-point engine runs one loop over one list of PSD sector blocks
+(rho, varrho_+, varrho_-); its partial-transpose match rows are the svec
+matrix of the same map.  The certificate
 keeper works in the same sector blocks: it projects a state block by block,
 repairs its score inside one sector and takes its primal value from the
 spectra of the big sector blocks.  An eigenspace face is spanned sector by
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleTarget, NumericalFailure
-from .fock import NORMAL, TwoModeState, partial_transpose_matrix
+from .fock import NORMAL, TwoModeState
 from .modes import mode_rotation_unitary
 from .protocol import qk_matrix, score_operator
 
@@ -210,45 +211,25 @@ def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.
     return np.where((br == bc) & (br >= 0), pos, offsets[-1])
 
 
-class _SectorOperator:
-    """Phi(X) = PT(R^T X R) from rho sector blocks to big sector blocks.
+def _phi_data(rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
+              out_space: _BlockSpace, n_max: int, K: int) -> tuple:
+    """The per-sector rows and the forward and adjoint gathers of
+    ``SdpProblem.phi``, from the rows of U at the levels of the solver
+    variable and the residues mod K of its sectors."""
+    D1 = 2 * n_max + 1
+    a, b = np.divmod(np.arange(D1 * D1), D1)
+    n_tot = a + b
+    cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
+            for res in in_residues]
 
-    R holds the rows of the rotation U at the levels of the small space,
-    with the face basis folded in; U is exactly zero between total numbers.
-    Rho sector r reaches only the big columns ``cols[r]`` of total number
-    <= 2 n_max in its residues mod K, so R^T X_r R is one small dense
-    product; the partial transpose then moves its entries into the
-    (n1 - n2) mod K sectors of the big space by a fixed gather.  The adjoint is the same gather read
-    backwards followed by R_r (.) R_r^T.
-    """
+    def transposed_pairs(idx):
+        # entry (p, q) of PT(M) is entry ((a_p, b_q), (a_q, b_p)) of M
+        return (a[idx][:, None] * D1 + b[idx][None, :],
+                a[idx][None, :] * D1 + b[idx][:, None])
 
-    def __init__(self, rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
-                 out_space: _BlockSpace, n_max: int, K: int):
-        D1 = 2 * n_max + 1
-        a, b = np.divmod(np.arange(D1 * D1), D1)
-        n_tot = a + b
-        cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
-                for res in in_residues]
-        self.rows = [rows[np.ix_(g, c)] for g, c in zip(in_space.groups, cols)]
-
-        def transposed_pairs(idx):
-            # entry (p, q) of PT(M) is entry ((a_p, b_q), (a_q, b_p)) of M
-            return (a[idx][:, None] * D1 + b[idx][None, :],
-                    a[idx][None, :] * D1 + b[idx][:, None])
-
-        self.fwd = [_flat_positions(cols, D1 * D1, *transposed_pairs(h))
-                    for h in out_space.groups]
-        self.adj = [_flat_positions(out_space.groups, D1 * D1, *transposed_pairs(c))
-                    for c in cols]
-
-    def forward(self, blocks: list) -> list:
-        flat = np.concatenate(
-            [(r.T @ x @ r).ravel() for r, x in zip(self.rows, blocks)] + [_ZERO])
-        return [flat[i] for i in self.fwd]
-
-    def adjoint(self, blocks: list) -> list:
-        flat = np.concatenate([y.ravel() for y in blocks] + [_ZERO])
-        return [r @ flat[i] @ r.T for r, i in zip(self.rows, self.adj)]
+    return ([rows[np.ix_(g, c)] for g, c in zip(in_space.groups, cols)],
+            [_flat_positions(cols, D1 * D1, *transposed_pairs(h)) for h in out_space.groups],
+            [_flat_positions(out_space.groups, D1 * D1, *transposed_pairs(c)) for c in cols])
 
 
 def _clip_eig(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -311,16 +292,15 @@ class SdpProblem:
     n_max: int
     # internal solver data
     _q_small: np.ndarray = field(repr=False)
-    # rows of the rotation U at the levels of the small space, before any
-    # face basis is folded in
-    _u_rows: np.ndarray = field(repr=False)
     _rho_space: _BlockSpace = field(repr=False)
     _big_space: _BlockSpace = field(repr=False)
     _face_basis: np.ndarray | None = field(repr=False)
     _score_active: bool = field(repr=False)
-    # Phi between the sector blocks of the solver variable and of the big
-    # space, and Q on the rho sectors (None when the score is inactive)
-    _op: _SectorOperator = field(repr=False)
+    # Phi's rows per rho sector and its forward and adjoint gathers (see
+    # ``phi``), and Q on the rho sectors (None when the score is inactive)
+    _phi_rows: list = field(repr=False)
+    _phi_fwd: list = field(repr=False)
+    _phi_adj: list = field(repr=False)
     _q_blocks: list | None = field(repr=False)
     # (eigenvalue, sector blocks of its projector) at the bottom and the top
     # of the spectrum of Q: the unit-trace states that repair the score of a
@@ -343,15 +323,25 @@ class SdpProblem:
             return m
         return self._face_basis @ m @ self._face_basis.T
 
-    def phi(self, rho_small: np.ndarray) -> np.ndarray:
-        """Embed, rotate to the physical basis, partial-transpose: the dense
-        form of the sector-blocked ``_op`` that the engines use."""
-        u = self._u_rows
-        return partial_transpose_matrix(u.T @ rho_small @ u, 2 * self.n_max + 1)
+    def phi(self, blocks: list) -> list:
+        """Phi(X) = PT(R^T X R) from solver-variable sector blocks to big
+        sector blocks: embed, rotate to the physical basis, partial-transpose.
 
-    def phi_adjoint(self, y_big: np.ndarray) -> np.ndarray:
-        u = self._u_rows
-        return u @ partial_transpose_matrix(y_big, 2 * self.n_max + 1) @ u.T
+        R holds the rows of the rotation U at the levels of the small space,
+        with the face basis folded in; U is exactly zero between total
+        numbers.  Rho sector r reaches only the big columns of total number
+        <= 2 n_max in its residues mod K, so R^T X_r R is one small dense
+        product (``_phi_rows``); the partial transpose then moves its entries
+        into the (n1 - n2) mod K sectors of the big space by a fixed gather.
+        """
+        flat = np.concatenate(
+            [(r.T @ x @ r).ravel() for r, x in zip(self._phi_rows, blocks)] + [_ZERO])
+        return [flat[i] for i in self._phi_fwd]
+
+    def phi_adjoint(self, blocks: list) -> list:
+        """Phi*: the gather of ``phi`` read backwards, then R_r (.) R_r^T."""
+        flat = np.concatenate([y.ravel() for y in blocks] + [_ZERO])
+        return [r @ flat[i] @ r.T for r, i in zip(self._phi_rows, self._phi_adj)]
 
     def score_of(self, rho_small: np.ndarray) -> float:
         return float(np.tensordot(self._q_small, rho_small, 2))
@@ -441,12 +431,12 @@ def build_problem(
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
     u_rows = u_big[i_idx * D1 + j_idx]  # the small space embedded in the big one
     rows = u_rows if face_basis is None else face_basis.T @ u_rows
+    phi_rows, phi_fwd, phi_adj = _phi_data(rows, rho_space, residues, big_space, n_max, K)
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
-        _q_small=q_small, _u_rows=u_rows,
-        _rho_space=rho_space, _big_space=big_space,
+        _q_small=q_small, _rho_space=rho_space, _big_space=big_space,
         _face_basis=face_basis, _score_active=score_active,
-        _op=_SectorOperator(rows, rho_space, residues, big_space, n_max, K),
+        _phi_rows=phi_rows, _phi_fwd=phi_fwd, _phi_adj=phi_adj,
         _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
         _q_edges=q_edges,
     )
@@ -463,9 +453,9 @@ def _assemble_constraint_rows(prob: SdpProblem):
     varrho_± parts of those rows are -/+ the svec identity, so they never
     need storing.  ``tables`` maps each block size to its table.
     """
-    rs, bs, op = prob._rho_space, prob._big_space, prob._op
+    rs, bs = prob._rho_space, prob._big_space
     tables = {d: _symkron_table(d) for d in {len(g) for g in rs.groups + bs.groups}}
-    g_rows = np.column_stack([bs.pack(op.forward(rs.unpack(e))) for e in np.eye(rs.total)])
+    g_rows = np.column_stack([bs.pack(prob.phi(rs.unpack(e))) for e in np.eye(rs.total)])
     t_rows = [rs.pack(rs.eye())]
     if prob._score_active:
         t_rows.append(rs.pack(prob._q_blocks))
@@ -506,7 +496,7 @@ def _primal_value(prob: SdpProblem, blocks: list) -> float:
 
     tr|A| >= tr A = 1, so z >= 1; the clamp, the same as z_lb gets, keeps
     rounding in the trace from reading z one ulp below 1."""
-    w = np.concatenate([np.linalg.eigvalsh(b) for b in prob._op.forward(blocks)])
+    w = np.concatenate([np.linalg.eigvalsh(b) for b in prob.phi(blocks)])
     return max(0.5 * (float(np.sum(np.abs(w))) + 1.0), 1.0)
 
 
@@ -533,7 +523,7 @@ def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
     is provably within that of the maximum (up to rounding in the
     eigenvalues).
     """
-    h = prob._op.adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
+    h = prob.phi_adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
     if not prob._score_active:
         return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h)
     p = prob.p_target
@@ -883,7 +873,7 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
     the run warm-starts from its best rho and its best Lambda.  Returns
     (iterations, status).
     """
-    rs, bs, op = prob._rho_space, prob._big_space, prob._op
+    rs, bs = prob._rho_space, prob._big_space
     if certs.rho is None:
         rho = rs.eye(1.0 / rs.dim)
         y_big = bs.eye(0.0)
@@ -900,8 +890,8 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
 
     for it in range(1, max_iters + 1):
         y_big = [_clip_eig(y + taus * f, -1.0, 1.0)
-                 for y, f in zip(y_big, op.forward(rho_bar))]
-        grad = op.adjoint(y_big)
+                 for y, f in zip(y_big, prob.phi(rho_bar))]
+        grad = prob.phi_adjoint(y_big)
         rho_new, warm = _project_spectrahedron(
             prob, [r - taus * g for r, g in zip(rho, grad)], warm)
         rho_bar = [2.0 * rn - r for rn, r in zip(rho_new, rho)]
@@ -1051,12 +1041,12 @@ def _row_start(anchors: list, p: float) -> np.ndarray | None:
     return (1.0 - t) * lo + t * hi
 
 
-def _solve_cell(K, n_max, theta, p, tol, engine, anchors) -> tuple:
+def _solve_cell(K, n_max, theta, p, tol, anchors) -> tuple:
     """One row cell, started from its anchors; a solve that ends optimal
     with z_lb = 1 adds its state to them."""
     try:
         problem = build_problem(K, theta, p, n_max)
-        sol = solve(problem, tol=tol, engine=engine, start=_row_start(anchors, p))
+        sol = solve(problem, tol=tol, start=_row_start(anchors, p))
     except (InfeasibleTarget, NumericalFailure) as exc:
         status = "infeasible" if isinstance(exc, InfeasibleTarget) else "failed"
         nan = float("nan")
@@ -1071,13 +1061,13 @@ def _solve_row(args) -> list:
     """The cells of one theta row, solved in descending p and returned in
     grid order.  The anchors start with the vacuum, which Phi maps to
     itself at every theta."""
-    K, n_max, theta, p_grid, tol, engine = args
+    K, n_max, theta, p_grid, tol = args
     vacuum = np.zeros(((n_max + 1) ** 2,) * 2)
     vacuum[0, 0] = 1.0
     anchors = [(float(qk_matrix(K, n_max).matrix.real[0, 0]), vacuum)]
     cells = [None] * len(p_grid)
     for i in sorted(range(len(p_grid)), key=lambda i: -p_grid[i]):
-        cells[i] = _solve_cell(K, n_max, theta, p_grid[i], tol, engine, anchors)
+        cells[i] = _solve_cell(K, n_max, theta, p_grid[i], tol, anchors)
     return cells
 
 
@@ -1087,7 +1077,6 @@ def sweep(
     K: int,
     n_max: int,
     tol: float = 1e-7,
-    engine: str = "auto",
     threads: int = 1,
 ) -> SweepResult:
     """One (theta, p, SdpSolution) cell per grid point, in grid order; a cell
@@ -1106,7 +1095,7 @@ def sweep(
     changing an output byte.
     """
     p_grid = [float(p) for p in p_grid]
-    jobs = [(K, n_max, float(th), p_grid, tol, engine) for th in theta_grid]
+    jobs = [(K, n_max, float(th), p_grid, tol) for th in theta_grid]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -176,6 +176,29 @@ class TestCompare:
         vac = rows["vacuum"]
         assert vac[4] == "False" and vac[5] == "False" and vac[7] == "False"
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_dew_only_at_quarter_pi(self, tmp_path, capsys, theta):
+        # the score still beats the classical bound, but off pi/4 that does
+        # not witness entanglement: at theta = 0 the states are products
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": theta}))
+        assert run(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+        assert any(float(r[1]) > 2 / 3 for r in rows)
+        assert "True" not in [r[7] for r in rows]
+        assert "dew=True" not in capsys.readouterr().out
+
+    def test_folded_quarter_pi_keeps_the_rows(self, tmp_path, capsys):
+        outs = []
+        for theta in (math.pi / 4, 3 * math.pi / 4):
+            cfg, out = tmp_path / "cfg.json", tmp_path / str(theta)
+            cfg.write_text(json.dumps({"theta": theta}))
+            assert run(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(((out / "compare.csv").read_text(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert outs[0][0].splitlines()[1].split(",")[7] == "True"
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 3, "bogus": 1}))
@@ -248,7 +271,7 @@ class TestErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"engine": "fast"}))
         assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "config error: engine must be one of" in capsys.readouterr().err
+        assert "config error: unknown config keys: ['engine']" in capsys.readouterr().err
         assert not (tmp_path / "certify.csv").exists()
 
     def test_score_outside_unit_interval_rejected(self, tmp_path, capsys):
@@ -344,6 +367,12 @@ class TestErrors:
          "psi must be a list of [re, im] pairs: [[inf, 0.0], [1.0, 0.0]]"),
         ("compare", {"states": [{"kind": "family", "psi": [["1", 0.0], [1.0, 0.0]]}]},
          "psi must be a list of [re, im] pairs: [['1', 0.0], [1.0, 0.0]]"),
+        # an empty list would run, and report, nothing
+        ("certify", {"theta_grid": []}, "theta_grid must not be empty"),
+        ("certify", {"p_grid": []}, "p_grid must not be empty"),
+        ("bounds", {"k_list": []}, "k_list must not be empty"),
+        ("witness", {"erf_r_values": []}, "erf_r_values must not be empty"),
+        ("compare", {"states": []}, "states must not be empty"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"

@@ -135,7 +135,14 @@ class TestRotationUnitary:
         u = mode_rotation_unitary(theta, 2 * n_max).matrix.real
         d_big = 2 * n_max + 1
         rows = [i * d_big + j for i in range(n_max + 1) for j in range(n_max + 1)]
-        assert np.array_equal(prob._u_rows, u[rows])
+        # rho sector r (N_tot = r mod 3) meets the big columns of total
+        # number <= 2 n_max in the same residue
+        n_small = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)).ravel()
+        n_big = np.add.outer(np.arange(d_big), np.arange(d_big)).ravel()
+        assert len(prob._phi_rows) == 3
+        for r, got in enumerate(prob._phi_rows):
+            cols = np.nonzero((n_big <= 2 * n_max) & (n_big % 3 == r))[0]
+            assert np.array_equal(got, u[rows][np.ix_(n_small % 3 == r, cols)])
 
     def test_zero_angle(self):
         u = mode_rotation_unitary(0.0, 3)

@@ -78,10 +78,9 @@ class TestBuild:
 
     def test_phi_preserves_trace_and_is_isometry(self):
         prob = build_problem(3, 0.5, 0.5, 2)
-        ds = prob.small_dim
-        r = rng.normal(size=(ds, ds))
-        r = r + r.T
-        out = prob.phi(r)
+        rs, bs = prob._rho_space, prob._big_space
+        r = rs.full_from_blocks(random_blocks(rs))
+        out = bs.full_from_blocks(prob.phi(rs.blocks_from_full(r)))
         assert np.trace(out) == pytest.approx(np.trace(r), abs=1e-12)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(r), abs=1e-10)
 
@@ -94,6 +93,15 @@ def dense_phi(prob, rho_small):
     big = np.zeros((d_big ** 2, d_big ** 2))
     big[np.ix_(emb, emb)] = rho_small
     return partial_transpose_matrix(u.T @ big @ u, d_big)
+
+
+def dense_phi_adjoint(prob, y_big):
+    """The adjoint of ``dense_phi``: partial-transpose, rotate back, restrict
+    to the small space."""
+    d_big = 2 * prob.n_max + 1
+    u = mode_rotation_unitary(prob.theta, 2 * prob.n_max).matrix.real
+    emb = [i * d_big + j for i in range(prob.n_max + 1) for j in range(prob.n_max + 1)]
+    return (u @ partial_transpose_matrix(y_big, d_big) @ u.T)[np.ix_(emb, emb)]
 
 
 def random_blocks(space):
@@ -130,28 +138,35 @@ class TestSectorOperator:
         rs, bs = prob._rho_space, prob._big_space
         blocks = random_blocks(rs)
         ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
-        out = bs.full_from_blocks(prob._op.forward(blocks))
+        out = bs.full_from_blocks(prob.phi(blocks))
         assert np.max(np.abs(out - ref)) < 1e-12
-        r = rng.normal(size=(prob.small_dim, prob.small_dim))
-        assert np.max(np.abs(prob.phi(r) - dense_phi(prob, r))) < 1e-12
+        # Phi is linear on all matrices, not only on symmetric ones
+        r = rs.blocks_from_full(rng.normal(size=(rs.dim, rs.dim)))
+        ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(r)))
+        assert np.max(np.abs(bs.full_from_blocks(prob.phi(r)) - ref)) < 1e-12
 
     @pytest.mark.parametrize("prob", list(sector_problems()))
     def test_adjoint(self, prob):
         rs, bs = prob._rho_space, prob._big_space
         x, y = random_blocks(rs), random_blocks(bs)
-        lhs = sum(np.sum(a * b) for a, b in zip(prob._op.forward(x), y))
-        rhs = sum(np.sum(a * b) for a, b in zip(x, prob._op.adjoint(y)))
+        lhs = sum(np.sum(a * b) for a, b in zip(prob.phi(x), y))
+        rhs = sum(np.sum(a * b) for a, b in zip(x, prob.phi_adjoint(y)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         r = rng.normal(size=(prob.small_dim, prob.small_dim))
         yb = rng.normal(size=(prob.big_dim, prob.big_dim))
-        assert np.sum(prob.phi(r) * yb) == pytest.approx(
-            np.sum(r * prob.phi_adjoint(yb)), rel=1e-12, abs=1e-12)
+        assert np.sum(dense_phi(prob, r) * yb) == pytest.approx(
+            np.sum(r * dense_phi_adjoint(prob, yb)), rel=1e-12, abs=1e-12)
+        # the blocked adjoint is the dense one, in solver-variable coordinates
+        f = np.eye(prob.small_dim) if prob._face_basis is None else prob._face_basis
+        ref = f.T @ dense_phi_adjoint(prob, bs.full_from_blocks(y)) @ f
+        assert np.max(np.abs(rs.full_from_blocks(prob.phi_adjoint(y)) - ref)) < 1e-12
 
     @pytest.mark.parametrize("prob", list(sector_problems()))
     def test_block_diagonal_rho_stays_in_sectors(self, prob):
         rs, bs = prob._rho_space, prob._big_space
-        rho = prob.to_state_matrix(rs.full_from_blocks(random_blocks(rs)))
-        out = prob.phi(rho)
+        blocks = random_blocks(rs)
+        rho = prob.to_state_matrix(rs.full_from_blocks(blocks))
+        out = bs.full_from_blocks(prob.phi(blocks))
         in_sector = bs.full_from_blocks([np.ones((len(g), len(g))) for g in bs.groups]) != 0.0
         assert np.all(out[~in_sector] == 0.0)
         assert np.max(np.abs(dense_phi(prob, rho)[~in_sector])) < 1e-12
@@ -164,7 +179,8 @@ class TestSectorOperator:
         prob = build_problem(3, theta, 0.5, n)
         vac = np.zeros((prob.small_dim, prob.small_dim))
         vac[0, 0] = 1.0
-        out = prob.phi(vac)
+        rs, bs = prob._rho_space, prob._big_space
+        out = bs.full_from_blocks(prob.phi(rs.blocks_from_full(vac)))
         assert np.linalg.eigvalsh(out)[0] >= 0.0
         assert np.array_equal(out, np.diag(np.eye(prob.big_dim)[0]))
         assert _primal_value(prob, prob._rho_space.blocks_from_full(vac)) == 1.0
@@ -195,7 +211,7 @@ class TestSectorOperator:
         blocks = [m @ m.T for m in (local.normal(size=(len(g), len(g))) for g in rs.groups)]
         trace = sum(np.trace(b) for b in blocks)
         blocks = [b / trace for b in blocks]
-        out = prob._op.forward(blocks)
+        out = prob.phi(blocks)
         assert sum(np.trace(b) for b in out) == pytest.approx(1.0, abs=1e-12)
         assert math.hypot(*(np.linalg.norm(b) for b in out)) == pytest.approx(
             math.hypot(*(np.linalg.norm(b) for b in blocks)), abs=1e-12)
@@ -270,7 +286,7 @@ def golden_dual_bound(prob, lam_blocks):
     """The dual bound by an 80-step golden-section search over the score
     multiplier; returns the value and the multiplier (None when the score is
     inactive)."""
-    h = prob._op.adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
+    h = prob.phi_adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
     if not prob._score_active:
         return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h), None
 
@@ -311,7 +327,7 @@ def random_lambda(space):
 
 def bare_problem(p, q_blocks):
     """A stand-in problem whose Phi* is the identity on its blocks."""
-    return SimpleNamespace(_op=SimpleNamespace(adjoint=list), _score_active=True,
+    return SimpleNamespace(phi_adjoint=list, _score_active=True,
                            p_target=p, _q_blocks=q_blocks)
 
 
@@ -503,6 +519,50 @@ class TestSolve:
                      engine="first-order")
         assert abs(pdhg.s_n - ipm.s_n) <= pdhg.dual_gap + ipm.dual_gap + 1e-9
         assert pdhg.certified
+
+
+def spy_phi(monkeypatch):
+    """Count the calls into ``SdpProblem.phi`` and ``phi_adjoint``, patched
+    on the class as the benchmark's tracer patches them."""
+    calls = {"phi": 0, "phi_adjoint": 0}
+    for name in calls:
+        def spy(prob, blocks, name=name, inner=getattr(oscwit.sdp.SdpProblem, name)):
+            calls[name] += 1
+            return inner(prob, blocks)
+
+        monkeypatch.setattr(oscwit.sdp.SdpProblem, name, spy)
+    return calls
+
+
+class TestPhiEntryPoint:
+    """Both engines and the certificate keeper reach Phi only through the
+    problem's own ``phi`` and ``phi_adjoint``."""
+
+    @pytest.mark.parametrize("engine, max_iters", [("first-order", 50), ("interior-point", 5)])
+    def test_engines_call_the_problem_phi(self, engine, max_iters, monkeypatch):
+        def run():
+            return solve(build_problem(3, np.pi / 4, 0.62, 3), engine=engine,
+                         max_iters=max_iters)
+
+        plain = run()
+        calls = spy_phi(monkeypatch)
+        spied = run()
+        assert calls["phi"] > 0 and calls["phi_adjoint"] > 0
+        assert (spied.z, spied.z_lb, spied.iterations, spied.status, spied.history) == (
+            plain.z, plain.z_lb, plain.iterations, plain.status, plain.history)
+
+    def test_start_offer_calls_the_problem_phi(self, monkeypatch):
+        # the vacuum has the score 1/2 and z = 1: the keeper takes the start
+        # as the answer from its primal value alone
+        prob = build_problem(3, np.pi / 4, 0.5, 3)
+        vac = np.zeros((prob.small_dim, prob.small_dim))
+        vac[0, 0] = 1.0
+        plain = solve(prob, start=vac)
+        calls = spy_phi(monkeypatch)
+        spied = solve(prob, start=vac)
+        assert spied.iterations == 0
+        assert calls == {"phi": 1, "phi_adjoint": 0}
+        assert (spied.z, spied.z_lb, spied.history) == (plain.z, plain.z_lb, plain.history)
 
 
 class TestReconstruction:
