@@ -56,6 +56,27 @@ spectra of the big sector blocks.  An eigenspace face is spanned sector by
 sector, so it keeps the blocks too.  The full density matrix is built once,
 for the returned solution.
 
+At theta = pi/4 (after ``fold_theta``, exactly) a second exact symmetry
+halves the blocks.  Let P_- = (-1)^N_- and T = SWAP of the physical modes
+at theta = pi/4 (mod pi), T = SWAP (-1)^(N_1 + N_2) at -pi/4 (mod pi).
+Then Phi(P_- rho P_-) = T Phi(rho) T^T, so P_- keeps the objective, and it
+keeps the trace and the score (Q_K acts on the + mode alone).  The same
+averaging argument puts the optimum on states even under P_-: each rho
+sector splits by the parity of N_-, and Phi(rho) commutes with T.  T maps
+the big sector r onto -r, so one sector of each pair is held, with
+multiplicity 2, and a sector that T maps onto itself splits into its T-even
+and T-odd parts, (|a, b> +- T|a, b>)/sqrt 2; ``phi`` forms them by its
+fixed gather.  The multiplicity weights every sum over the big blocks: the
+primal value tr|Phi(rho)|, the inner product in which ``phi_adjoint`` is
+the adjoint, and the interior point's objective and Lambda = -y/m.  Both
+certificates stay honest.  A state even under P_- is a state, and
+tr|Phi(rho)| counts every sector of its image, since sector -r is T times
+sector r.  A Lambda held in these blocks is a T-invariant 0 <= Lambda <= 1,
+whose Phi*(Lambda) commutes with P_-, so the minimum of <rho, Phi*(Lambda)>
+over all feasible states is attained on P_- even ones, where the dual bound
+takes it.  Any other angle, even one within rounding of pi/4, keeps the
+mod-K blocks.
+
 A sweep certifies each theta row as a unit.  z(rho) = tr Phi(rho)_+ is
 convex in rho and the score is linear in it.  So the mix of two feasible
 states ("anchors") that bracket a score p, in the proportion that hits p,
@@ -77,7 +98,7 @@ import numpy as np
 
 from .errors import InfeasibleTarget, NumericalFailure
 from .fock import NORMAL, TwoModeState
-from .modes import mode_rotation_unitary
+from .modes import fold_theta, mode_rotation_unitary
 from .protocol import qk_matrix, score_operator
 
 FACE_TOL = 1e-9
@@ -97,15 +118,15 @@ def _svec_data(d: int):
 
 def _svec(m: np.ndarray, data) -> np.ndarray:
     rows, cols, scale = data
-    return m[rows, cols] * scale
+    return m[..., rows, cols] * scale
 
 
 def _smat(v: np.ndarray, d: int, data) -> np.ndarray:
     rows, cols, scale = data
-    m = np.zeros((d, d))
+    m = np.zeros(v.shape[:-1] + (d, d))
     vals = v / scale
-    m[rows, cols] = vals
-    m[cols, rows] = vals
+    m[..., rows, cols] = vals
+    m[..., cols, rows] = vals
     return m
 
 
@@ -141,7 +162,9 @@ def _symkron(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
 
 @dataclass
 class _BlockSpace:
-    """A direct sum of symmetric blocks given by index groups."""
+    """A direct sum of symmetric blocks given by index groups.
+
+    ``pack`` and ``unpack`` broadcast over leading axes."""
 
     dim: int                       # ambient flat dimension
     groups: list                   # list of index arrays
@@ -157,23 +180,23 @@ class _BlockSpace:
         return int(sum(self.svec_sizes))
 
     def blocks_from_full(self, m: np.ndarray) -> list:
-        return [m[np.ix_(g, g)] for g in self.groups]
+        return [m[g[:, None], g] for g in self.groups]
 
     def full_from_blocks(self, blocks: list) -> np.ndarray:
         m = np.zeros((self.dim, self.dim))
         for g, b in zip(self.groups, blocks):
-            m[np.ix_(g, g)] = b
+            m[g[:, None], g] = b
         return m
 
     def pack(self, blocks: list) -> np.ndarray:
         return np.concatenate(
-            [_svec(b, sd) for b, sd in zip(blocks, self.svec_data)]
+            [_svec(b, sd) for b, sd in zip(blocks, self.svec_data)], axis=-1
         ) if self.groups else np.zeros(0)
 
     def unpack(self, v: np.ndarray) -> list:
         out, ofs = [], 0
         for g, sd, sz in zip(self.groups, self.svec_data, self.svec_sizes):
-            out.append(_smat(v[ofs:ofs + sz], len(g), sd))
+            out.append(_smat(v[..., ofs:ofs + sz], len(g), sd))
             ofs += sz
         return out
 
@@ -181,55 +204,146 @@ class _BlockSpace:
         return [scale * np.eye(len(g)) for g in self.groups]
 
 
-def _residue_groups(labels: np.ndarray, K: int, reduce: bool) -> list:
+def _residue_groups(labels: np.ndarray, K: int, reduce: bool,
+                    parity: np.ndarray | None = None) -> list:
+    """The indices of each residue of ``labels`` mod K, in residue order and
+    split by ``parity`` mod 2 (even first) when it is given; one group of
+    every index when not reducing."""
     if not reduce:
         return [np.arange(len(labels))]
-    groups = []
+    keys = labels % K if parity is None else 2 * (labels % K) + parity % 2
+    groups = (np.nonzero(keys == k)[0] for k in range(K if parity is None else 2 * K))
+    return [g for g in groups if len(g)]
+
+
+def _held_blocks(n_max: int, K: int, reduce: bool, t_sign: int | None) -> list:
+    """The blocks of the big variable, as (states, coefs, multiplicity).
+
+    Column p of a block is the unit vector sum_t coefs[t, p] |states[t, p]>
+    of the doubled physical space, in the basis |a, b> of index a D1 + b.
+    Without ``t_sign`` the blocks are the (a - b) mod K sectors, one term
+    with coefficient 1 and multiplicity 1 each.  With it, T|a, b> =
+    t_sign^(a + b) |b, a> maps sector r onto sector -r, and a T-invariant
+    matrix is held as one sector of each pair (r, -r), with multiplicity 2,
+    and the T-even and T-odd parts of each sector T maps onto itself:
+    |a, a> and (|a, b> + s|b, a>)/sqrt 2, and (|a, b> - s|b, a>)/sqrt 2,
+    for a < b and s = t_sign^(a + b).
+    """
+    D1 = 2 * n_max + 1
+    a, b = np.divmod(np.arange(D1 * D1), D1)
+    if t_sign is None:
+        return [(g[None], np.ones((1, len(g))), 1.0)
+                for g in _residue_groups(a - b, K, reduce)]
+    h = math.sqrt(0.5)
+    held = []
     for r in range(K):
-        idx = np.nonzero(labels % K == r)[0]
-        if len(idx):
-            groups.append(idx)
-    return groups
+        g = np.nonzero((a - b) % K == r)[0]
+        if (-r) % K > r:
+            held.append((g[None], np.ones((1, len(g))), 2.0))
+        elif (-r) % K == r:
+            diag, up = g[a[g] == b[g]], g[a[g] < b[g]]
+            low = b[up] * D1 + a[up]
+            s = h * float(t_sign) ** (a[up] + b[up])
+            one, half = np.ones(len(diag)), np.full(len(up), h)
+            held.append((np.array([np.r_[diag, up], np.r_[diag, low]]),
+                         np.array([np.r_[one, half], np.r_[0.0 * one, s]]), 1.0))
+            held.append((np.array([up, low]), np.array([half, -s]), 1.0))
+    return [blk for blk in held if blk[0].shape[1]]
 
 
-_ZERO = np.zeros(1)
-
-
-def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _flat_positions(row_groups: list, col_groups: list, dim: int,
+                    r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Where entry (r, c) of a dim x dim matrix sits among the row-major
-    blocks over ``groups`` laid end to end; entries outside every block
-    point at the slot just past the end, which holds a zero."""
-    block = np.full(dim, -1)
-    loc = np.zeros(dim, dtype=int)
-    sizes = np.array([len(g) for g in groups])
+    blocks laid end to end, the rows of block k at the indices
+    ``row_groups[k]`` and its columns at ``col_groups[k]``; entries outside
+    every block point at the slot just past the end, which holds a zero."""
+    sizes = np.array([len(g) for g in row_groups])
     offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
-    for k, g in enumerate(groups):
-        block[g] = k
-        loc[g] = np.arange(len(g))
-    br, bc = block[r], block[c]
-    pos = offsets[br] + loc[r] * sizes[br] + loc[c]
+
+    def locate(groups, i):
+        block, loc = np.full(dim, -1), np.zeros(dim, dtype=int)
+        for k, g in enumerate(groups):
+            block[g] = k
+            loc[g] = np.arange(len(g))
+        return block[i], loc[i]
+
+    (br, lr), (bc, lc) = locate(row_groups, r), locate(col_groups, c)
+    pos = offsets[br] + lr * sizes[br] + lc
     return np.where((br == bc) & (br >= 0), pos, offsets[-1])
 
 
+def _gather(flat: np.ndarray, terms: list) -> np.ndarray:
+    """sum of coef * flat[..., idx] over the (idx, coef) terms; a coef of
+    None reads the entries as they are."""
+    out = None
+    for idx, coef in terms:
+        part = flat[idx] if flat.ndim == 1 else np.take(flat, idx, axis=-1)
+        if coef is not None:
+            part *= coef
+        out = part if out is None else out + part
+    return out
+
+
+def _unit_or(coef: np.ndarray):
+    """None for coefficients that are all 1, else the coefficients."""
+    return None if np.all(coef == 1.0) else coef
+
+
 def _phi_data(rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
-              out_space: _BlockSpace, n_max: int, K: int) -> tuple:
-    """The per-sector rows and the forward and adjoint gathers of
-    ``SdpProblem.phi``, from the rows of U at the levels of the solver
-    variable and the residues mod K of its sectors."""
+              held: list, n_max: int, K: int) -> tuple:
+    """The per-sector rows, the slot of each sector and the forward and
+    adjoint gather terms of ``SdpProblem.phi``, from the rows of U at the
+    levels of the solver variable, the residues mod K of its sectors and
+    the blocks of the big variable (``_held_blocks``)."""
     D1 = 2 * n_max + 1
     a, b = np.divmod(np.arange(D1 * D1), D1)
     n_tot = a + b
+    # sectors of the same residues reach the same big columns: one slot each
+    slots = list(dict.fromkeys(frozenset(res) for res in in_residues))
     cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
-            for res in in_residues]
+            for res in slots]
+    slot_of = [slots.index(frozenset(res)) for res in in_residues]
 
-    def transposed_pairs(idx):
-        # entry (p, q) of PT(M) is entry ((a_p, b_q), (a_q, b_p)) of M
-        return (a[idx][:, None] * D1 + b[idx][None, :],
-                a[idx][None, :] * D1 + b[idx][:, None])
+    def transposed_pairs(x, y):
+        # entry (p, q) of PT(M) is entry ((a_xp, b_yq), (a_yq, b_xp)) of M
+        return (a[x][:, None] * D1 + b[y][None, :],
+                a[y][None, :] * D1 + b[x][:, None])
 
-    return ([rows[np.ix_(g, c)] for g, c in zip(in_space.groups, cols)],
-            [_flat_positions(cols, D1 * D1, *transposed_pairs(h)) for h in out_space.groups],
-            [_flat_positions(out_space.groups, D1 * D1, *transposed_pairs(c)) for c in cols])
+    # block k of Phi(X) is B_k^T PT(M) B_k, one term per pair of the terms
+    # of its basis vectors
+    terms = [(k, sx, cx, sy, cy) for k, (states, coefs, _) in enumerate(held)
+             for sx, cx in zip(states, coefs) for sy, cy in zip(states, coefs)]
+    fwd = [[] for _ in held]
+    for k, sx, cx, sy, cy in terms:
+        fwd[k].append((_flat_positions(cols, cols, D1 * D1, *transposed_pairs(sx, sy)),
+                       _unit_or(np.outer(cx, cy))))
+    # Phi* reads every forward term backwards, weighted by the multiplicity
+    # of its block; terms that touch disjoint entries share one gather
+    sizes = np.array([states.shape[1] for states, _, _ in held])
+    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    adj = []
+    for c in cols:
+        x, y = transposed_pairs(c, c)
+        merged = []
+        for k, sx, cx, sy, cy in terms:
+            pos = _flat_positions([sx], [sy], D1 * D1, x, y)
+            weight = np.zeros((2, D1 * D1))
+            weight[0, sx], weight[1, sy] = cx, cy
+            coef = held[k][2] * weight[0, x] * weight[1, y]
+            valid = (pos < sizes[k] ** 2) & (coef != 0.0)
+            if not valid.any():
+                continue
+            idx = np.where(valid, offsets[k] + pos, offsets[-1])
+            coef = np.where(valid, coef, 1.0)
+            for i, (m_idx, m_coef) in enumerate(merged):
+                if not (valid & (m_idx < offsets[-1])).any():
+                    merged[i] = (np.where(valid, idx, m_idx), np.where(valid, coef, m_coef))
+                    break
+            else:
+                merged.append((idx, coef))
+        adj.append([(idx, _unit_or(coef)) for idx, coef in merged])
+    return ([rows[np.ix_(g, cols[s])] for g, s in zip(in_space.groups, slot_of)],
+            slot_of, fwd, adj)
 
 
 def _clip_eig(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -296,9 +410,14 @@ class SdpProblem:
     _big_space: _BlockSpace = field(repr=False)
     _face_basis: np.ndarray | None = field(repr=False)
     _score_active: bool = field(repr=False)
-    # Phi's rows per rho sector and its forward and adjoint gathers (see
-    # ``phi``), and Q on the rho sectors (None when the score is inactive)
+    # the multiplicity of every big block: 2 for a sector held for its swap
+    # partner at theta = pi/4, else 1 (module docstring)
+    _big_mult: list = field(repr=False)
+    # Phi's rows per rho sector, the slot of its big columns and the
+    # forward and adjoint gather terms (see ``phi``), and Q on the rho
+    # sectors (None when the score is inactive)
     _phi_rows: list = field(repr=False)
+    _phi_slot: list = field(repr=False)
     _phi_fwd: list = field(repr=False)
     _phi_adj: list = field(repr=False)
     _q_blocks: list | None = field(repr=False)
@@ -325,23 +444,34 @@ class SdpProblem:
 
     def phi(self, blocks: list) -> list:
         """Phi(X) = PT(R^T X R) from solver-variable sector blocks to big
-        sector blocks: embed, rotate to the physical basis, partial-transpose.
+        blocks: embed, rotate to the physical basis, partial-transpose.
 
         R holds the rows of the rotation U at the levels of the small space,
         with the face basis folded in; U is exactly zero between total
         numbers.  Rho sector r reaches only the big columns of total number
         <= 2 n_max in its residues mod K, so R^T X_r R is one small dense
-        product (``_phi_rows``); the partial transpose then moves its entries
-        into the (n1 - n2) mod K sectors of the big space by a fixed gather.
+        product (``_phi_rows``), summed over the sectors of one residue (the
+        two N_- parities at theta = pi/4); the partial transpose then moves
+        its entries into the big blocks by a fixed gather, which also forms
+        the T-even and T-odd combinations at theta = pi/4.  Every product
+        and gather broadcasts over leading axes of the blocks.
         """
+        prods = [None] * len(self._phi_adj)
+        for r, x, k in zip(self._phi_rows, blocks, self._phi_slot):
+            m = r.T @ x @ r
+            prods[k] = m if prods[k] is None else prods[k] + m
+        lead = prods[0].shape[:-2]
         flat = np.concatenate(
-            [(r.T @ x @ r).ravel() for r, x in zip(self._phi_rows, blocks)] + [_ZERO])
-        return [flat[i] for i in self._phi_fwd]
+            [m.reshape(lead + (-1,)) for m in prods] + [np.zeros(lead + (1,))], axis=-1)
+        return [_gather(flat, terms) for terms in self._phi_fwd]
 
     def phi_adjoint(self, blocks: list) -> list:
-        """Phi*: the gather of ``phi`` read backwards, then R_r (.) R_r^T."""
-        flat = np.concatenate([y.ravel() for y in blocks] + [_ZERO])
-        return [r @ flat[i] @ r.T for r, i in zip(self._phi_rows, self._phi_adj)]
+        """Phi*: the gather of ``phi`` read backwards, then R_r (.) R_r^T;
+        the adjoint in the inner product that weights each big block by its
+        multiplicity."""
+        flat = np.concatenate([y.ravel() for y in blocks] + [np.zeros(1)])
+        w = [_gather(flat, terms) for terms in self._phi_adj]
+        return [r @ w[k] @ r.T for r, k in zip(self._phi_rows, self._phi_slot)]
 
     def score_of(self, rho_small: np.ndarray) -> float:
         return float(np.tensordot(self._q_small, rho_small, 2))
@@ -356,6 +486,8 @@ def build_problem(
 ) -> SdpProblem:
     """Assemble the certification SDP.
 
+    ``symmetry_reduction`` blocks it by the exact symmetries of the module
+    docstring: the mod-K sectors, and at theta = pi/4 also the swap parity.
     Raises InfeasibleTarget when no state within the truncation attains
     ``p_target``.  Targets exactly at the spectral edge are reduced to the
     corresponding eigenspace face, where the score constraint holds
@@ -370,17 +502,20 @@ def build_problem(
     ds = d1 * d1
     q_small = score_operator(K, n_max).matrix.real
 
-    # sector labels: N_tot mod K on the small space, (n1 - n2) mod K on the
-    # doubled physical space
+    # sector labels: N_tot mod K on the small space, split by the parity of
+    # N_- where the swap symmetry holds (module docstring)
     i_idx, j_idx = np.divmod(np.arange(ds), d1)
     rho_labels = i_idx + j_idx
+    t_sign = None
+    if symmetry_reduction and fold_theta(theta) == math.pi / 4:
+        # T = SWAP at theta = pi/4 (mod pi), SWAP (-1)^(N1 + N2) at -pi/4
+        t_sign = -1 if theta % math.pi > math.pi / 2 else 1
     D1 = 2 * n_max + 1
-    a_idx, b_idx = np.divmod(np.arange(D1 * D1), D1)
-    big_labels = a_idx - b_idx
 
-    # Q couples only levels equal mod K, so its spectrum is taken sector by
-    # sector
-    sectors = _residue_groups(rho_labels, K, symmetry_reduction)
+    # Q couples only levels equal mod K, and acts on the + mode alone, so
+    # its spectrum is taken sector by sector
+    sectors = _residue_groups(rho_labels, K, symmetry_reduction,
+                              None if t_sign is None else j_idx)
     spectra = [np.linalg.eigh(q_small[np.ix_(g, g)]) for g in sectors]
     lam_min = min(w[0] for w, _ in spectra)
     lam_max = max(w[-1] for w, _ in spectra)
@@ -426,17 +561,25 @@ def build_problem(
             blocks = rho_space.eye(0.0)
             blocks[k] = np.outer(v, v)
             q_edges.append((spectra[k][0][col], blocks))
-    big_space = _BlockSpace(D1 * D1, _residue_groups(big_labels, K, symmetry_reduction))
+    held = _held_blocks(n_max, K, symmetry_reduction, t_sign)
+    if t_sign is None:
+        big_space = _BlockSpace(D1 * D1, [states[0] for states, _, _ in held])
+    else:
+        # T-even and T-odd blocks are not index sets of the big space: the
+        # blocks take consecutive coordinates of their own
+        ends = np.cumsum([states.shape[1] for states, _, _ in held])
+        big_space = _BlockSpace(int(ends[-1]), np.split(np.arange(ends[-1]), ends[:-1]))
 
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
     u_rows = u_big[i_idx * D1 + j_idx]  # the small space embedded in the big one
     rows = u_rows if face_basis is None else face_basis.T @ u_rows
-    phi_rows, phi_fwd, phi_adj = _phi_data(rows, rho_space, residues, big_space, n_max, K)
+    phi_rows, phi_slot, phi_fwd, phi_adj = _phi_data(rows, rho_space, residues, held, n_max, K)
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
         _q_small=q_small, _rho_space=rho_space, _big_space=big_space,
         _face_basis=face_basis, _score_active=score_active,
-        _phi_rows=phi_rows, _phi_fwd=phi_fwd, _phi_adj=phi_adj,
+        _big_mult=[mult for _, _, mult in held],
+        _phi_rows=phi_rows, _phi_slot=phi_slot, _phi_fwd=phi_fwd, _phi_adj=phi_adj,
         _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
         _q_edges=q_edges,
     )
@@ -449,13 +592,14 @@ def _assemble_constraint_rows(prob: SdpProblem):
     Returns ``(t_rows, g_rows, tables)``.  ``t_rows``: trace, then score
     when active.  ``g_rows``: the svec matrix of Phi from the rho sectors to
     the big sectors, whose column j is Phi of the j-th svec basis element of
-    rho; these are the rho parts of the partial-transpose match rows.  The
-    varrho_± parts of those rows are -/+ the svec identity, so they never
-    need storing.  ``tables`` maps each block size to its table.
+    rho, from one ``phi`` call on the stacked basis; these are the rho parts
+    of the partial-transpose match rows.  The varrho_± parts of those rows
+    are -/+ the svec identity, so they never need storing.  ``tables`` maps
+    each block size to its table.
     """
     rs, bs = prob._rho_space, prob._big_space
     tables = {d: _symkron_table(d) for d in {len(g) for g in rs.groups + bs.groups}}
-    g_rows = np.column_stack([bs.pack(prob.phi(rs.unpack(e))) for e in np.eye(rs.total)])
+    g_rows = np.ascontiguousarray(bs.pack(prob.phi(rs.unpack(np.eye(rs.total)))).T)
     t_rows = [rs.pack(rs.eye())]
     if prob._score_active:
         t_rows.append(rs.pack(prob._q_blocks))
@@ -471,7 +615,7 @@ def _project_feasible(prob: SdpProblem, blocks: list) -> list:
     blocks: PSD clip and renormalize every block, then repair the score by
     mixing with a spectral-edge state."""
     eigs = (np.linalg.eigh((b + b.T) / 2.0) for b in blocks)
-    rho = [(v * np.clip(w, 0.0, None)) @ v.T for w, v in eigs]
+    rho = [(v * np.maximum(w, 0.0)) @ v.T for w, v in eigs]
     trace = sum(np.trace(b) for b in rho)
     if trace <= 0.0:
         rho = prob._rho_space.eye(1.0 / prob._rho_space.dim)
@@ -479,7 +623,7 @@ def _project_feasible(prob: SdpProblem, blocks: list) -> list:
         rho = [b / trace for b in rho]
     if not prob._score_active:
         return rho
-    p_now = sum(np.tensordot(q, b, 2) for q, b in zip(prob._q_blocks, rho))
+    p_now = sum(np.vdot(q, b) for q, b in zip(prob._q_blocks, rho))
     p_want = prob.p_target
     if abs(p_now - p_want) < 1e-15:
         return rho
@@ -495,9 +639,11 @@ def _primal_value(prob: SdpProblem, blocks: list) -> float:
     as solver-variable sector blocks.
 
     tr|A| >= tr A = 1, so z >= 1; the clamp, the same as z_lb gets, keeps
-    rounding in the trace from reading z one ulp below 1."""
-    w = np.concatenate([np.linalg.eigvalsh(b) for b in prob.phi(blocks)])
-    return max(0.5 * (float(np.sum(np.abs(w))) + 1.0), 1.0)
+    rounding in the trace from reading z one ulp below 1.  A big block held
+    for its swap partner counts twice."""
+    w = np.concatenate([m * np.abs(np.linalg.eigvalsh(b))
+                        for m, b in zip(prob._big_mult, prob.phi(blocks))])
+    return max(0.5 * (float(np.sum(w)) + 1.0), 1.0)
 
 
 def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
@@ -668,8 +814,10 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     the varrho_- sectors.  Constraints: trace, (score), and the
     partial-transpose match in the svec basis of every big sector, where
     rho enters through the stored rows and varrho_± as -/+ the identity.
+    The objective weights each varrho_+ block by its multiplicity m, so the
+    dual slack of the pair keeps -y between 0 and m on its match rows.
     Each iterate, and the one the last step leaves, is offered to ``certs``
-    with Lambda = -y on the match rows.  Returns (iterations, status).
+    with Lambda = -y/m on the match rows.  Returns (iterations, status).
     """
     from scipy.linalg import block_diag
 
@@ -698,8 +846,9 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         return (rs.unpack(t_rows.T @ y[:n_t] + g_rows.T @ y[n_t:])
                 + [-b for b in y_big] + y_big)
 
-    # objective: tr of every varrho_+ sector
-    c = rs.eye(0.0) + bs.eye(1.0) + bs.eye(0.0)
+    # objective: tr of every varrho_+ block, times its multiplicity
+    mult = prob._big_mult
+    c = rs.eye(0.0) + [m * np.eye(len(g)) for m, g in zip(mult, bs.groups)] + bs.eye(0.0)
     zeros = [np.zeros_like(cb) for cb in c]
     x = rs.eye(1.0 / rs.dim if rs.dim else 1.0) + bs.eye(2.0) + bs.eye(1.0)
     s = [np.eye(len(cb)) for cb in c]
@@ -720,7 +869,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         rd = [cb - ab - sb for cb, ab, sb in zip(c, at_apply(y), s)]
         mu = inner(x, s) / dim_total
 
-        if certs.offer(x[:nr], [-b for b in bs.unpack(y[n_t:])]):
+        if certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)]):
             status = "optimal"
             break
 
@@ -781,7 +930,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         s = [sb + ad * d for sb, d in zip(s, ds)]
         y = y + ad * dy
 
-    certs.offer(x[:nr], [-b for b in bs.unpack(y[n_t:])])
+    certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)])
     return it, status
 
 
@@ -811,16 +960,17 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
     if not prob._score_active:
         eigs = [np.linalg.eigh(m) for m in sym]
         a = _simplex_shift(np.concatenate([w for w, _ in eigs]))
-        return [(v * np.clip(w - a, 0.0, None)) @ v.T for w, v in eigs], warm
+        return [(v * np.maximum(w - a, 0.0)) @ v.T for w, v in eigs], warm
     p = prob.p_target
+    eyes = [np.eye(len(m)) for m in sym]
 
     def compute(a, b):
         eigs, h, psi = [], np.array([-1.0, -p]), a + b * p
-        for m, q in zip(sym, prob._q_blocks):
-            w, v = np.linalg.eigh(m - a * np.eye(len(m)) - b * q)
+        for m, e, q in zip(sym, eyes, prob._q_blocks):
+            w, v = np.linalg.eigh(m - a * e - b * q)
             qv = v.T @ q @ v
-            wc = np.clip(w, 0.0, None)
-            h += [wc.sum(), wc @ np.diag(qv)]
+            wc = np.maximum(w, 0.0)
+            h += [wc.sum(), wc @ qv.diagonal()]
             psi += 0.5 * (wc @ wc)
             eigs.append((w, v, qv))
         return eigs, h, psi
@@ -834,8 +984,8 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
             pos = w > 0.0
             gam = (pos[:, None] & pos[None, :]).astype(float)
             i, j = np.nonzero(pos[:, None] != pos[None, :])
-            gam[i, j] = (np.clip(w[i], 0.0, None) - np.clip(w[j], 0.0, None)) / (w[i] - w[j])
-            dq = np.diag(qv)[pos].sum()
+            gam[i, j] = (np.maximum(w[i], 0.0) - np.maximum(w[j], 0.0)) / (w[i] - w[j])
+            dq = qv.diagonal()[pos].sum()
             hess += [[pos.sum(), dq], [dq, np.sum(gam * qv * qv)]]
         return hess
 
@@ -859,7 +1009,7 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
             t *= 0.5
         else:
             break
-    return [(v * np.clip(w, 0.0, None)) @ v.T for w, v, _ in eigs], (a, b)
+    return [(v * np.maximum(w, 0.0)) @ v.T for w, v, _ in eigs], (a, b)
 
 
 def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
@@ -933,10 +1083,11 @@ def solve(
     splitting iterations); when given, it caps the total of both engines.
 
     start: a density matrix on the small space with the target score.  It
-    is pinched to the N_tot mod K sectors, which keeps its trace and score
-    and cannot raise its z.  If that z is within the tolerance of the
-    trivial bound z_lb = 1, the start is the answer, after 0 iterations;
-    otherwise the engines run as without it.  Face problems ignore it.
+    is pinched to the N_tot mod K sectors, and at theta = pi/4 also to the
+    parity of N_-, which keeps its trace and score and cannot raise its z.
+    If that z is within the tolerance of the trivial bound z_lb = 1, the
+    start is the answer, after 0 iterations; otherwise the engines run as
+    without it.  Face problems ignore it.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")

@@ -136,13 +136,18 @@ class TestRotationUnitary:
         d_big = 2 * n_max + 1
         rows = [i * d_big + j for i in range(n_max + 1) for j in range(n_max + 1)]
         # rho sector r (N_tot = r mod 3) meets the big columns of total
-        # number <= 2 n_max in the same residue
+        # number <= 2 n_max in the same residue; at pi/4 each sector splits
+        # by the parity of N_-, even first
         n_small = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)).ravel()
+        n_minus = np.tile(np.arange(n_max + 1), n_max + 1)
         n_big = np.add.outer(np.arange(d_big), np.arange(d_big)).ravel()
-        assert len(prob._phi_rows) == 3
-        for r, got in enumerate(prob._phi_rows):
+        parities = [0, 1] if theta == math.pi / 4 else [None]
+        sectors = [(r, par) for r in range(3) for par in parities]
+        assert len(prob._phi_rows) == len(sectors)
+        for (r, par), got in zip(sectors, prob._phi_rows):
             cols = np.nonzero((n_big <= 2 * n_max) & (n_big % 3 == r))[0]
-            assert np.array_equal(got, u[rows][np.ix_(n_small % 3 == r, cols)])
+            sel = (n_small % 3 == r) & ((n_minus % 2 == par) if par is not None else True)
+            assert np.array_equal(got, u[rows][np.ix_(sel, cols)])
 
     def test_zero_angle(self):
         u = mode_rotation_unitary(0.0, 3)

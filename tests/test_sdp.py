@@ -104,6 +104,69 @@ def dense_phi_adjoint(prob, y_big):
     return (u @ partial_transpose_matrix(y_big, d_big) @ u.T)[np.ix_(emb, emb)]
 
 
+def swap_reduced(prob):
+    """True when the big variable is held in the swap-reduced blocks:
+    theta = pi/4 after folding, with the symmetry reduction on."""
+    return fold_theta(prob.theta) == math.pi / 4 and len(prob._big_space.groups) > 1
+
+
+def swap_operator(prob):
+    """T|a, b> = s|b, a> on the doubled physical space: s = 1 at theta =
+    pi/4 (mod pi), s = (-1)^(a + b) at theta = -pi/4 (mod pi)."""
+    d = 2 * prob.n_max + 1
+    a, b = np.divmod(np.arange(d * d), d)
+    t = np.zeros((d * d, d * d))
+    t[b * d + a, np.arange(d * d)] = 1.0 if prob.theta % math.pi < math.pi / 2 else (-1.0) ** (a + b)
+    return t
+
+
+def big_basis(prob):
+    """(B_k, multiplicity) of every big block, with B_k the dense
+    orthonormal basis of the block's columns.  Swap-reduced: for r = 0..K-1,
+    a sector T maps onto itself gives its T-even basis (|a, a>, then
+    (|a, b> + T|a, b>)/sqrt 2 for a < b) and its T-odd basis ((|a, b> -
+    T|a, b>)/sqrt 2), and of a pair (r, -r) sector r is held twice."""
+    d = 2 * prob.n_max + 1
+    eye = np.eye(d * d)
+    if not swap_reduced(prob):
+        return [(eye[:, g], 1.0) for g in prob._big_space.groups]
+    a, b = np.divmod(np.arange(d * d), d)
+    t = swap_operator(prob)
+    out = []
+    for r in range(prob.K):
+        sector = (a - b) % prob.K == r
+        if (-r) % prob.K > r:
+            out.append((eye[:, sector], 2.0))
+        elif (-r) % prob.K == r:
+            up = eye[:, sector & (a < b)]
+            even = np.hstack([eye[:, sector & (a == b)], (up + t @ up) / math.sqrt(2.0)])
+            out += [(even, 1.0), ((up - t @ up) / math.sqrt(2.0), 1.0)]
+    return [(basis, m) for basis, m in out if basis.shape[1]]
+
+
+def big_dense(prob, blocks):
+    """The dense big matrix that big blocks hold; swap-reduced, the
+    T-invariant one."""
+    if not swap_reduced(prob):
+        return prob._big_space.full_from_blocks(blocks)
+    t = swap_operator(prob)
+    out = 0.0
+    for (basis, m), y in zip(big_basis(prob), blocks):
+        part = basis @ y @ basis.T
+        out = out + (part if m == 1.0 else part + t @ part @ t.T)
+    return out
+
+
+def big_blocks(prob, dense):
+    """B_k^T (dense) B_k for every big block."""
+    return [basis.T @ dense @ basis for basis, _ in big_basis(prob)]
+
+
+def weighted_inner(prob, xs, ys):
+    """The inner product of big blocks, each weighted by its multiplicity."""
+    return sum(m * np.sum(x * y) for m, x, y in zip(prob._big_mult, xs, ys))
+
+
 def random_blocks(space):
     out = []
     for g in space.groups:
@@ -138,18 +201,23 @@ class TestSectorOperator:
         rs, bs = prob._rho_space, prob._big_space
         blocks = random_blocks(rs)
         ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
-        out = bs.full_from_blocks(prob.phi(blocks))
+        out = big_dense(prob, prob.phi(blocks))
         assert np.max(np.abs(out - ref)) < 1e-12
-        # Phi is linear on all matrices, not only on symmetric ones
+        # Phi is linear on all matrices, not only on symmetric ones; the
+        # image of a non-symmetric one is not T-invariant, so at pi/4 it is
+        # compared block by block
         r = rs.blocks_from_full(rng.normal(size=(rs.dim, rs.dim)))
         ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(r)))
-        assert np.max(np.abs(bs.full_from_blocks(prob.phi(r)) - ref)) < 1e-12
+        assert max(np.max(np.abs(y - yr))
+                   for y, yr in zip(prob.phi(r), big_blocks(prob, ref))) < 1e-12
+        if not swap_reduced(prob):
+            assert np.max(np.abs(bs.full_from_blocks(prob.phi(r)) - ref)) < 1e-12
 
     @pytest.mark.parametrize("prob", list(sector_problems()))
     def test_adjoint(self, prob):
         rs, bs = prob._rho_space, prob._big_space
         x, y = random_blocks(rs), random_blocks(bs)
-        lhs = sum(np.sum(a * b) for a, b in zip(prob.phi(x), y))
+        lhs = weighted_inner(prob, prob.phi(x), y)
         rhs = sum(np.sum(a * b) for a, b in zip(x, prob.phi_adjoint(y)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         r = rng.normal(size=(prob.small_dim, prob.small_dim))
@@ -158,18 +226,30 @@ class TestSectorOperator:
             np.sum(r * dense_phi_adjoint(prob, yb)), rel=1e-12, abs=1e-12)
         # the blocked adjoint is the dense one, in solver-variable coordinates
         f = np.eye(prob.small_dim) if prob._face_basis is None else prob._face_basis
-        ref = f.T @ dense_phi_adjoint(prob, bs.full_from_blocks(y)) @ f
+        ref = f.T @ dense_phi_adjoint(prob, big_dense(prob, y)) @ f
         assert np.max(np.abs(rs.full_from_blocks(prob.phi_adjoint(y)) - ref)) < 1e-12
 
     @pytest.mark.parametrize("prob", list(sector_problems()))
     def test_block_diagonal_rho_stays_in_sectors(self, prob):
-        rs, bs = prob._rho_space, prob._big_space
-        blocks = random_blocks(rs)
-        rho = prob.to_state_matrix(rs.full_from_blocks(blocks))
-        out = bs.full_from_blocks(prob.phi(blocks))
-        in_sector = bs.full_from_blocks([np.ones((len(g), len(g))) for g in bs.groups]) != 0.0
-        assert np.all(out[~in_sector] == 0.0)
-        assert np.max(np.abs(dense_phi(prob, rho)[~in_sector])) < 1e-12
+        rs = prob._rho_space
+        rho = prob.to_state_matrix(rs.full_from_blocks(random_blocks(rs)))
+        dense = dense_phi(prob, rho)
+        d = 2 * prob.n_max + 1
+        a, b = np.divmod(np.arange(d * d), d)
+        label = (a - b) % prob.K
+        assert np.max(np.abs(dense[label[:, None] != label[None, :]])) < 1e-12
+        if swap_reduced(prob):
+            # rho is even under (-1)^N_-, so Phi(rho) commutes with T: no
+            # entries between the T-even and T-odd parts of sector 0, and
+            # sector -r is T (sector r) T^T
+            t = swap_operator(prob)
+            (even, _), (odd, _) = big_basis(prob)[:2]
+            assert np.max(np.abs(even.T @ dense @ odd)) < 1e-12
+            turned = t @ dense @ t.T
+            for r in range(prob.K):
+                minus = label == (-r) % prob.K
+                assert np.max(np.abs(dense[np.ix_(minus, minus)]
+                                     - turned[np.ix_(minus, minus)])) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4])
@@ -179,8 +259,7 @@ class TestSectorOperator:
         prob = build_problem(3, theta, 0.5, n)
         vac = np.zeros((prob.small_dim, prob.small_dim))
         vac[0, 0] = 1.0
-        rs, bs = prob._rho_space, prob._big_space
-        out = bs.full_from_blocks(prob.phi(rs.blocks_from_full(vac)))
+        out = big_dense(prob, prob.phi(prob._rho_space.blocks_from_full(vac)))
         assert np.linalg.eigvalsh(out)[0] >= 0.0
         assert np.array_equal(out, np.diag(np.eye(prob.big_dim)[0]))
         assert _primal_value(prob, prob._rho_space.blocks_from_full(vac)) == 1.0
@@ -212,8 +291,10 @@ class TestSectorOperator:
         trace = sum(np.trace(b) for b in blocks)
         blocks = [b / trace for b in blocks]
         out = prob.phi(blocks)
-        assert sum(np.trace(b) for b in out) == pytest.approx(1.0, abs=1e-12)
-        assert math.hypot(*(np.linalg.norm(b) for b in out)) == pytest.approx(
+        # a block held for its swap partner counts twice
+        assert sum(m * np.trace(b) for m, b in zip(prob._big_mult, out)) == pytest.approx(
+            1.0, abs=1e-12)
+        assert math.sqrt(weighted_inner(prob, out, out)) == pytest.approx(
             math.hypot(*(np.linalg.norm(b) for b in blocks)), abs=1e-12)
         ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
         z_ref = 0.5 * (np.sum(np.abs(np.linalg.eigvalsh(ref))) + 1.0)
@@ -228,17 +309,25 @@ class TestSectorOperator:
         assert sol.s_n_lb == pytest.approx(0.6419791754695262, abs=1e-9)
 
 
+def per_column_rows(prob):
+    """The svec matrix of Phi built one column at a time: Phi of each svec
+    basis element of rho."""
+    rs, bs = prob._rho_space, prob._big_space
+    return np.column_stack([bs.pack(prob.phi(rs.unpack(e))) for e in np.eye(rs.total)])
+
+
 class TestConstraintRows:
     @pytest.mark.parametrize("prob", list(sector_problems()) + [
         build_problem(3, 0.3, 0.6, 3, symmetry_reduction=False)])
     def test_rows_match_dense_reference(self, prob):
         t_rows, g_rows, _ = _assemble_constraint_rows(prob)
         rs, bs = prob._rho_space, prob._big_space
+        assert np.array_equal(g_rows, per_column_rows(prob))
         for _ in range(3):
             blocks = random_blocks(rs)
             ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
             out = g_rows @ rs.pack(blocks)
-            assert np.max(np.abs(out - bs.pack(bs.blocks_from_full(ref)))) < 1e-12
+            assert np.max(np.abs(out - bs.pack(big_blocks(prob, ref)))) < 1e-12
         assert np.array_equal(t_rows[0], rs.pack(rs.eye()))
         if prob._score_active:
             assert np.array_equal(t_rows[1], rs.pack(prob._q_blocks))
@@ -565,6 +654,87 @@ class TestPhiEntryPoint:
         assert (spied.z, spied.z_lb, spied.history) == (plain.z, plain.z_lb, plain.history)
 
 
+QUARTER_TURNS = [np.pi / 4, -np.pi / 4, 3 * np.pi / 4]
+
+
+def score_range(n):
+    """The bottom face, the middle and the top face of the scores n attains;
+    below the first coupling Q = 1/2 and 1/2 is the only score."""
+    w, _ = q_spectrum(n)
+    return [0.5] if w[-1] - w[0] < 1e-12 else [w[0], 0.5 * (w[0] + w[-1]), w[-1]]
+
+
+class TestSwapReduction:
+    @pytest.mark.parametrize("theta", QUARTER_TURNS + [5 * np.pi / 4])
+    def test_folded_quarter_turns_are_reduced(self, theta):
+        assert fold_theta(theta) == math.pi / 4
+        prob = build_problem(3, theta, 0.6, 3)
+        assert [len(g) for g in prob._rho_space.groups] == [3, 3, 2, 3, 3, 2]
+        assert [len(g) for g in prob._big_space.groups] == [12, 5, 16]
+        assert prob._big_mult == [1.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("n, p, rho_sizes, big_sizes", [
+        (3, 0.6, [3, 3, 2, 3, 3, 2], [12, 5, 16]),
+        (6, 0.68, [10, 7, 9, 7, 9, 7], [35, 22, 56]),
+        (11, 0.68, [24] * 6, [100, 77, 176]),
+    ])
+    def test_block_sizes(self, n, p, rho_sizes, big_sizes):
+        prob = build_problem(3, np.pi / 4, p, n)
+        assert [len(g) for g in prob._rho_space.groups] == rho_sizes
+        assert [len(g) for g in prob._big_space.groups] == big_sizes
+
+    def test_schur_size_at_n3(self):
+        # the interior point's Schur complement: trace, score and the svec
+        # sizes of the big blocks
+        reduced = build_problem(3, np.pi / 4, 0.6, 3)
+        near = build_problem(3, 0.7853981633974, 0.6, 3)
+        assert (near._big_space.total + 2, reduced._big_space.total + 2) == (427, 231)
+
+    def test_near_quarter_pi_keeps_the_sector_blocks(self):
+        prob = build_problem(3, 0.7853981633974, 0.68, 11)
+        assert fold_theta(prob.theta) != math.pi / 4
+        assert [len(g) for g in prob._rho_space.groups] == [48, 48, 48]
+        assert [len(g) for g in prob._big_space.groups] == [177, 176, 176]
+        assert prob._big_mult == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("K", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("theta", QUARTER_TURNS + [5 * np.pi / 4])
+    def test_weighted_isometry_and_adjoint(self, theta, n, K):
+        # at even K, sector K/2 also maps onto itself and splits
+        w = np.linalg.eigvalsh(qk_matrix(K, n).matrix.real)
+        prob = build_problem(K, theta, 0.5 * (w[0] + w[-1]), n)
+        rs, bs = prob._rho_space, prob._big_space
+        x, y = random_blocks(rs), random_blocks(bs)
+        out = prob.phi(x)
+        assert math.sqrt(weighted_inner(prob, out, out)) == pytest.approx(
+            math.hypot(*(np.linalg.norm(b) for b in x)), rel=1e-12)
+        assert weighted_inner(prob, out, y) == pytest.approx(
+            sum(np.sum(a * b) for a, b in zip(x, prob.phi_adjoint(y))), rel=1e-12, abs=1e-12)
+        # the blocks are those of the documented bases, and the dense
+        # T-invariant matrix they hold is the dense Phi
+        ref = dense_phi(prob, rs.full_from_blocks(x))
+        assert max(np.max(np.abs(a - b)) for a, b in zip(out, big_blocks(prob, ref))) < 1e-12
+        assert np.max(np.abs(big_dense(prob, out) - ref)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("theta", QUARTER_TURNS)
+    def test_reduced_matches_unreduced(self, theta, n):
+        # the splitting engine's iterates are those of the unreduced problem
+        # up to rounding; the interior point's certified interval meets the
+        # unreduced one
+        for p in score_range(n):
+            full = solve(build_problem(3, theta, p, n, symmetry_reduction=False),
+                         engine="first-order", max_iters=300)
+            split = solve(build_problem(3, theta, p, n), engine="first-order", max_iters=300)
+            assert split.iterations == full.iterations
+            assert abs(split.z - full.z) < 1e-9 and abs(split.z_lb - full.z_lb) < 1e-9
+            ipm = solve(build_problem(3, theta, p, n), tol=1e-6, engine="interior-point")
+            assert ipm.status == "optimal"
+            for red in (split, ipm):
+                assert abs(red.z - full.z) <= (red.z - red.z_lb) + (full.z - full.z_lb) + 1e-9
+
+
 class TestReconstruction:
     @pytest.mark.parametrize("p", [0.62, max_score(3, 3)[0]])
     def test_state_stays_in_the_sectors(self, p):
@@ -617,14 +787,16 @@ class TestFaceTargets:
     @pytest.mark.parametrize("end", [0, -1])
     def test_face_keeps_the_sectors(self, end):
         # the face basis is built sector by sector, so a face that spans
-        # every sector stays in sector blocks
-        prob = n8_face(end)
-        assert [len(g) for g in prob._rho_space.groups] == [3, 3, 3]
-        f = prob._face_basis
-        assert np.max(np.abs(f.T @ f - np.eye(9))) < 1e-12
+        # every sector stays in sector blocks: N_tot mod K, split by the
+        # parity of N_- at pi/4
         w, v = q_spectrum(8)
         face = v[:, np.abs(w - w[end]) < oscwit.sdp.FACE_TOL]
-        assert np.max(np.abs(f @ f.T - face @ face.T)) < 1e-12
+        for prob, sizes in ((build_problem(3, 0.3, w[end], 8), [3, 3, 3]),
+                            (n8_face(end), [2, 1, 1, 2, 2, 1])):
+            assert [len(g) for g in prob._rho_space.groups] == sizes
+            f = prob._face_basis
+            assert np.max(np.abs(f.T @ f - np.eye(9))) < 1e-12
+            assert np.max(np.abs(f @ f.T - face @ face.T)) < 1e-12
 
     def test_max_score_target_certifies(self):
         p3, _ = max_score(3, 3)
