@@ -143,6 +143,8 @@ def score_operator(K: int, n_max: int, sigma: str = "+") -> FockOperator:
 
     The + mode is the slow (first) index of the two-mode basis.
     """
+    if sigma not in ("+", "-"):
+        raise ValueError("sigma must be '+' or '-'")
     q = qk_matrix(K, n_max).matrix
     eye = np.eye(n_max + 1)
     m = np.kron(q, eye) if sigma == "+" else np.kron(eye, q)
@@ -153,7 +155,5 @@ def score_state(rho: TwoModeState, K: int, sigma: str = "+") -> float:
     """tr(rho (Q_K on the sigma mode)); requires the normal-mode tag."""
     if rho.basis_tag != NORMAL:
         raise WrongBasisTag("score is evaluated in the normal-mode basis")
-    if sigma not in ("+", "-"):
-        raise ValueError("sigma must be '+' or '-'")
     op = score_operator(K, rho.n_max, sigma)
     return float(np.trace(rho.matrix @ op.matrix).real)

@@ -130,29 +130,18 @@ def _smat(v: np.ndarray, d: int, data) -> np.ndarray:
     return m
 
 
-def _symkron_table(d: int):
-    """Flat gather indices and entry scales of ``_symkron`` for d x d blocks.
-
-    Four int64 arrays and one float array, each svec size squared: about
-    10 GB for one big sector at n = 11 (svec size 15,576), so only the
-    interior-point engine builds them."""
-    rows, cols, scale = _svec_data(d)
-    return (rows[:, None] * d + rows, cols[:, None] * d + cols,
-            rows[:, None] * d + cols, cols[:, None] * d + rows,
-            0.5 * np.outer(scale, scale))
-
-
-def _symkron(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
+def _symkron(a: np.ndarray, b: np.ndarray, svec_data) -> np.ndarray:
     """svec-basis matrix of M -> (a M b^T + b M a^T)/2 for symmetric a, b.
 
     Entry ((r1, c1), (r2, c2)) of the symmetrized Kronecker product, folded
     over the swap (r2, c2) -> (c2, r2), with the entries of a and b
-    gathered through the flat indices of ``_symkron_table(len(a))``."""
-    rr, cc, rc, cr, half_scale = table
-    a, b = a.ravel(), b.ravel()
-    sub = (0.5 * (a[rr] * b[cc] + b[rr] * a[cc])
-           + 0.5 * (a[rc] * b[cr] + b[rc] * a[cr]))
-    sub *= half_scale
+    gathered through the svec indices ``svec_data = _svec_data(len(a))``
+    alone (Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 746 (1998))."""
+    rows, cols, scale = svec_data
+    a_r, a_c, b_r, b_c = a[rows], a[cols], b[rows], b[cols]
+    sub = (0.5 * (a_r[:, rows] * b_c[:, cols] + b_r[:, rows] * a_c[:, cols])
+           + 0.5 * (a_r[:, cols] * b_c[:, rows] + b_r[:, cols] * a_c[:, rows]))
+    sub *= 0.5 * np.outer(scale, scale)
     return sub
 
 
@@ -251,24 +240,19 @@ def _held_blocks(n_max: int, K: int, reduce: bool, t_sign: int | None) -> list:
     return [blk for blk in held if blk[0].shape[1]]
 
 
-def _flat_positions(row_groups: list, col_groups: list, dim: int,
-                    r: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Where entry (r, c) of a dim x dim matrix sits among the row-major
-    blocks laid end to end, the rows of block k at the indices
-    ``row_groups[k]`` and its columns at ``col_groups[k]``; entries outside
-    every block point at the slot just past the end, which holds a zero."""
-    sizes = np.array([len(g) for g in row_groups])
+    blocks m[g][:, g] of the index ``groups`` laid end to end; entries
+    outside every block point at the slot just past the end, which holds a
+    zero."""
+    sizes = np.array([len(g) for g in groups])
     offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
-
-    def locate(groups, i):
-        block, loc = np.full(dim, -1), np.zeros(dim, dtype=int)
-        for k, g in enumerate(groups):
-            block[g] = k
-            loc[g] = np.arange(len(g))
-        return block[i], loc[i]
-
-    (br, lr), (bc, lc) = locate(row_groups, r), locate(col_groups, c)
-    pos = offsets[br] + lr * sizes[br] + lc
+    block, loc = np.full(dim, -1), np.zeros(dim, dtype=int)
+    for k, g in enumerate(groups):
+        block[g] = k
+        loc[g] = np.arange(len(g))
+    br, bc = block[r], block[c]
+    pos = offsets[br] + loc[r] * sizes[br] + loc[c]
     return np.where((br == bc) & (br >= 0), pos, offsets[-1])
 
 
@@ -291,10 +275,11 @@ def _unit_or(coef: np.ndarray):
 
 def _phi_data(rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
               held: list, n_max: int, K: int) -> tuple:
-    """The per-sector rows, the slot of each sector and the forward and
-    adjoint gather terms of ``SdpProblem.phi``, from the rows of U at the
-    levels of the solver variable, the residues mod K of its sectors and
-    the blocks of the big variable (``_held_blocks``)."""
+    """The per-sector rows, the slot of each sector, the end of each slot,
+    and the gather terms of ``SdpProblem.phi`` with the one array of slot
+    positions they are views of, from the rows of U at the levels of the
+    solver variable, the residues mod K of its sectors and the blocks of
+    the big variable (``_held_blocks``)."""
     D1 = 2 * n_max + 1
     a, b = np.divmod(np.arange(D1 * D1), D1)
     n_tot = a + b
@@ -303,47 +288,21 @@ def _phi_data(rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
     cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
             for res in slots]
     slot_of = [slots.index(frozenset(res)) for res in in_residues]
-
-    def transposed_pairs(x, y):
-        # entry (p, q) of PT(M) is entry ((a_xp, b_yq), (a_yq, b_xp)) of M
-        return (a[x][:, None] * D1 + b[y][None, :],
-                a[y][None, :] * D1 + b[x][:, None])
-
     # block k of Phi(X) is B_k^T PT(M) B_k, one term per pair of the terms
-    # of its basis vectors
-    terms = [(k, sx, cx, sy, cy) for k, (states, coefs, _) in enumerate(held)
+    # of its basis vectors; entry (p, q) of PT(M) is entry
+    # ((a_xp, b_yq), (a_yq, b_xp)) of M
+    pairs = [(k, sx, cx, sy, cy) for k, (states, coefs, _) in enumerate(held)
              for sx, cx in zip(states, coefs) for sy, cy in zip(states, coefs)]
-    fwd = [[] for _ in held]
-    for k, sx, cx, sy, cy in terms:
-        fwd[k].append((_flat_positions(cols, cols, D1 * D1, *transposed_pairs(sx, sy)),
-                       _unit_or(np.outer(cx, cy))))
-    # Phi* reads every forward term backwards, weighted by the multiplicity
-    # of its block; terms that touch disjoint entries share one gather
-    sizes = np.array([states.shape[1] for states, _, _ in held])
-    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
-    adj = []
-    for c in cols:
-        x, y = transposed_pairs(c, c)
-        merged = []
-        for k, sx, cx, sy, cy in terms:
-            pos = _flat_positions([sx], [sy], D1 * D1, x, y)
-            weight = np.zeros((2, D1 * D1))
-            weight[0, sx], weight[1, sy] = cx, cy
-            coef = held[k][2] * weight[0, x] * weight[1, y]
-            valid = (pos < sizes[k] ** 2) & (coef != 0.0)
-            if not valid.any():
-                continue
-            idx = np.where(valid, offsets[k] + pos, offsets[-1])
-            coef = np.where(valid, coef, 1.0)
-            for i, (m_idx, m_coef) in enumerate(merged):
-                if not (valid & (m_idx < offsets[-1])).any():
-                    merged[i] = (np.where(valid, idx, m_idx), np.where(valid, coef, m_coef))
-                    break
-            else:
-                merged.append((idx, coef))
-        adj.append([(idx, _unit_or(coef)) for idx, coef in merged])
+    sizes = [len(sx) * len(sy) for _, sx, _, sy, _ in pairs]
+    pos = np.empty(sum(sizes), dtype=int)
+    terms = [[] for _ in held]
+    for (k, sx, cx, sy, cy), end, size in zip(pairs, np.cumsum(sizes), sizes):
+        idx = pos[end - size:end].reshape(len(sx), len(sy))
+        idx[...] = _flat_positions(cols, D1 * D1, a[sx][:, None] * D1 + b[sy],
+                                   a[sy] * D1 + b[sx][:, None])
+        terms[k].append((idx, _unit_or(np.outer(cx, cy))))
     return ([rows[np.ix_(g, cols[s])] for g, s in zip(in_space.groups, slot_of)],
-            slot_of, fwd, adj)
+            slot_of, np.cumsum([len(c) ** 2 for c in cols]), pos, terms)
 
 
 def _clip_eig(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -413,26 +372,21 @@ class SdpProblem:
     # the multiplicity of every big block: 2 for a sector held for its swap
     # partner at theta = pi/4, else 1 (module docstring)
     _big_mult: list = field(repr=False)
-    # Phi's rows per rho sector, the slot of its big columns and the
-    # forward and adjoint gather terms (see ``phi``), and Q on the rho
-    # sectors (None when the score is inactive)
+    # Phi's rows per rho sector, the slot of its big columns, the end of
+    # each slot among the slots laid end to end, and the gather terms of
+    # every big block, views into the one array of their slot positions
+    # (see ``phi``); and Q on the rho sectors (None when the score is
+    # inactive)
     _phi_rows: list = field(repr=False)
     _phi_slot: list = field(repr=False)
-    _phi_fwd: list = field(repr=False)
-    _phi_adj: list = field(repr=False)
+    _phi_ends: np.ndarray = field(repr=False)
+    _phi_pos: np.ndarray = field(repr=False)
+    _phi_terms: list = field(repr=False)
     _q_blocks: list | None = field(repr=False)
     # (eigenvalue, sector blocks of its projector) at the bottom and the top
     # of the spectrum of Q: the unit-trace states that repair the score of a
     # projected iterate (None when the score is inactive)
     _q_edges: list | None = field(repr=False)
-
-    @property
-    def small_dim(self) -> int:
-        return (self.n_max + 1) ** 2
-
-    @property
-    def big_dim(self) -> int:
-        return (2 * self.n_max + 1) ** 2
 
     # -- linear maps ------------------------------------------------------
 
@@ -456,22 +410,27 @@ class SdpProblem:
         the T-even and T-odd combinations at theta = pi/4.  Every product
         and gather broadcasts over leading axes of the blocks.
         """
-        prods = [None] * len(self._phi_adj)
+        prods = [None] * len(self._phi_ends)
         for r, x, k in zip(self._phi_rows, blocks, self._phi_slot):
             m = r.T @ x @ r
             prods[k] = m if prods[k] is None else prods[k] + m
         lead = prods[0].shape[:-2]
         flat = np.concatenate(
             [m.reshape(lead + (-1,)) for m in prods] + [np.zeros(lead + (1,))], axis=-1)
-        return [_gather(flat, terms) for terms in self._phi_fwd]
+        return [_gather(flat, terms) for terms in self._phi_terms]
 
     def phi_adjoint(self, blocks: list) -> list:
-        """Phi*: the gather of ``phi`` read backwards, then R_r (.) R_r^T;
-        the adjoint in the inner product that weights each big block by its
-        multiplicity."""
-        flat = np.concatenate([y.ravel() for y in blocks] + [np.zeros(1)])
-        w = [_gather(flat, terms) for terms in self._phi_adj]
-        return [r @ w[k] @ r.T for r, k in zip(self._phi_rows, self._phi_slot)]
+        """Phi*: the terms of ``phi`` read backwards, one ``np.bincount``
+        of every block entry times its coefficient and multiplicity into
+        the slot positions, then R_r (.) R_r^T; the adjoint in the inner
+        product that weights each big block by its multiplicity."""
+        weights = np.concatenate([((m if coef is None else m * coef) * y).ravel()
+                                  for y, m, terms in zip(blocks, self._big_mult, self._phi_terms)
+                                  for _, coef in terms])
+        flat = np.bincount(self._phi_pos, weights, minlength=self._phi_ends[-1] + 1)
+        w = np.split(flat, self._phi_ends)
+        return [r @ w[k].reshape(r.shape[1], -1) @ r.T
+                for r, k in zip(self._phi_rows, self._phi_slot)]
 
     def score_of(self, rho_small: np.ndarray) -> float:
         return float(np.tensordot(self._q_small, rho_small, 2))
@@ -562,48 +521,45 @@ def build_problem(
             blocks[k] = np.outer(v, v)
             q_edges.append((spectra[k][0][col], blocks))
     held = _held_blocks(n_max, K, symmetry_reduction, t_sign)
-    if t_sign is None:
-        big_space = _BlockSpace(D1 * D1, [states[0] for states, _, _ in held])
-    else:
-        # T-even and T-odd blocks are not index sets of the big space: the
-        # blocks take consecutive coordinates of their own
-        ends = np.cumsum([states.shape[1] for states, _, _ in held])
-        big_space = _BlockSpace(int(ends[-1]), np.split(np.arange(ends[-1]), ends[:-1]))
+    # the blocks take consecutive coordinates of their own: T-even and
+    # T-odd blocks are not index sets of the big space
+    ends = np.cumsum([states.shape[1] for states, _, _ in held])
+    big_space = _BlockSpace(int(ends[-1]), np.split(np.arange(ends[-1]), ends[:-1]))
 
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
     u_rows = u_big[i_idx * D1 + j_idx]  # the small space embedded in the big one
     rows = u_rows if face_basis is None else face_basis.T @ u_rows
-    phi_rows, phi_slot, phi_fwd, phi_adj = _phi_data(rows, rho_space, residues, held, n_max, K)
+    phi_rows, phi_slot, phi_ends, phi_pos, phi_terms = _phi_data(
+        rows, rho_space, residues, held, n_max, K)
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
         _q_small=q_small, _rho_space=rho_space, _big_space=big_space,
         _face_basis=face_basis, _score_active=score_active,
         _big_mult=[mult for _, _, mult in held],
-        _phi_rows=phi_rows, _phi_slot=phi_slot, _phi_fwd=phi_fwd, _phi_adj=phi_adj,
+        _phi_rows=phi_rows, _phi_slot=phi_slot, _phi_ends=phi_ends, _phi_pos=phi_pos,
+        _phi_terms=phi_terms,
         _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
         _q_edges=q_edges,
     )
 
 
 def _assemble_constraint_rows(prob: SdpProblem):
-    """The interior point's workspace: the rho-side svec rows of every
-    linear constraint, and the ``_symkron`` table of every block size.
+    """The rho-side svec rows of every linear constraint of the interior
+    point.
 
-    Returns ``(t_rows, g_rows, tables)``.  ``t_rows``: trace, then score
-    when active.  ``g_rows``: the svec matrix of Phi from the rho sectors to
-    the big sectors, whose column j is Phi of the j-th svec basis element of
+    Returns ``(t_rows, g_rows)``.  ``t_rows``: trace, then score when
+    active.  ``g_rows``: the svec matrix of Phi from the rho sectors to the
+    big blocks, whose column j is Phi of the j-th svec basis element of
     rho, from one ``phi`` call on the stacked basis; these are the rho parts
     of the partial-transpose match rows.  The varrho_± parts of those rows
-    are -/+ the svec identity, so they never need storing.  ``tables`` maps
-    each block size to its table.
+    are -/+ the svec identity, so they never need storing.
     """
     rs, bs = prob._rho_space, prob._big_space
-    tables = {d: _symkron_table(d) for d in {len(g) for g in rs.groups + bs.groups}}
     g_rows = np.ascontiguousarray(bs.pack(prob.phi(rs.unpack(np.eye(rs.total)))).T)
     t_rows = [rs.pack(rs.eye())]
     if prob._score_active:
         t_rows.append(rs.pack(prob._q_blocks))
-    return np.array(t_rows), g_rows, tables
+    return np.array(t_rows), g_rows
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +777,10 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     """
     from scipy.linalg import block_diag
 
-    t_rows, g_rows, tables = _assemble_constraint_rows(prob)
+    t_rows, g_rows = _assemble_constraint_rows(prob)
     rs, bs = prob._rho_space, prob._big_space
     nr, nb = len(rs.groups), len(bs.groups)
+    svec_data = rs.svec_data + bs.svec_data + bs.svec_data
     a_rho = np.vstack([t_rows, g_rows])
     n_t = t_rows.shape[0]
     # the match rows of each big sector: its varrho_± pair's Schur block
@@ -877,7 +834,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         # Schur complement M = A (X (.) S^-1) A^T: the rho blocks through the
         # stored rows, the varrho_± blocks (incidence -/+ I) straight onto
         # the diagonal of the match rows
-        k = [_symkron(xb, si, tables[len(xb)]) for xb, si in zip(x, s_inv)]
+        k = [_symkron(xb, si, sd) for xb, si, sd in zip(x, s_inv, svec_data)]
         schur = a_rho @ block_diag(*k[:nr]) @ a_rho.T
         for sl, kp, kq in zip(big_slices, k[nr:nr + nb], k[nr + nb:]):
             schur[sl, sl] += kp + kq

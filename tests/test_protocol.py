@@ -11,6 +11,7 @@ from oscwit.protocol import (
     max_score,
     pos_x_matrix,
     qk_matrix,
+    score_operator,
     score_state,
 )
 from oracles import hermite_overlap_quadrature, qk_matrix_timeavg
@@ -154,6 +155,15 @@ class TestScoreState:
         state = TwoModeState.from_pure(vac, d - 1, PHYSICAL)
         with pytest.raises(WrongBasisTag):
             score_state(state, 3)
+
+    @pytest.mark.parametrize("sigma", ["x", "", "+-", None])
+    def test_unknown_mode_rejected(self, sigma):
+        # the operator owns the check, so a bad mode never falls through to
+        # the - mode, and the score reports it too
+        with pytest.raises(ValueError, match="sigma"):
+            score_operator(3, 2, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            score_state(TwoModeState(np.eye(9) / 9, 2, NORMAL), 3, sigma)
 
     def test_range(self):
         for _ in range(10):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +29,6 @@ from oscwit.sdp import (
     _project_spectrahedron,
     _svec_data,
     _symkron,
-    _symkron_table,
     build_problem,
     solve,
     sweep,
@@ -78,9 +78,9 @@ class TestBuild:
 
     def test_phi_preserves_trace_and_is_isometry(self):
         prob = build_problem(3, 0.5, 0.5, 2)
-        rs, bs = prob._rho_space, prob._big_space
+        rs = prob._rho_space
         r = rs.full_from_blocks(random_blocks(rs))
-        out = bs.full_from_blocks(prob.phi(rs.blocks_from_full(r)))
+        out = big_dense(prob, prob.phi(rs.blocks_from_full(r)))
         assert np.trace(out) == pytest.approx(np.trace(r), abs=1e-12)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(r), abs=1e-10)
 
@@ -122,15 +122,20 @@ def swap_operator(prob):
 
 def big_basis(prob):
     """(B_k, multiplicity) of every big block, with B_k the dense
-    orthonormal basis of the block's columns.  Swap-reduced: for r = 0..K-1,
+    orthonormal basis of the block's columns, in the basis |a, b> of index
+    a (2n + 1) + b.  Unreduced: the whole space.  Mod-K reduced: the
+    (a - b) mod K sectors in residue order.  Swap-reduced: for r = 0..K-1,
     a sector T maps onto itself gives its T-even basis (|a, a>, then
     (|a, b> + T|a, b>)/sqrt 2 for a < b) and its T-odd basis ((|a, b> -
     T|a, b>)/sqrt 2), and of a pair (r, -r) sector r is held twice."""
     d = 2 * prob.n_max + 1
     eye = np.eye(d * d)
-    if not swap_reduced(prob):
-        return [(eye[:, g], 1.0) for g in prob._big_space.groups]
     a, b = np.divmod(np.arange(d * d), d)
+    if not swap_reduced(prob):
+        # one block holds the whole space exactly when the reduction is off
+        # or every index falls in sector 0
+        label = (a - b) % prob.K if len(prob._big_space.groups) > 1 else np.zeros_like(a)
+        return [(eye[:, label == r], 1.0) for r in range(prob.K) if np.any(label == r)]
     t = swap_operator(prob)
     out = []
     for r in range(prob.K):
@@ -147,8 +152,6 @@ def big_basis(prob):
 def big_dense(prob, blocks):
     """The dense big matrix that big blocks hold; swap-reduced, the
     T-invariant one."""
-    if not swap_reduced(prob):
-        return prob._big_space.full_from_blocks(blocks)
     t = swap_operator(prob)
     out = 0.0
     for (basis, m), y in zip(big_basis(prob), blocks):
@@ -198,7 +201,7 @@ def n8_face(end):
 class TestSectorOperator:
     @pytest.mark.parametrize("prob", list(sector_problems()) + [n8_face(-1)])
     def test_blocked_phi_matches_dense_reference(self, prob):
-        rs, bs = prob._rho_space, prob._big_space
+        rs = prob._rho_space
         blocks = random_blocks(rs)
         ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(blocks)))
         out = big_dense(prob, prob.phi(blocks))
@@ -211,7 +214,7 @@ class TestSectorOperator:
         assert max(np.max(np.abs(y - yr))
                    for y, yr in zip(prob.phi(r), big_blocks(prob, ref))) < 1e-12
         if not swap_reduced(prob):
-            assert np.max(np.abs(bs.full_from_blocks(prob.phi(r)) - ref)) < 1e-12
+            assert np.max(np.abs(big_dense(prob, prob.phi(r)) - ref)) < 1e-12
 
     @pytest.mark.parametrize("prob", list(sector_problems()))
     def test_adjoint(self, prob):
@@ -220,12 +223,13 @@ class TestSectorOperator:
         lhs = weighted_inner(prob, prob.phi(x), y)
         rhs = sum(np.sum(a * b) for a, b in zip(x, prob.phi_adjoint(y)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        r = rng.normal(size=(prob.small_dim, prob.small_dim))
-        yb = rng.normal(size=(prob.big_dim, prob.big_dim))
+        small, big = (prob.n_max + 1) ** 2, (2 * prob.n_max + 1) ** 2
+        r = rng.normal(size=(small, small))
+        yb = rng.normal(size=(big, big))
         assert np.sum(dense_phi(prob, r) * yb) == pytest.approx(
             np.sum(r * dense_phi_adjoint(prob, yb)), rel=1e-12, abs=1e-12)
         # the blocked adjoint is the dense one, in solver-variable coordinates
-        f = np.eye(prob.small_dim) if prob._face_basis is None else prob._face_basis
+        f = np.eye(small) if prob._face_basis is None else prob._face_basis
         ref = f.T @ dense_phi_adjoint(prob, big_dense(prob, y)) @ f
         assert np.max(np.abs(rs.full_from_blocks(prob.phi_adjoint(y)) - ref)) < 1e-12
 
@@ -257,11 +261,11 @@ class TestSectorOperator:
         # the rotation conserves total number, so Phi maps the vacuum onto
         # itself exactly: every sweep row can start from it
         prob = build_problem(3, theta, 0.5, n)
-        vac = np.zeros((prob.small_dim, prob.small_dim))
+        vac = np.zeros(((n + 1) ** 2,) * 2)
         vac[0, 0] = 1.0
         out = big_dense(prob, prob.phi(prob._rho_space.blocks_from_full(vac)))
         assert np.linalg.eigvalsh(out)[0] >= 0.0
-        assert np.array_equal(out, np.diag(np.eye(prob.big_dim)[0]))
+        assert np.array_equal(out, np.diag(np.eye((2 * n + 1) ** 2)[0]))
         assert _primal_value(prob, prob._rho_space.blocks_from_full(vac)) == 1.0
         assert prob.score_of(vac) == qk_matrix(3, n).matrix.real[0, 0]
 
@@ -320,7 +324,7 @@ class TestConstraintRows:
     @pytest.mark.parametrize("prob", list(sector_problems()) + [
         build_problem(3, 0.3, 0.6, 3, symmetry_reduction=False)])
     def test_rows_match_dense_reference(self, prob):
-        t_rows, g_rows, _ = _assemble_constraint_rows(prob)
+        t_rows, g_rows = _assemble_constraint_rows(prob)
         rs, bs = prob._rho_space, prob._big_space
         assert np.array_equal(g_rows, per_column_rows(prob))
         for _ in range(3):
@@ -472,27 +476,37 @@ class TestSymkron:
     def test_matches_kronecker_reference(self):
         for d in range(1, 21):
             a, b, m = (x + x.T for x in rng.normal(size=(3, d, d)))
-            out = _symkron(a, b, _symkron_table(d))
+            out = _symkron(a, b, _svec_data(d))
             assert np.array_equal(out, kron_symkron(a, b))
             rows, cols, scale = _svec_data(d)
             want = ((a @ m @ b + b @ m @ a) / 2.0)[rows, cols] * scale
             assert np.max(np.abs(out @ (m[rows, cols] * scale) - want)) < 1e-12
 
-    def test_tables_only_for_the_interior_point(self, monkeypatch):
-        built = []
 
-        def spy(d):
-            built.append(d)
-            return _symkron_table(d)
+def traced_peak_mib(run):
+    """The tracemalloc peak of ``run()``, in MiB; numpy reports its array
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
-        monkeypatch.setattr(oscwit.sdp, "_symkron_table", spy)
+
+class TestMemory:
+    def test_interior_point_iteration(self):
+        # the largest interior-point cell the auto rule picks (m = 2481 at
+        # n = 6, pi/4): _symkron gathers through the svec indices alone,
+        # with no index tables of the svec size squared (285 MiB with them)
         prob = build_problem(3, np.pi / 4, 0.68, 6)
-        solve(prob, engine="first-order", max_iters=25)
-        assert built == []
-        prob = build_problem(3, np.pi / 4, 0.62, 3)
-        solve(prob, engine="interior-point", max_iters=2)
-        groups = prob._rho_space.groups + prob._big_space.groups
-        assert sorted(built) == sorted({len(g) for g in groups})
+        assert traced_peak_mib(lambda: solve(
+            prob, tol=1e-4, engine="interior-point", max_iters=1)) < 220
+
+    def test_largest_ladder_build(self):
+        # the n = 11 build sets the ladder's peak RSS: Phi's slot positions
+        # are held once, with no dense table of the big space
+        assert traced_peak_mib(lambda: build_problem(3, np.pi / 4, 0.68, 11)) <= 10
 
 
 class TestSolve:
@@ -644,7 +658,7 @@ class TestPhiEntryPoint:
         # the vacuum has the score 1/2 and z = 1: the keeper takes the start
         # as the answer from its primal value alone
         prob = build_problem(3, np.pi / 4, 0.5, 3)
-        vac = np.zeros((prob.small_dim, prob.small_dim))
+        vac = np.zeros((16, 16))
         vac[0, 0] = 1.0
         plain = solve(prob, start=vac)
         calls = spy_phi(monkeypatch)
@@ -770,7 +784,7 @@ class TestReconstruction:
         prob = build_problem(3, 0.4, 0.5, 2)
         rho = random_normal_density(2)
         x = product_expansion(2, rho)
-        d = prob.small_dim
+        d = (prob.n_max + 1) ** 2
         recon = np.eye(d) / d
         idx = 0
         b = hermitian_basis(2).elements
@@ -811,7 +825,7 @@ class TestFaceTargets:
         # face, here the vacuum, would pass for a feasible state with z = 1
         p3, _ = max_score(3, 3)
         prob = build_problem(3, np.pi / 4, p3, 3)
-        vac = np.zeros((prob.small_dim, prob.small_dim))
+        vac = np.zeros((16, 16))
         vac[0, 0] = 1.0
         sol = solve(prob, tol=1e-7, start=vac)
         assert sol.iterations > 0
