@@ -904,69 +904,50 @@ def _simplex_shift(w: np.ndarray) -> float:
 
 def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
     """Frobenius projection of rho sector blocks onto {rho >= 0, tr = 1,
-    (score = p)}.
+    (score = p)}, and the next warm pair.
 
     The projection is (S - a I - b Q)_+ in every block, with multipliers
-    (a, b) shared by all blocks.  Without the score constraint a comes in
-    closed form from the joint spectrum.  With it, (a, b) minimize the
-    convex dual psi = ||(S - a I - b Q)_+||^2 / 2 + a + b p, whose gradient
-    is minus the trace and score residuals h; damped Newton steps take the
-    Hessian from the same eigendecompositions.
+    (a, b) shared by all blocks; at a fixed b, a is the closed-form
+    ``_simplex_shift`` of the joint spectrum of S - b Q.  The dual
+    psi(a, b) = ||(S - a I - b Q)_+||^2 / 2 + a + b p is jointly convex, so
+    its minimum over a is convex in b with derivative -r(b), the score
+    residual at b: r never rises with b, and its root is the projection's
+    b.  Secant steps find it from ``warm`` = (b, slope < 0), the previous
+    projection's root and last secant slope.  Until r changes sign each move
+    is capped at a reach that starts at 1 + |b| and doubles after every
+    step; then steps stay inside the bracket, bisecting when a secant step
+    leaves it.  Without the score constraint Q reads 0, so b stays put.
     """
     sym = [(m + m.T) / 2.0 for m in blocks]
-    if not prob._score_active:
-        eigs = [np.linalg.eigh(m) for m in sym]
+    qs, p = ((prob._q_blocks, prob.p_target) if prob._score_active
+             else ([np.zeros_like(m) for m in sym], 0.0))
+
+    def at(b):
+        eigs = [np.linalg.eigh(m - b * q) for m, q in zip(sym, qs)]
         a = _simplex_shift(np.concatenate([w for w, _ in eigs]))
-        return [(v * np.maximum(w - a, 0.0)) @ v.T for w, v in eigs], warm
-    p = prob.p_target
-    eyes = [np.eye(len(m)) for m in sym]
+        x = [(v * np.maximum(w - a, 0.0)) @ v.T for w, v in eigs]
+        return x, float(sum(np.vdot(q, xb) for q, xb in zip(qs, x))) - p
 
-    def compute(a, b):
-        eigs, h, psi = [], np.array([-1.0, -p]), a + b * p
-        for m, e, q in zip(sym, eyes, prob._q_blocks):
-            w, v = np.linalg.eigh(m - a * e - b * q)
-            qv = v.T @ q @ v
-            wc = np.maximum(w, 0.0)
-            h += [wc.sum(), wc @ qv.diagonal()]
-            psi += 0.5 * (wc @ wc)
-            eigs.append((w, v, qv))
-        return eigs, h, psi
-
-    def hessian(eigs):
-        # the derivative of f(S) = max(S, 0) along E is V (gam * V^T E V) V^T
-        # in the eigenbasis V of S, with gam the Loewner matrix of divided
-        # differences of f
-        hess = np.zeros((2, 2))
-        for w, _, qv in eigs:
-            pos = w > 0.0
-            gam = (pos[:, None] & pos[None, :]).astype(float)
-            i, j = np.nonzero(pos[:, None] != pos[None, :])
-            gam[i, j] = (np.maximum(w[i], 0.0) - np.maximum(w[j], 0.0)) / (w[i] - w[j])
-            dq = qv.diagonal()[pos].sum()
-            hess += [[pos.sum(), dq], [dq, np.sum(gam * qv * qv)]]
-        return hess
-
-    a, b = warm
-    eigs, h, psi = compute(a, b)
-    for _ in range(60):
-        if np.max(np.abs(h)) < 1e-12:
+    b, slope = warm
+    x, r = at(b)
+    lo, hi, reach = -math.inf, math.inf, 1.0 + abs(b)
+    for _ in range(100):
+        if abs(r) < 1e-12:
             break
-        # the Hessian is singular when every positive eigenvector lies in
-        # one eigenspace of Q; a shift proportional to ||h|| keeps the step
-        # defined and vanishes as h -> 0
-        step = np.linalg.solve(hessian(eigs) + 1e-3 * np.linalg.norm(h) * np.eye(2), h)
-        t = 1.0
-        for _ in range(30):
-            eigs2, h2, psi2 = compute(a + t * step[0], b + t * step[1])
-            # sufficient decrease of psi, or of ||h|| where psi is flat to
-            # rounding near the solution
-            if psi2 <= psi - 1e-4 * t * (h @ step) or np.linalg.norm(h2) < np.linalg.norm(h):
-                a, b, eigs, h, psi = a + t * step[0], b + t * step[1], eigs2, h2, psi2
-                break
-            t *= 0.5
+        # r(lo) > 0 > r(hi)
+        lo, hi = (b, hi) if r > 0.0 else (lo, b)
+        step = r / -slope if slope < 0.0 else math.copysign(math.inf, r)
+        if math.isinf(lo) or math.isinf(hi):
+            b_new = b + min(max(step, -reach), reach)
+            reach *= 2.0
         else:
+            b_new = b + step if lo < b + step < hi else 0.5 * (lo + hi)
+        if b_new == b:
             break
-    return [(v * np.maximum(w, 0.0)) @ v.T for w, v, _ in eigs], (a, b)
+        x, r_new = at(b_new)
+        slope = (r_new - r) / (b_new - b)
+        b, r = b_new, r_new
+    return x, (b, slope)
 
 
 def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
@@ -975,10 +956,12 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
     The linear map Phi is a Hilbert-Schmidt isometry, so unit step-size
     products are admissible.  rho and Y are held as their sector blocks,
     where the optimum lies (module docstring), so the dual clip and the
-    projection work one block at a time.  Iterates are offered to ``certs``
-    periodically.  When ``certs`` already holds bounds from another engine,
-    the run warm-starts from its best rho and its best Lambda.  Returns
-    (iterations, status).
+    projection work one block at a time.  Each projection starts its search
+    for the score multiplier from the last one's (b, slope), from (0, -1) at
+    the first.  Iterates are offered to ``certs`` periodically, and the
+    start itself when the budget is 0.  When ``certs`` already holds bounds
+    from another engine, the run warm-starts from its best rho and its best
+    Lambda.  Returns (iterations, status).
     """
     rs, bs = prob._rho_space, prob._big_space
     if certs.rho is None:
@@ -988,12 +971,14 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
         rho = certs.rho
         y_big = [2.0 * _clip_eig(lam, 0.0, 1.0) - np.eye(len(lam)) for lam in certs.lam]
     rho_bar = rho
-    warm = (0.0, 0.0)
+    warm = (0.0, -1.0)
     taus = 0.95
     status = "max-iter"
     it = 0
     last_gap = np.inf
     stagnant = 0
+    if max_iters == 0:
+        certs.offer(rho, [(y + np.eye(len(y))) / 2.0 for y in y_big])
 
     for it in range(1, max_iters + 1):
         y_big = [_clip_eig(y + taus * f, -1.0, 1.0)
@@ -1037,7 +1022,9 @@ def solve(
     unless the Schur complement would be unreasonably large).  When
     ``max_iters`` is omitted, engine defaults apply (200 interior-point
     iterations plus up to 8000 splitting polish iterations, or 20000
-    splitting iterations); when given, it caps the total of both engines.
+    splitting iterations); when given, it caps the total of both engines,
+    must be >= 0, and a budget of 0 reports the honest bounds of the
+    engine's starting point.
 
     start: a density matrix on the small space with the target score.  It
     is pinched to the N_tot mod K sectors, and at theta = pi/4 also to the
@@ -1048,6 +1035,8 @@ def solve(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    if max_iters is not None and max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     if engine == "auto":
         m = prob._big_space.total + 2
         engine = "interior-point" if m <= 2600 else "first-order"

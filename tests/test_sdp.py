@@ -375,6 +375,65 @@ class TestFaceProjection:
             assert np.max(np.abs(rs.full_from_blocks(out) - ref)) < 1e-10
 
 
+def bisection_score_projection(prob, blocks):
+    """Projection onto {rho >= 0, tr = 1, score = p} by nested bisection:
+    on the score multiplier b outside, on the trace shift a inside."""
+    sym = [(m + m.T) / 2.0 for m in blocks]
+
+    def at(b):
+        eigs = [np.linalg.eigh(m - b * q) for m, q in zip(sym, prob._q_blocks)]
+        w = np.concatenate([w for w, _ in eigs])
+        lo, hi = w.min() - 1.0, w.max()
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.clip(w - mid, 0.0, None).sum() > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        x = [(v * np.clip(wb - 0.5 * (lo + hi), 0.0, None)) @ v.T for wb, v in eigs]
+        return x, sum(np.vdot(q, xb) for q, xb in zip(prob._q_blocks, x)) - prob.p_target
+
+    lo, hi = -1.0, 1.0
+    while at(lo)[1] < 0.0:
+        lo *= 2.0
+    while at(hi)[1] > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if at(mid)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return at(0.5 * (lo + hi))[0]
+
+
+class TestScoreProjection:
+    @pytest.mark.parametrize("prob", [p for p in sector_problems() if p._score_active])
+    @pytest.mark.parametrize("scale", [0.01, 0.3, 3.0])
+    def test_is_the_projection(self, prob, scale):
+        rs = prob._rho_space
+        blocks = [scale * b for b in random_blocks(rs)]
+        out, _ = _project_spectrahedron(prob, blocks, (0.0, -1.0))
+        # feasible: PSD, unit trace, the target score
+        assert min(np.linalg.eigvalsh(x)[0] for x in out) > -1e-12
+        assert abs(sum(np.trace(x) for x in out) - 1.0) < 1e-12
+        assert abs(sum(np.vdot(q, x) for q, x in zip(prob._q_blocks, out))
+                   - prob.p_target) < 1e-12
+        # the nearest feasible point: <S - X, Y - X> <= 0 for every feasible Y
+        bound = 1e-9 * (1.0 + max(np.abs(m).max() for m in blocks))
+        for _ in range(20):
+            y = _project_feasible(prob, [m @ m.T for m in random_blocks(rs)])
+            assert sum(np.vdot(s - x, yb - x) for s, x, yb in zip(blocks, out, y)) <= bound
+        ref = bisection_score_projection(prob, blocks)
+        assert max(np.abs(x - r).max() for x, r in zip(out, ref)) < 1e-8
+        # from far-off warm pairs the same point, within the same score
+        for warm in [(50.0, -1e-6), (-50.0, -1e3), (1e4, -1.0), (0.0, -1e-12), (-1e6, -1e6)]:
+            far, _ = _project_spectrahedron(prob, blocks, warm)
+            assert abs(sum(np.vdot(q, x) for q, x in zip(prob._q_blocks, far))
+                       - prob.p_target) < 1e-12
+            assert max(np.abs(x - r).max() for x, r in zip(far, ref)) < 1e-8
+
+
 def golden_dual_bound(prob, lam_blocks):
     """The dual bound by an 80-step golden-section search over the score
     multiplier; returns the value and the multiplier (None when the score is
@@ -607,6 +666,24 @@ class TestSolve:
         assert sol.iterations <= 4
         assert sol.z >= sol.z_lb - 1e-12
         assert sol.dual_gap > 0
+
+    @pytest.mark.parametrize("engine", ["first-order", "interior-point"])
+    def test_budget_of_zero_reports_the_start(self, engine):
+        prob = build_problem(3, np.pi / 4, 0.6, 3)
+        sol = solve(prob, engine=engine, max_iters=0)
+        assert sol.iterations == 0
+        assert sol.status == "max-iter"
+        # one harvest, of the engine's starting point, whose bounds are
+        # honest: weak duality against a converged solve's bounds
+        assert len(sol.history) == 1
+        ref = solve(prob, tol=1e-7)
+        assert 1.0 <= sol.z_lb <= ref.z + 1e-12
+        assert ref.z_lb <= sol.z + 1e-12 and math.isfinite(sol.z)
+
+    @pytest.mark.parametrize("engine", ["auto", "first-order", "interior-point"])
+    def test_negative_budget_rejected(self, engine):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(build_problem(3, np.pi / 4, 0.6, 3), engine=engine, max_iters=-1)
 
     def test_start_that_falls_short_changes_nothing(self):
         # at p = 0.62 every state has z > 1, so no start closes the gap
