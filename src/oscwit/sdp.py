@@ -82,10 +82,14 @@ convex in rho and the score is linear in it.  So the mix of two feasible
 states ("anchors") that bracket a score p, in the proportion that hits p,
 is a feasible state whose z is at most the larger anchor z.  When the
 anchors have z = 1 up to the tolerance, the mix meets the trivial dual
-bound z_lb = 1 at once and the cell costs no iterations.  The vacuum is
-always such an anchor (Phi maps it onto itself), and every cell of the row
-that ends with z_lb = 1 adds its state; the row is solved in descending p,
-so only its first z = 1 cell runs an engine.
+bound z_lb = 1 at once and the cell costs no iterations.  Every row starts
+from four product states with one physical mode in vacuum
+(``_product_anchors``): they lie exactly inside the cutoff and are their
+own partial transpose, so z = 1 (Peres, PRL 77, 1413 (1996)), and every
+cell between their lowest and highest score, the vacuum's 1/2 among them,
+starts from a separable mix.  The row is solved in descending p, and a
+cell above the top anchor that ends with z_lb = 1 adds its state, so of
+the cells that do not certify, only the first above it runs an engine.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ import numpy as np
 from .errors import InfeasibleTarget, NumericalFailure
 from .fock import NORMAL, TwoModeState
 from .modes import fold_theta, mode_rotation_unitary
-from .protocol import qk_matrix, score_operator
+from .protocol import score_operator
 
 FACE_TOL = 1e-9
 ENGINES = ("auto", "interior-point", "first-order")
@@ -242,9 +246,8 @@ def _held_blocks(n_max: int, K: int, reduce: bool, t_sign: int | None) -> list:
 
 def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Where entry (r, c) of a dim x dim matrix sits among the row-major
-    blocks m[g][:, g] of the index ``groups`` laid end to end; entries
-    outside every block point at the slot just past the end, which holds a
-    zero."""
+    blocks m[g][:, g] of the index ``groups`` laid end to end; -1 for
+    entries outside every block."""
     sizes = np.array([len(g) for g in groups])
     offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
     block, loc = np.full(dim, -1), np.zeros(dim, dtype=int)
@@ -253,33 +256,22 @@ def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.
         loc[g] = np.arange(len(g))
     br, bc = block[r], block[c]
     pos = offsets[br] + loc[r] * sizes[br] + loc[c]
-    return np.where((br == bc) & (br >= 0), pos, offsets[-1])
-
-
-def _gather(flat: np.ndarray, terms: list) -> np.ndarray:
-    """sum of coef * flat[..., idx] over the (idx, coef) terms; a coef of
-    None reads the entries as they are."""
-    out = None
-    for idx, coef in terms:
-        part = flat[idx] if flat.ndim == 1 else np.take(flat, idx, axis=-1)
-        if coef is not None:
-            part *= coef
-        out = part if out is None else out + part
-    return out
-
-
-def _unit_or(coef: np.ndarray):
-    """None for coefficients that are all 1, else the coefficients."""
-    return None if np.all(coef == 1.0) else coef
+    return np.where((br == bc) & (br >= 0), pos, -1)
 
 
 def _phi_data(rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
               held: list, n_max: int, K: int) -> tuple:
-    """The per-sector rows, the slot of each sector, the end of each slot,
-    and the gather terms of ``SdpProblem.phi`` with the one array of slot
-    positions they are views of, from the rows of U at the levels of the
-    solver variable, the residues mod K of its sectors and the blocks of
-    the big variable (``_held_blocks``)."""
+    """The per-sector rows, the slot of each sector, the end of each slot
+    and the entries of ``SdpProblem.phi``, from the rows of U at the levels
+    of the solver variable, the residues mod K of its sectors and the
+    blocks of the big variable (``_held_blocks``).
+
+    An entry (i, j, c) adds c times entry j of the slots laid end to end to
+    entry i of the big blocks laid end to end, both row-major.  Block k of
+    Phi(X) is B_k^T PT(M) B_k, one term per pair of the terms of its basis
+    vectors, and entry (p, q) of PT(M) is entry ((a_xp, b_yq), (a_yq, b_xp))
+    of M.  Only the entries that fall inside a slot with c != 0 are kept,
+    in term order; the rest add zeros."""
     D1 = 2 * n_max + 1
     a, b = np.divmod(np.arange(D1 * D1), D1)
     n_tot = a + b
@@ -288,21 +280,19 @@ def _phi_data(rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
     cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
             for res in slots]
     slot_of = [slots.index(frozenset(res)) for res in in_residues]
-    # block k of Phi(X) is B_k^T PT(M) B_k, one term per pair of the terms
-    # of its basis vectors; entry (p, q) of PT(M) is entry
-    # ((a_xp, b_yq), (a_yq, b_xp)) of M
-    pairs = [(k, sx, cx, sy, cy) for k, (states, coefs, _) in enumerate(held)
-             for sx, cx in zip(states, coefs) for sy, cy in zip(states, coefs)]
-    sizes = [len(sx) * len(sy) for _, sx, _, sy, _ in pairs]
-    pos = np.empty(sum(sizes), dtype=int)
-    terms = [[] for _ in held]
-    for (k, sx, cx, sy, cy), end, size in zip(pairs, np.cumsum(sizes), sizes):
-        idx = pos[end - size:end].reshape(len(sx), len(sy))
-        idx[...] = _flat_positions(cols, D1 * D1, a[sx][:, None] * D1 + b[sy],
-                                   a[sy] * D1 + b[sx][:, None])
-        terms[k].append((idx, _unit_or(np.outer(cx, cy))))
+    big_starts = np.cumsum([0] + [states.shape[1] ** 2 for states, _, _ in held])
+    parts = []
+    for k, (states, coefs, _) in enumerate(held):
+        for sx, cx in zip(states, coefs):
+            for sy, cy in zip(states, coefs):
+                pos = _flat_positions(cols, D1 * D1, a[sx][:, None] * D1 + b[sy],
+                                      a[sy] * D1 + b[sx][:, None]).ravel()
+                coef = np.outer(cx, cy).ravel()
+                live = np.nonzero((pos >= 0) & (coef != 0.0))[0]
+                parts.append((big_starts[k] + live, pos[live], coef[live]))
     return ([rows[np.ix_(g, cols[s])] for g, s in zip(in_space.groups, slot_of)],
-            slot_of, np.cumsum([len(c) ** 2 for c in cols]), pos, terms)
+            slot_of, np.cumsum([len(c) ** 2 for c in cols]),
+            tuple(np.concatenate(part) for part in zip(*parts)))
 
 
 def _clip_eig(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -373,15 +363,13 @@ class SdpProblem:
     # partner at theta = pi/4, else 1 (module docstring)
     _big_mult: list = field(repr=False)
     # Phi's rows per rho sector, the slot of its big columns, the end of
-    # each slot among the slots laid end to end, and the gather terms of
-    # every big block, views into the one array of their slot positions
-    # (see ``phi``); and Q on the rho sectors (None when the score is
-    # inactive)
+    # each slot among the slots laid end to end, and the (big entry, slot
+    # entry, coefficient) arrays of its entries (see ``_phi_data``); and Q
+    # on the rho sectors (None when the score is inactive)
     _phi_rows: list = field(repr=False)
     _phi_slot: list = field(repr=False)
     _phi_ends: np.ndarray = field(repr=False)
-    _phi_pos: np.ndarray = field(repr=False)
-    _phi_terms: list = field(repr=False)
+    _phi_entries: tuple = field(repr=False)
     _q_blocks: list | None = field(repr=False)
     # (eigenvalue, sector blocks of its projector) at the bottom and the top
     # of the spectrum of Q: the unit-trace states that repair the score of a
@@ -406,29 +394,35 @@ class SdpProblem:
         <= 2 n_max in its residues mod K, so R^T X_r R is one small dense
         product (``_phi_rows``), summed over the sectors of one residue (the
         two N_- parities at theta = pi/4); the partial transpose then moves
-        its entries into the big blocks by a fixed gather, which also forms
-        the T-even and T-odd combinations at theta = pi/4.  Every product
-        and gather broadcasts over leading axes of the blocks.
+        its entries into the big blocks by one ``np.bincount`` over the
+        fixed entries of ``_phi_data``, which also form the T-even and
+        T-odd combinations at theta = pi/4.  Every product broadcasts over
+        leading axes of the blocks, and the scatter runs once per leading
+        index.
         """
         prods = [None] * len(self._phi_ends)
         for r, x, k in zip(self._phi_rows, blocks, self._phi_slot):
             m = r.T @ x @ r
             prods[k] = m if prods[k] is None else prods[k] + m
         lead = prods[0].shape[:-2]
-        flat = np.concatenate(
-            [m.reshape(lead + (-1,)) for m in prods] + [np.zeros(lead + (1,))], axis=-1)
-        return [_gather(flat, terms) for terms in self._phi_terms]
+        flat = np.concatenate([m.reshape(lead + (-1,)) for m in prods], axis=-1)
+        src, pos, coef = self._phi_entries
+        dims = [len(g) for g in self._big_space.groups]
+        ends = np.cumsum([d * d for d in dims])
+        out = np.array([np.bincount(src, f[pos] * coef, minlength=ends[-1])
+                        for f in flat.reshape(-1, flat.shape[-1])]).reshape(lead + (-1,))
+        return [out[..., e - d * d:e].reshape(lead + (d, d)) for d, e in zip(dims, ends)]
 
     def phi_adjoint(self, blocks: list) -> list:
-        """Phi*: the terms of ``phi`` read backwards, one ``np.bincount``
-        of every block entry times its coefficient and multiplicity into
-        the slot positions, then R_r (.) R_r^T; the adjoint in the inner
-        product that weights each big block by its multiplicity."""
-        weights = np.concatenate([((m if coef is None else m * coef) * y).ravel()
-                                  for y, m, terms in zip(blocks, self._big_mult, self._phi_terms)
-                                  for _, coef in terms])
-        flat = np.bincount(self._phi_pos, weights, minlength=self._phi_ends[-1] + 1)
-        w = np.split(flat, self._phi_ends)
+        """Phi*: the entries of ``phi`` read backwards, one ``np.bincount``
+        of the big block entries, each times its multiplicity and the
+        entry's coefficient, into the slots, then R_r (.) R_r^T; the adjoint
+        in the inner product that weights each big block by its
+        multiplicity."""
+        src, pos, coef = self._phi_entries
+        flat = np.concatenate([m * y.ravel() for y, m in zip(blocks, self._big_mult)])
+        w = np.split(np.bincount(pos, flat[src] * coef, minlength=self._phi_ends[-1]),
+                     self._phi_ends)
         return [r @ w[k].reshape(r.shape[1], -1) @ r.T
                 for r, k in zip(self._phi_rows, self._phi_slot)]
 
@@ -529,15 +523,15 @@ def build_problem(
     u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
     u_rows = u_big[i_idx * D1 + j_idx]  # the small space embedded in the big one
     rows = u_rows if face_basis is None else face_basis.T @ u_rows
-    phi_rows, phi_slot, phi_ends, phi_pos, phi_terms = _phi_data(
+    phi_rows, phi_slot, phi_ends, phi_entries = _phi_data(
         rows, rho_space, residues, held, n_max, K)
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
         _q_small=q_small, _rho_space=rho_space, _big_space=big_space,
         _face_basis=face_basis, _score_active=score_active,
         _big_mult=[mult for _, _, mult in held],
-        _phi_rows=phi_rows, _phi_slot=phi_slot, _phi_ends=phi_ends, _phi_pos=phi_pos,
-        _phi_terms=phi_terms,
+        _phi_rows=phi_rows, _phi_slot=phi_slot, _phi_ends=phi_ends,
+        _phi_entries=phi_entries,
         _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
         _q_edges=q_edges,
     )
@@ -1154,14 +1148,33 @@ def _solve_cell(K, n_max, theta, p, tol, anchors) -> tuple:
     return theta, p, sol
 
 
+def _product_anchors(K: int, n_max: int, theta: float) -> list:
+    """(score, state) of four product states with z = 1: for each physical
+    mode, the bottom and the top eigenvector of Q on that mode's levels
+    <= n_max, with the other mode in vacuum.
+
+    Their total number is at most n_max, so the rotation takes them onto
+    the small space exactly, and the partial transpose of a product state
+    is itself."""
+    d = n_max + 1
+    u = mode_rotation_unitary(theta, n_max).matrix.real
+    q = score_operator(K, n_max).matrix.real
+    anchors = []
+    # the columns of U at |k, 0> and at |0, k> of the physical modes
+    for cols in (np.arange(d) * d, np.arange(d)):
+        basis = u[:, cols]
+        w, v = np.linalg.eigh(basis.T @ q @ basis)
+        for k in (0, -1):
+            x = basis @ v[:, k]
+            anchors.append((float(w[k]), np.outer(x, x)))
+    return anchors
+
+
 def _solve_row(args) -> list:
     """The cells of one theta row, solved in descending p and returned in
-    grid order.  The anchors start with the vacuum, which Phi maps to
-    itself at every theta."""
+    grid order, from the row's product anchors."""
     K, n_max, theta, p_grid, tol = args
-    vacuum = np.zeros(((n_max + 1) ** 2,) * 2)
-    vacuum[0, 0] = 1.0
-    anchors = [(float(qk_matrix(K, n_max).matrix.real[0, 0]), vacuum)]
+    anchors = _product_anchors(K, n_max, theta)
     cells = [None] * len(p_grid)
     for i in sorted(range(len(p_grid)), key=lambda i: -p_grid[i]):
         cells[i] = _solve_cell(K, n_max, theta, p_grid[i], tol, anchors)
@@ -1182,14 +1195,16 @@ def sweep(
 
     Each theta row is certified as a unit, in descending p, with a list of
     anchors: (score, state) pairs of feasible states with z = 1, starting
-    with the vacuum.  z(rho) = tr Phi(rho)_+ is convex in rho and the score
-    is linear, so the mix of two anchors that hits a cell's p exactly has
-    z no larger than the larger anchor z.  Such a start usually closes the
-    gap at once (``solve``'s ``start``), and the cell costs no iterations;
-    a cell without a bracket, or whose start falls short, is solved as a
-    stand-alone cell would be.  Rows keep grid order, and each row is
-    deterministic, so ``threads`` spreads whole rows over threads without
-    changing an output byte.
+    with the row's four product states (``_product_anchors``).  z(rho) =
+    tr Phi(rho)_+ is convex in rho and the score is linear, so the mix of
+    two anchors that hits a cell's p exactly has z no larger than the
+    larger anchor z.  Such a start closes the gap at once (``solve``'s
+    ``start``), and the cell costs no iterations: every cell between the
+    lowest and the highest product score does.  A cell above them that
+    ends with z_lb = 1 adds its state; a cell without a bracket, or whose
+    start falls short, is solved as a stand-alone cell would be.  Rows keep
+    grid order, and each row is deterministic, so ``threads`` spreads whole
+    rows over threads without changing an output byte.
     """
     p_grid = [float(p) for p in p_grid]
     jobs = [(K, n_max, float(th), p_grid, tol) for th in theta_grid]

@@ -25,6 +25,7 @@ from oscwit.sdp import (
     _clip_eig,
     _dual_bound,
     _primal_value,
+    _product_anchors,
     _project_feasible,
     _project_spectrahedron,
     _svec_data,
@@ -259,7 +260,7 @@ class TestSectorOperator:
     @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4])
     def test_vacuum_is_a_ppt_anchor(self, theta, n):
         # the rotation conserves total number, so Phi maps the vacuum onto
-        # itself exactly: every sweep row can start from it
+        # itself exactly; it lies in the span of the product anchors below
         prob = build_problem(3, theta, 0.5, n)
         vac = np.zeros(((n + 1) ** 2,) * 2)
         vac[0, 0] = 1.0
@@ -936,6 +937,35 @@ class TestFaceTargets:
         assert s4.s_n < s3.s_n
 
 
+class TestProductAnchors:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 8, np.pi / 4, 1.2])
+    def test_anchors_are_ppt_states(self, theta, n):
+        # a product state with one physical mode in vacuum lies inside the
+        # cutoff, and its partial transpose is itself: z = 1
+        prob = build_problem(3, theta, 0.5, n)
+        rs = prob._rho_space
+        anchors = _product_anchors(3, n, theta)
+        assert len(anchors) == 4
+        for score, rho in anchors:
+            assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
+            blocks = rs.blocks_from_full(rho)
+            for b in prob.phi(blocks):
+                assert np.linalg.eigvalsh(b)[0] >= -1e-12
+            assert 1.0 <= _primal_value(prob, blocks) < 1.0 + 1e-12
+            assert prob.score_of(rho) == pytest.approx(score, abs=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 4])
+    def test_top_anchor_is_the_threshold(self, theta):
+        # at n = 3 no stand-alone solve certifies the top anchor's score,
+        # and one certifies just above it
+        top = max(score for score, _ in _product_anchors(3, 3, theta))
+        at = solve(build_problem(3, theta, top, 3), tol=1e-7)
+        assert at.solved and not at.certified
+        above = solve(build_problem(3, theta, top + 1e-4, 3), tol=1e-7)
+        assert above.certified
+
+
 class TestSweep:
     def test_small_grid(self):
         res = sweep([0.0, np.pi / 4], [0.5, 0.62], 3, 3, tol=1e-6)
@@ -981,16 +1011,27 @@ class TestSweep:
     @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 4])
     def test_row_reuses_ppt_states(self, theta, monkeypatch):
         ps = [0.5, 0.5375, 0.575, 0.6125, 0.65]
-        solved = {}
+        solved, engines = {}, []
         inner = oscwit.sdp.solve
 
         def spy(prob, *args, **kwargs):
             solved[prob.p_target] = sol = inner(prob, *args, **kwargs)
             return sol
 
+        def spy_engine(engine):
+            def run(prob, *args, **kwargs):
+                engines.append(prob.p_target)
+                return engine(prob, *args, **kwargs)
+            return run
+
         monkeypatch.setattr(oscwit.sdp, "solve", spy)
+        for name in ("_solve_ipm", "_solve_pdhg"):
+            monkeypatch.setattr(oscwit.sdp, name, spy_engine(getattr(oscwit.sdp, name)))
         res = sweep([theta], ps, 3, 3, tol=1e-6)
+        ran = set(engines)
+        monkeypatch.undo()
         assert [p for _, p, _ in res.cells] == ps
+        top = max(score for score, _ in _product_anchors(3, 3, theta))
         flat_iterations = []
         for _, p, row in res.cells:
             alone = inner(build_problem(3, theta, p, 3), tol=1e-6)
@@ -1004,8 +1045,16 @@ class TestSweep:
             assert row.z <= alone.z
             assert row.dual_gap <= alone.dual_gap
             flat_iterations.append(row.iterations)
+            if p <= top:
+                # a mix of product anchors: z = 1 up to rounding in the
+                # spectrum, with no engine run
+                assert 1.0 <= row.z < 1.0 + 1e-12
+                assert row.s_n == row.dual_gap == 0.0
+                assert row.iterations == 0
+                assert p not in ran
         assert len(flat_iterations) >= 2
         assert sorted(flat_iterations)[:-1] == [0] * (len(flat_iterations) - 1)
+        assert any(p <= top for p in ps)
 
     def test_failure_keeps_reason(self, monkeypatch):
         def broken(*args, **kwargs):
