@@ -22,8 +22,9 @@ Reported values are honest certificates independent of solver internals:
 Both engines offer their iterates to one certificate keeper,
 ``_Certificates``, which makes both bounds, keeps the best of each with
 its state and Lambda, records their history and decides when the gap is
-closed.  A splitting polish after the interior point continues on the same
-keeper and warm-starts from its best state and Lambda.
+closed.  The interior point offers each point once and stops at its first
+step that the cone blocks; a splitting polish finishes on the same keeper,
+warm-started from its best state and Lambda.
 
 ``dual_gap`` is reported in the same (log) units as ``s_n``; a positive
 certification means s_n - dual_gap = log(2 z_lb - 1) > 0.  A z-domain gap
@@ -766,8 +767,9 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     rho enters through the stored rows and varrho_± as -/+ the identity.
     The objective weights each varrho_+ block by its multiplicity m, so the
     dual slack of the pair keeps -y between 0 and m on its match rows.
-    Each iterate, and the one the last step leaves, is offered to ``certs``
-    with Lambda = -y/m on the match rows.  Returns (iterations, status).
+    Each point is offered to ``certs`` once, with Lambda = -y/m on the
+    match rows.  A step that the cone blocks ends the run, and ``solve``'s
+    splitting polish finishes.  Returns (iterations, status).
     """
     from scipy.linalg import block_diag
 
@@ -814,7 +816,6 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
 
     status = "max-iter"
     it = 0
-    stalls = 0
     for it in range(1, max_iters + 1):
         rp = b_vec - a_apply(x)
         rd = [cb - ab - sb for cb, ab, sb in zip(c, at_apply(y), s)]
@@ -862,26 +863,16 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
             sigma * mu, [dxb @ dsb for dxb, dsb in zip(dx_aff, ds_aff)])
 
         tau = 0.9 if it < 8 else 0.98
-
-        def lengths(dx, ds):
-            return min(1.0, tau * step_len(x, dx)), min(1.0, tau * step_len(s, ds))
-
-        ap, ad = lengths(dx, ds)
+        ap, ad = tau * step_len(x, dx), tau * step_len(s, ds)
         if min(ap, ad) < 1e-4:
-            # direction blocked by the cone boundary: fall back to a pure
-            # centering step to recover interiority
-            dy, dx, ds = solve_newton(mu, zeros)
-            ap, ad = lengths(dx, ds)
-            stalls += 1
-        else:
-            stalls = 0
-        if stalls >= 4 or (ap < 1e-10 and ad < 1e-10):
+            # blocked by the cone, as at a degenerate face: the polish finishes
             break
         x = [xb + ap * d for xb, d in zip(x, dx)]
         s = [sb + ad * d for sb, d in zip(s, ds)]
         y = y + ad * dy
-
-    certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)])
+    else:  # the point the last budgeted step leaves, or the start at budget 0
+        if certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)]):
+            status = "optimal"
     return it, status
 
 
@@ -1013,12 +1004,14 @@ def solve(
     """Run the certification SDP and return certified bounds.
 
     engine: "interior-point", "first-order", or "auto" (interior point
-    unless the Schur complement would be unreasonably large).  When
-    ``max_iters`` is omitted, engine defaults apply (200 interior-point
-    iterations plus up to 8000 splitting polish iterations, or 20000
-    splitting iterations); when given, it caps the total of both engines,
-    must be >= 0, and a budget of 0 reports the honest bounds of the
-    engine's starting point.
+    unless the Schur complement would be unreasonably large).  The interior
+    point offers each point once and stops at its first blocked step; a
+    splitting polish from the keeper's best state and Lambda finishes.
+    ``tol`` must be > 0.  When ``max_iters`` is omitted, engine defaults
+    apply (200 interior-point iterations plus up to 8000 splitting polish
+    iterations, or 20000 splitting iterations); when given, it caps the
+    total of both engines, must be >= 0, and a budget of 0 reports the
+    honest bounds of the engine's starting point.
 
     start: a density matrix on the small space with the target score.  It
     is pinched to the N_tot mod K sectors, and at theta = pi/4 also to the
@@ -1031,6 +1024,8 @@ def solve(
         raise ValueError(f"unknown engine {engine!r}")
     if max_iters is not None and max_iters < 0:
         raise ValueError("max_iters must be >= 0")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     if engine == "auto":
         m = prob._big_space.total + 2
         engine = "interior-point" if m <= 2600 else "first-order"
@@ -1087,10 +1082,10 @@ class SweepResult:
                "iterations", "wall_time")
 
     def monotonicity_violations(self, slack: float = 1e-6) -> list:
-        """Certified values should not decrease along theta or p.
-
-        Compares lower-bounded values against upper values so solver gaps
-        cannot produce spurious reports.
+        """Certified values should not decrease along theta, nor along p
+        away from 1/2: z is convex in p and z(1/2) = 1 (the vacuum), so a
+        pair on both sides of 1/2 is skipped.  Compares lower-bounded values
+        against upper values so solver gaps cannot produce spurious reports.
         """
         solved = [c for c in self.cells if c[2].solved]
         out = []
@@ -1101,8 +1096,12 @@ class SweepResult:
             for key, cells in lines.items():
                 cells = sorted(cells, key=lambda c: c[along])
                 for a, b in zip(cells, cells[1:]):
-                    sa, sb = a[2], b[2]
-                    if sb.s_n_lb < sa.s_n_lb - (sa.dual_gap + sb.dual_gap + slack):
+                    if label == "p" and a[1] < 0.5 < b[1]:
+                        continue
+                    near, far = a[2], b[2]
+                    if label == "p" and b[1] <= 0.5:
+                        near, far = far, near
+                    if far.s_n_lb < near.s_n_lb - (near.dual_gap + far.dual_gap + slack):
                         out.append((label, key, a[along], b[along]))
         return out
 

@@ -686,6 +686,51 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iters"):
             solve(build_problem(3, np.pi / 4, 0.6, 3), engine=engine, max_iters=-1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # no gap meets such a tolerance, so a solve would spend its whole
+        # budget
+        with pytest.raises(ValueError, match="tol"):
+            solve(build_problem(3, 0.3, 0.6, 3), tol=tol, max_iters=300)
+
+    def test_interior_point_offers_each_iterate_once(self):
+        # the iterate that closes the gap is offered at the top of its
+        # iteration, and not again after the loop
+        sol = solve(build_problem(3, np.pi / 4, 0.65, 3), engine="interior-point")
+        assert sol.status == "optimal"
+        assert len(sol.history) == sol.iterations
+
+    def test_last_budgeted_step_can_close_the_gap(self):
+        # a budget one short of the converged run's: the point the 14th step
+        # leaves meets the tolerance, so the run is optimal
+        sol = solve(build_problem(3, np.pi / 4, 0.65, 3), engine="interior-point",
+                    max_iters=14)
+        assert sol.status == "optimal"
+        assert sol.iterations == 14
+        assert len(sol.history) == 15
+        assert sol.z - sol.z_lb <= 1e-7 * (1.0 + sol.z)
+
+    def test_blocked_step_hands_off_to_the_polish(self, monkeypatch):
+        # just inside the bottom face of the score range strict
+        # complementarity fails: the interior point stops at its first
+        # blocked step, and the splitting polish spends the rest of the budget
+        ran = []
+        interior_point = oscwit.sdp._solve_ipm
+
+        def spy(prob, certs, max_iters):
+            iters, status = interior_point(prob, certs, max_iters)
+            ran.append(iters)
+            return iters, status
+
+        monkeypatch.setattr(oscwit.sdp, "_solve_ipm", spy)
+        sol = solve(build_problem(3, 0.2, 0.33713575338243934, 3), tol=1e-6,
+                    max_iters=250)
+        [iters] = ran
+        assert iters < 50
+        assert iters < sol.iterations <= 250
+        assert sol.z >= sol.z_lb
+        assert sol.z - sol.z_lb < 1e-3
+
     def test_start_that_falls_short_changes_nothing(self):
         # at p = 0.62 every state has z > 1, so no start closes the gap
         cold = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-6)
@@ -989,6 +1034,25 @@ class TestSweep:
             row(1.0, 0.5, 0.1), row(1.0, 0.6, 0.2)])
         assert res.monotonicity_violations() == [
             ("p", 0.0, 0.5, 0.6), ("theta", 0.5, 0.0, 1.0)]
+
+    def test_monotonicity_falls_toward_one_half(self):
+        # z(1/2) = 1 and z is convex in p, so below 1/2 the certified values
+        # fall as p rises: that is no violation
+        res = sweep([0.3, np.pi / 4], [0.36, 0.40, 0.45, 0.5], 3, 3, tol=1e-6)
+        hot = [sol.s_n_lb for theta, _, sol in res.cells if theta == np.pi / 4]
+        assert hot[0] > hot[1] > hot[2]
+        assert res.monotonicity_violations() == []
+
+    def test_monotonicity_below_one_half(self):
+        def row(p, lb):
+            return 0.0, p, SdpSolution(z=1.0, s_n=lb, z_lb=1.0, s_n_lb=lb,
+                                       dual_gap=0.0, iterations=1, status="optimal")
+
+        # below 1/2 a value that rises toward 1/2 is flagged; a pair on both
+        # sides of 1/2 is not compared
+        res = SweepResult([row(0.40, 0.1), row(0.45, 0.3), row(0.55, 0.0),
+                           row(0.60, 0.2)])
+        assert res.monotonicity_violations() == [("p", 0.0, 0.40, 0.45)]
 
     def test_infeasible_cells_recorded(self):
         res = sweep([0.0], [0.5, 0.9], 3, 2, tol=1e-6)
