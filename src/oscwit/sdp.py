@@ -31,9 +31,13 @@ certification means s_n - dual_gap = log(2 z_lb - 1) > 0.  A z-domain gap
 would overstate certainty near z = 1 where the logarithm is steep.
 
 Two engines: a primal-dual interior-point method (HKM search direction,
+Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6, 342 (1996);
 Mehrotra predictor-corrector, dense block linear algebra) and a
 primal-dual splitting fallback for spaces too large for the Schur
-complement.
+complement.  The interior point's Newton right-hand side is symmetrized
+before packing, as its Schur matrix and recovered step are, so a full
+step meets the primal constraints; its step lengths take one batched
+factorization per block size.
 
 An exact discrete symmetry shrinks every solve: conjugation by
 exp(i phi N_tot) with phi = 2 pi k / K fixes the constraints (Q_K couples
@@ -744,18 +748,27 @@ class _SchurSolver:
         return x
 
 
-def _max_step(block: np.ndarray, direction: np.ndarray) -> float:
-    """sup alpha with block + alpha * direction PSD."""
-    try:
-        l = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        l = np.linalg.cholesky(block + 1e-12 * np.eye(block.shape[0]))
-    t = np.linalg.solve(l, direction)
-    t = np.linalg.solve(l, t.T)
-    wmin = np.linalg.eigvalsh((t + t.T) / 2.0)[0]
-    if wmin >= 0.0:
-        return np.inf
-    return -1.0 / wmin
+def _max_steps(blocks: list, dirs: list) -> np.ndarray:
+    """sup alpha with block + alpha * direction PSD, for each pair.
+
+    The pairs of each block size are stacked, so every size takes one
+    batched Cholesky, two triangular solves and one ``eigvalsh``; numpy
+    runs the same LAPACK routine on each matrix of a stack."""
+    steps = np.empty(len(blocks))
+    sizes = np.array([len(b) for b in blocks])
+    for d in np.unique(sizes):
+        idx = np.flatnonzero(sizes == d)
+        block = np.stack([blocks[i] for i in idx])
+        try:
+            l = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            l = np.linalg.cholesky(block + 1e-12 * np.eye(d))
+        t = np.linalg.solve(l, np.stack([dirs[i] for i in idx]))
+        t = np.linalg.solve(l, t.swapaxes(1, 2))
+        wmin = np.linalg.eigvalsh((t + t.swapaxes(1, 2)) / 2.0)[:, 0]
+        with np.errstate(divide="ignore"):
+            steps[idx] = np.where(wmin >= 0.0, np.inf, -1.0 / wmin)
+    return steps
 
 
 def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
@@ -770,6 +783,12 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     Each point is offered to ``certs`` once, with Lambda = -y/m on the
     match rows.  A step that the cone blocks ends the run, and ``solve``'s
     splitting polish finishes.  Returns (iterations, status).
+
+    The HKM right-hand side X R_d S^-1 - sigma mu S^-1 + X + C S^-1 is not
+    symmetric, and svec reads one triangle.  The Schur matrix (``_symkron``)
+    and the recovered dx are those of its symmetric part, so each block is
+    symmetrized before packing; then A(dx) = r_p (Todd, "Semidefinite
+    optimization", Acta Numerica 10 (2001), on symmetrized directions).
     """
     from scipy.linalg import block_diag
 
@@ -811,8 +830,10 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     def inner(blocks_a, blocks_b):
         return sum(np.tensordot(a, b, 2) for a, b in zip(blocks_a, blocks_b))
 
-    def step_len(blocks, dirs):
-        return min([1.0] + [_max_step(b, d) for b, d in zip(blocks, dirs)])
+    def step_lens(dx, ds):
+        # the primal and the dual step in one pass, each capped at 1
+        steps = _max_steps(x + s, dx + ds)
+        return min(1.0, steps[:len(x)].min()), min(1.0, steps[len(x):].min())
 
     status = "max-iter"
     it = 0
@@ -843,14 +864,15 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
             # correction folded into corr
             e = [xb @ rb @ si - sigma_mu * si + xb + cb @ si
                  for xb, rb, si, cb in zip(x, rd, s_inv, corr)]
-            dy = schur_solver.solve(rp + a_apply(e))
+            # symmetrized, since svec reads one triangle (see the docstring)
+            dy = schur_solver.solve(rp + a_apply([(v + v.T) / 2.0 for v in e]))
             ds = [rb - ab for rb, ab in zip(rd, at_apply(dy))]
             dx = [sigma_mu * si - xb - xb @ dsb @ si - cb @ si
                   for xb, si, dsb, cb in zip(x, s_inv, ds, corr)]
             return dy, [(v + v.T) / 2.0 for v in dx], ds
 
         _, dx_aff, ds_aff = solve_newton(0.0, zeros)
-        ap_aff, ad_aff = step_len(x, dx_aff), step_len(s, ds_aff)
+        ap_aff, ad_aff = step_lens(dx_aff, ds_aff)
         mu_aff = inner([xb + ap_aff * d for xb, d in zip(x, dx_aff)],
                        [sb + ad_aff * d for sb, d in zip(s, ds_aff)]) / dim_total
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
@@ -863,7 +885,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
             sigma * mu, [dxb @ dsb for dxb, dsb in zip(dx_aff, ds_aff)])
 
         tau = 0.9 if it < 8 else 0.98
-        ap, ad = tau * step_len(x, dx), tau * step_len(s, ds)
+        ap, ad = (tau * a for a in step_lens(dx, ds))
         if min(ap, ad) < 1e-4:
             # blocked by the cone, as at a degenerate face: the polish finishes
             break
@@ -900,8 +922,10 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
     b.  Secant steps find it from ``warm`` = (b, slope < 0), the previous
     projection's root and last secant slope.  Until r changes sign each move
     is capped at a reach that starts at 1 + |b| and doubles after every
-    step; then steps stay inside the bracket, bisecting when a secant step
-    leaves it.  Without the score constraint Q reads 0, so b stays put.
+    step it caps, so a secant step from a slope at rounding level cannot
+    leap to a b where S - b Q keeps no digit of S; then steps stay inside
+    the bracket, bisecting when a secant step leaves it.  Without the score
+    constraint Q reads 0, so b stays put.
     """
     sym = [(m + m.T) / 2.0 for m in blocks]
     qs, p = ((prob._q_blocks, prob.p_target) if prob._score_active
@@ -924,7 +948,8 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
         step = r / -slope if slope < 0.0 else math.copysign(math.inf, r)
         if math.isinf(lo) or math.isinf(hi):
             b_new = b + min(max(step, -reach), reach)
-            reach *= 2.0
+            if abs(step) >= reach:
+                reach *= 2.0
         else:
             b_new = b + step if lo < b + step < hi else 0.5 * (lo + hi)
         if b_new == b:

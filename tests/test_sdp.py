@@ -24,6 +24,7 @@ from oscwit.sdp import (
     _assemble_constraint_rows,
     _clip_eig,
     _dual_bound,
+    _max_steps,
     _primal_value,
     _product_anchors,
     _project_feasible,
@@ -434,6 +435,21 @@ class TestScoreProjection:
                        - prob.p_target) < 1e-12
             assert max(np.abs(x - r).max() for x, r in zip(far, ref)) < 1e-8
 
+    def test_score_just_below_the_top_of_its_range(self):
+        # p is 3.3e-9 below the top eigenvalue of Q, so the root b lies near
+        # -3e4 and r is flat there: a secant step from a slope at rounding
+        # level must not leap to b near -1e12, where the spectra of S - bQ
+        # keep no digit of S
+        prob = build_problem(3, 0.3, 0.6628675007102899, 3)
+        gen = np.random.default_rng(1)
+        for _ in range(20):
+            blocks = [0.3 * (m + m.T) for m in
+                      (gen.normal(size=(len(g), len(g))) for g in prob._rho_space.groups)]
+            out, (b, _) = _project_spectrahedron(prob, blocks, (0.0, -1.0))
+            assert abs(sum(np.vdot(q, x) for q, x in zip(prob._q_blocks, out))
+                       - prob.p_target) < 1e-9
+            assert abs(b) < 1e6
+
 
 def golden_dual_bound(prob, lam_blocks):
     """The dual bound by an 80-step golden-section search over the score
@@ -543,6 +559,41 @@ class TestSymkron:
             assert np.max(np.abs(out @ (m[rows, cols] * scale) - want)) < 1e-12
 
 
+def max_step_reference(block, direction):
+    """sup alpha with block + alpha * direction PSD, one pair at a time."""
+    l = np.linalg.cholesky(block)
+    t = np.linalg.solve(l, np.linalg.solve(l, direction).T)
+    wmin = np.linalg.eigvalsh((t + t.T) / 2.0)[0]
+    return np.inf if wmin >= 0.0 else -1.0 / wmin
+
+
+class TestMaxSteps:
+    def test_batched_equals_one_block_at_a_time(self):
+        # pairs of mixed sizes, stacked by size: each step is the one its
+        # pair gives alone, bit for bit, and leaves its block singular
+        blocks, dirs = [], []
+        for d in (3, 5, 3, 2, 5, 3):
+            g, h = rng.normal(size=(2, d, d))
+            blocks.append(g @ g.T + 0.1 * np.eye(d))
+            dirs.append(h + h.T)
+        dirs[1] = np.eye(5)  # a PSD direction never leaves the cone
+        steps = _max_steps(blocks, dirs)
+        assert steps[1] == np.inf
+        for b, d, step in zip(blocks, dirs, steps):
+            assert max_step_reference(b, d) == step
+            if np.isfinite(step):
+                w = np.linalg.eigvalsh(b + step * d)
+                assert abs(w[0]) < 1e-9 * w[-1]
+
+    def test_singular_block_takes_the_jitter(self):
+        # a block on the boundary of the cone fails its Cholesky, and its
+        # stack is factored again with 1e-12 on the diagonal
+        steps = _max_steps([np.diag([1.0, 0.0]), np.diag([2.0, 1.0])],
+                           [-np.eye(2), -np.eye(2)])
+        assert steps[0] == pytest.approx(1e-12, rel=1e-6)
+        assert steps[1] == pytest.approx(1.0, rel=1e-9)
+
+
 def traced_peak_mib(run):
     """The tracemalloc peak of ``run()``, in MiB; numpy reports its array
     buffers to tracemalloc."""
@@ -615,10 +666,10 @@ class TestSolve:
             assert z_up >= z_lb - 1e-12
 
     def test_polish_warm_starts_from_interior_point(self, monkeypatch):
-        # a tolerance the interior point cannot meet hands the rest of the
-        # budget to the splitting engine on the same certificates; started
-        # cold, 83 splitting iterations would not improve on the
-        # interior-point state
+        # a tolerance the interior point cannot meet (it converges at 1e-12)
+        # hands the rest of the budget to the splitting engine on the same
+        # certificates; started cold, about 100 splitting iterations would
+        # not improve on the interior-point state
         entered = []
         splitting = oscwit.sdp._solve_pdhg
 
@@ -627,7 +678,7 @@ class TestSolve:
             return splitting(prob, certs, max_iters)
 
         monkeypatch.setattr(oscwit.sdp, "_solve_pdhg", spy)
-        sol = solve(build_problem(3, np.pi / 4, 0.64, 3), tol=1e-12, max_iters=200)
+        sol = solve(build_problem(3, np.pi / 4, 0.64, 3), tol=1e-14, max_iters=200)
         assert sol.iterations == 200
         assert sol.status == "max-iter"
         assert sol.z >= sol.z_lb
@@ -635,9 +686,9 @@ class TestSolve:
         assert sol.z < z_interior_point
 
     def test_interior_point_converges_on_its_own(self):
-        # certificates stay honest even when the Newton system is wrong, and
-        # the splitting polish then closes the gap; a budget the interior
-        # point needs about half of leaves the polish too little to hide it
+        # the interior point closes the gap without the splitting polish; a
+        # budget it needs under half of leaves the polish too little to hide
+        # a slow run
         sol = solve(build_problem(3, np.pi / 4, 0.62, 3), tol=1e-7,
                     engine="interior-point", max_iters=30)
         assert sol.status == "optimal"
@@ -701,19 +752,20 @@ class TestSolve:
         assert len(sol.history) == sol.iterations
 
     def test_last_budgeted_step_can_close_the_gap(self):
-        # a budget one short of the converged run's: the point the 14th step
+        # a budget one short of the converged run's: the point the 11th step
         # leaves meets the tolerance, so the run is optimal
         sol = solve(build_problem(3, np.pi / 4, 0.65, 3), engine="interior-point",
-                    max_iters=14)
+                    max_iters=11)
         assert sol.status == "optimal"
-        assert sol.iterations == 14
-        assert len(sol.history) == 15
+        assert sol.iterations == 11
+        assert len(sol.history) == 12
         assert sol.z - sol.z_lb <= 1e-7 * (1.0 + sol.z)
 
     def test_blocked_step_hands_off_to_the_polish(self, monkeypatch):
-        # just inside the bottom face of the score range strict
-        # complementarity fails: the interior point stops at its first
-        # blocked step, and the splitting polish spends the rest of the budget
+        # 1e-8 of the score range inside its bottom face strict
+        # complementarity nearly fails: the interior point stops at its first
+        # blocked step (after 22 iterations), and the splitting polish spends
+        # the rest of the budget
         ran = []
         interior_point = oscwit.sdp._solve_ipm
 
@@ -723,13 +775,33 @@ class TestSolve:
             return iters, status
 
         monkeypatch.setattr(oscwit.sdp, "_solve_ipm", spy)
-        sol = solve(build_problem(3, 0.2, 0.33713575338243934, 3), tol=1e-6,
+        sol = solve(build_problem(3, 0.447, 0.33713249928971006, 3), tol=1e-6,
                     max_iters=250)
         [iters] = ran
         assert iters < 50
         assert iters < sol.iterations <= 250
         assert sol.z >= sol.z_lb
         assert sol.z - sol.z_lb < 1e-3
+
+    def test_near_face_cell_needs_no_polish(self, monkeypatch):
+        # 1e-5 of the score range inside its bottom face, a Newton
+        # right-hand side that does not match the Schur matrix makes the
+        # primal residual grow until the step blocks
+        def polish(prob, certs, max_iters):
+            raise AssertionError("the splitting polish ran")
+
+        monkeypatch.setattr(oscwit.sdp, "_solve_pdhg", polish)
+        sol = solve(build_problem(3, 0.447, 0.33713575338243934, 3), tol=1e-6)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 20
+
+    def test_flat_face_cell_at_a_tight_tolerance(self):
+        # a z = 1 cell that no product anchor brackets: proving z - 1 < 1e-7
+        # takes 15 iterations with a consistent Newton system (74 without)
+        sol = solve(build_problem(3, 0.3, 0.55, 3), tol=1e-7)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 20
+        assert sol.z - sol.z_lb <= 1e-7 * (1.0 + sol.z)
 
     def test_start_that_falls_short_changes_nothing(self):
         # at p = 0.62 every state has z > 1, so no start closes the gap
