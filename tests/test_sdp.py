@@ -763,21 +763,34 @@ class TestSolve:
 
     def test_blocked_step_hands_off_to_the_polish(self, monkeypatch):
         # 1e-8 of the score range inside its bottom face strict
-        # complementarity nearly fails: the interior point stops at its first
-        # blocked step (after 22 iterations), and the splitting polish spends
+        # complementarity nearly fails, and where the cone first blocks a
+        # step depends on rounding (the BLAS thread count moves it), so the
+        # step lengths of the 15th iteration are forced to 1e-6: the interior
+        # point stops at that blocked step, and the splitting polish spends
         # the rest of the budget
-        ran = []
+        ran, step_calls = [], []
         interior_point = oscwit.sdp._solve_ipm
+        max_steps = oscwit.sdp._max_steps
 
         def spy(prob, certs, max_iters):
             iters, status = interior_point(prob, certs, max_iters)
             ran.append(iters)
             return iters, status
 
+        def blocked_from_15th(blocks, dirs):
+            # two step-length passes per iteration: predictor and corrector
+            step_calls.append(len(blocks))
+            if len(step_calls) > 2 * 14:
+                return np.full(len(blocks), 1e-6)
+            return max_steps(blocks, dirs)
+
         monkeypatch.setattr(oscwit.sdp, "_solve_ipm", spy)
+        monkeypatch.setattr(oscwit.sdp, "_max_steps", blocked_from_15th)
         sol = solve(build_problem(3, 0.447, 0.33713249928971006, 3), tol=1e-6,
                     max_iters=250)
         [iters] = ran
+        assert iters == 15
+        assert len(step_calls) == 2 * 15
         assert iters < 50
         assert iters < sol.iterations <= 250
         assert sol.z >= sol.z_lb
