@@ -21,10 +21,13 @@ Reported values are honest certificates independent of solver internals:
 
 Both engines offer their iterates to one certificate keeper,
 ``_Certificates``, which makes both bounds, keeps the best of each with
-its state and Lambda, records their history and decides when the gap is
-closed.  The interior point offers each point once and stops at its first
-step that the cone blocks; a splitting polish finishes on the same keeper,
-warm-started from its best state and Lambda.
+its state and Lambda, records their history and decides when both engines
+stop: the gap is closed, or 12 offers in a row each shrank it by less than
+1e-4 of it.  The engines return only their iteration count, and ``solve``
+reports ``optimal`` exactly when the keeper's gap is closed.  The interior
+point offers each point once and stops also at its first step that the
+cone blocks; a splitting polish finishes on the same keeper, warm-started
+from its best state and Lambda.
 
 ``dual_gap`` is reported in the same (log) units as ``s_n``; a positive
 certification means s_n - dual_gap = log(2 z_lb - 1) > 0.  A z-domain gap
@@ -675,7 +678,10 @@ class _Certificates:
     Each offered iterate is taken to an exactly feasible state, whose primal
     value bounds z from above, and to a clipped dual, whose value bounds it
     from below.  The best of each is kept with the state or Lambda that gave
-    it, and ``history`` records the best pair after every offer.
+    it, and ``history`` records the best pair after every offer.  ``offer``
+    says stop once the gap is closed or ``stalled``, the count of offers in
+    a row (a polish hand-off included) that shrank it by less than 1e-4 of
+    it, reaches 12; ``solve`` reads its status from ``converged`` alone.
     """
 
     def __init__(self, prob: SdpProblem, tol: float):
@@ -685,6 +691,7 @@ class _Certificates:
         self.rho = None   # best feasible state, as solver-variable sector blocks
         self.lam = None   # best Lambda, as big sector blocks
         self.history = []
+        self.stalled = 0
 
     @property
     def gap(self) -> float:
@@ -697,8 +704,9 @@ class _Certificates:
     def offer(self, rho_blocks: list, lam_blocks: list | None = None) -> bool:
         """Harvest solver-variable rho sector blocks and Lambda big sector
         blocks; without Lambda the dual bound is the trivial z_lb = 1
-        (tr|A| >= tr A = 1).  True once the gap meets the tolerance."""
+        (tr|A| >= tr A = 1).  True once the gap is closed or has stalled."""
         prob = self.prob
+        last_gap = self.gap
         rho = _project_feasible(prob, rho_blocks)
         z_up = _primal_value(prob, rho)
         z_lb = 1.0 if lam_blocks is None else max(_dual_bound(prob, lam_blocks), 1.0)
@@ -707,7 +715,10 @@ class _Certificates:
         if z_lb > self.z_lb:
             self.z_lb, self.lam = z_lb, lam_blocks
         self.history.append((self.z_up, self.z_lb))
-        return self.converged
+        # the first offer compares with an infinite gap, which any gap shrinks
+        stalled = self.gap > last_gap - 1e-4 * max(last_gap, 1e-12)
+        self.stalled = self.stalled + 1 if stalled else 0
+        return self.converged or self.stalled >= 12
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +792,8 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     The objective weights each varrho_+ block by its multiplicity m, so the
     dual slack of the pair keeps -y between 0 and m on its match rows.
     Each point is offered to ``certs`` once, with Lambda = -y/m on the
-    match rows.  A step that the cone blocks ends the run, and ``solve``'s
-    splitting polish finishes.  Returns (iterations, status).
+    match rows.  The keeper's stop, a step that the cone blocks or a failed
+    Schur factorization ends the run.  Returns the iteration count.
 
     The HKM right-hand side X R_d S^-1 - sigma mu S^-1 + X + C S^-1 is not
     symmetric, and svec reads one triangle.  The Schur matrix (``_symkron``)
@@ -835,7 +846,6 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         steps = _max_steps(x + s, dx + ds)
         return min(1.0, steps[:len(x)].min()), min(1.0, steps[len(x):].min())
 
-    status = "max-iter"
     it = 0
     for it in range(1, max_iters + 1):
         rp = b_vec - a_apply(x)
@@ -843,7 +853,6 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         mu = inner(x, s) / dim_total
 
         if certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)]):
-            status = "optimal"
             break
 
         s_inv = [_sym_inv(sb) for sb in s]
@@ -893,9 +902,8 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         s = [sb + ad * d for sb, d in zip(s, ds)]
         y = y + ad * dy
     else:  # the point the last budgeted step leaves, or the start at budget 0
-        if certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)]):
-            status = "optimal"
-    return it, status
+        certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)])
+    return it
 
 
 # ---------------------------------------------------------------------------
@@ -969,9 +977,9 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
     projection work one block at a time.  Each projection starts its search
     for the score multiplier from the last one's (b, slope), from (0, -1) at
     the first.  Iterates are offered to ``certs`` periodically, and the
-    start itself when the budget is 0.  When ``certs`` already holds bounds
-    from another engine, the run warm-starts from its best rho and its best
-    Lambda.  Returns (iterations, status).
+    start itself when the budget is 0, until the keeper says stop.  When
+    ``certs`` already holds bounds from another engine, the run warm-starts
+    from its best rho and its best Lambda.  Returns the iteration count.
     """
     rs, bs = prob._rho_space, prob._big_space
     if certs.rho is None:
@@ -983,10 +991,7 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
     rho_bar = rho
     warm = (0.0, -1.0)
     taus = 0.95
-    status = "max-iter"
     it = 0
-    last_gap = np.inf
-    stagnant = 0
     if max_iters == 0:
         certs.offer(rho, [(y + np.eye(len(y))) / 2.0 for y in y_big])
 
@@ -1001,18 +1006,8 @@ def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
         if it % 25 == 0 or it == max_iters:
             # Y in [-1, 1] maps to Lambda = (Y + 1)/2 in [0, 1]
             if certs.offer(rho, [(y + np.eye(len(y))) / 2.0 for y in y_big]):
-                status = "optimal"
                 break
-            gap = certs.gap
-            # stop honestly once the certificates stop improving
-            if gap > last_gap - 1e-4 * max(last_gap, 1e-12):
-                stagnant += 1
-                if stagnant >= 12:
-                    break
-            else:
-                stagnant = 0
-            last_gap = gap
-    return it, status
+    return it
 
 
 # ---------------------------------------------------------------------------
@@ -1029,13 +1024,14 @@ def solve(
     """Run the certification SDP and return certified bounds.
 
     engine: "interior-point", "first-order", or "auto" (interior point
-    unless the Schur complement would be unreasonably large).  The interior
-    point offers each point once and stops at its first blocked step; a
-    splitting polish from the keeper's best state and Lambda finishes.
-    ``tol`` must be > 0.  When ``max_iters`` is omitted, engine defaults
-    apply (200 interior-point iterations plus up to 8000 splitting polish
-    iterations, or 20000 splitting iterations); when given, it caps the
-    total of both engines, must be >= 0, and a budget of 0 reports the
+    unless the Schur complement would be unreasonably large).  Both engines
+    stop when the keeper's gap closes or stalls, the interior point also at
+    its first blocked step; a splitting polish from the keeper's best state
+    and Lambda finishes.  The status is ``optimal`` if the gap meets ``tol``
+    (> 0), else ``max-iter``.  When ``max_iters`` is omitted, engine
+    defaults apply (200 interior-point iterations plus up to 8000 splitting
+    polish iterations, or 20000 splitting iterations); when given, it caps
+    the total of both engines, must be >= 0, and a budget of 0 reports the
     honest bounds of the engine's starting point.
 
     start: a density matrix on the small space with the target score.  It
@@ -1058,26 +1054,24 @@ def solve(
     rs = prob._rho_space
     certs = _Certificates(prob, tol)
     if start is not None and prob._face_basis is None and certs.offer(rs.blocks_from_full(start)):
-        iters, status = 0, "optimal"
+        iters = 0
     else:
         # a start that falls short leaves no trace: the engines run on a
         # fresh keeper, exactly as without it
         certs = _Certificates(prob, tol)
         if engine == "interior-point":
-            iters, status = _solve_ipm(prob, certs, 200 if max_iters is None else max_iters)
+            iters = _solve_ipm(prob, certs, 200 if max_iters is None else max_iters)
             polish = 8000 if max_iters is None else max_iters - iters
             if not certs.converged and certs.rho is not None and polish > 0:
                 # interior-point runs can leave the primal side loose when the
                 # optimal face is degenerate; polish it with splitting
                 # iterations warm-started from the same certificates (the
                 # dual bound is usually tight already)
-                extra, pstatus = _solve_pdhg(prob, certs, polish)
-                iters += extra
-                status = pstatus if pstatus == "optimal" else status
+                iters += _solve_pdhg(prob, certs, polish)
         else:
-            iters, status = _solve_pdhg(prob, certs, 20000 if max_iters is None else max_iters)
+            iters = _solve_pdhg(prob, certs, 20000 if max_iters is None else max_iters)
     wall = time.perf_counter() - t0
-    z_up, z_lb = certs.z_up, max(certs.z_lb, 1.0)
+    z_up, z_lb = certs.z_up, certs.z_lb
     if not math.isfinite(z_up):
         raise NumericalFailure("no feasible primal point was recovered")
     s_up, s_lb = _sn_from_z(z_up), _sn_from_z(z_lb)
@@ -1086,10 +1080,9 @@ def solve(
         rho = prob.to_state_matrix(rs.full_from_blocks(certs.rho))
         rho_state = TwoModeState(rho.astype(complex), prob.n_max, NORMAL, validate=False)
     return SdpSolution(
-        z=z_up, s_n=s_up, z_lb=z_lb, s_n_lb=s_lb,
-        dual_gap=max(s_up - s_lb, 0.0),
-        iterations=iters, status=status, rho=rho_state,
-        history=certs.history, wall_time=wall,
+        z=z_up, s_n=s_up, z_lb=z_lb, s_n_lb=s_lb, dual_gap=max(s_up - s_lb, 0.0),
+        iterations=iters, status="optimal" if certs.converged else "max-iter",
+        rho=rho_state, history=certs.history, wall_time=wall,
     )
 
 

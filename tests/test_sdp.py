@@ -22,6 +22,7 @@ from oscwit.sdp import (
     SdpSolution,
     SweepResult,
     _assemble_constraint_rows,
+    _Certificates,
     _clip_eig,
     _dual_bound,
     _max_steps,
@@ -732,6 +733,15 @@ class TestSolve:
         assert 1.0 <= sol.z_lb <= ref.z + 1e-12
         assert ref.z_lb <= sol.z + 1e-12 and math.isfinite(sol.z)
 
+    @pytest.mark.parametrize("engine", ["first-order", "interior-point"])
+    def test_budget_of_zero_reports_a_start_that_closes_the_gap(self, engine):
+        # at theta = 0 and p = 1/2 both engines start from a state whose
+        # bounds meet, so the status is the keeper's, not the budget's
+        sol = solve(build_problem(3, 0.0, 0.5, 3), engine=engine, max_iters=0)
+        assert sol.iterations == 0
+        assert sol.status == "optimal"
+        assert sol.dual_gap == 0.0
+
     @pytest.mark.parametrize("engine", ["auto", "first-order", "interior-point"])
     def test_negative_budget_rejected(self, engine):
         with pytest.raises(ValueError, match="max_iters"):
@@ -773,9 +783,9 @@ class TestSolve:
         max_steps = oscwit.sdp._max_steps
 
         def spy(prob, certs, max_iters):
-            iters, status = interior_point(prob, certs, max_iters)
+            iters = interior_point(prob, certs, max_iters)
             ran.append(iters)
-            return iters, status
+            return iters
 
         def blocked_from_15th(blocks, dirs):
             # two step-length passes per iteration: predictor and corrector
@@ -795,6 +805,27 @@ class TestSolve:
         assert iters < sol.iterations <= 250
         assert sol.z >= sol.z_lb
         assert sol.z - sol.z_lb < 1e-3
+
+    def test_stalled_interior_point_hands_off_to_the_polish(self, monkeypatch):
+        # 1e-6 of the score range inside the bottom face at pi/4 the
+        # interior point neither closes the gap nor blocks; the keeper's
+        # stall test stops it well inside its 200-iteration budget, and the
+        # polish closes the gap
+        ran = []
+        interior_point = oscwit.sdp._solve_ipm
+
+        def spy(prob, certs, max_iters):
+            iters = interior_point(prob, certs, max_iters)
+            ran.append((iters, certs.stalled, certs.converged))
+            return iters
+
+        monkeypatch.setattr(oscwit.sdp, "_solve_ipm", spy)
+        sol = solve(build_problem(3, np.pi / 4, 0.3371328217673679, 3), tol=1e-6)
+        [(iters, stalled, converged)] = ran
+        assert iters < 100
+        assert stalled == 12 and not converged
+        assert sol.status == "optimal"
+        assert sol.iterations < 200
 
     def test_near_face_cell_needs_no_polish(self, monkeypatch):
         # 1e-5 of the score range inside its bottom face, a Newton
@@ -830,6 +861,30 @@ class TestSolve:
                      engine="first-order")
         assert abs(pdhg.s_n - ipm.s_n) <= pdhg.dual_gap + ipm.dual_gap + 1e-9
         assert pdhg.certified
+
+
+class TestCertificates:
+    def test_twelve_offers_without_progress_stall_and_progress_resets(self):
+        prob = build_problem(3, np.pi / 4, 0.62, 3)
+        rs = prob._rho_space
+        start = rs.eye(1.0 / rs.dim)
+        certs = _Certificates(prob, 1e-7)
+        # the first offer shrinks the infinite gap of an empty keeper
+        assert not certs.offer(start)
+        assert certs.stalled == 0
+        for k in range(1, 12):
+            assert not certs.offer(start)
+            assert certs.stalled == k
+        assert certs.offer(start)
+        assert certs.stalled == 12 and not certs.converged
+        # a converged Lambda lifts the dual bound by far more than 1e-4 of
+        # the gap
+        ref = _Certificates(prob, 1e-7)
+        oscwit.sdp._solve_ipm(prob, ref, 200)
+        gap = certs.gap
+        assert not certs.offer(start, ref.lam)
+        assert certs.gap <= gap - 1e-4 * gap
+        assert certs.stalled == 0
 
 
 def spy_phi(monkeypatch):
