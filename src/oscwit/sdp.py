@@ -35,12 +35,17 @@ would overstate certainty near z = 1 where the logarithm is steep.
 
 Two engines: a primal-dual interior-point method (HKM search direction,
 Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6, 342 (1996);
-Mehrotra predictor-corrector, dense block linear algebra) and a
-primal-dual splitting fallback for spaces too large for the Schur
-complement.  The interior point's Newton right-hand side is symmetrized
-before packing, as its Schur matrix and recovered step are, so a full
-step meets the primal constraints; its step lengths take one batched
-factorization per block size.
+Mehrotra predictor-corrector) and a primal-dual splitting fallback for
+spaces too large for the Schur complement.  The interior point solves its
+Newton system sector by sector, as SDPT3 (Toh, Todd & Tütüncü, Optim.
+Methods Softw. 11, 545 (1999)) and DSDP (Benson, Ye & Zhang, SIAM J.
+Optim. 10, 443 (2000)) exploit the structure of theirs: one Cholesky
+factor per varrho_± pair block, and a Woodbury capacitance system of the
+size svec(rho) for the rho side, in place of the dense m x m Schur matrix
+(``_SectorSchur``).  Its Newton right-hand side is symmetrized before
+packing, as its Schur matrix and recovered step are, so a full step meets
+the primal constraints; its step lengths take one batched factorization
+per block size.
 
 An exact discrete symmetry shrinks every solve: conjugation by
 exp(i phi N_tot) with phi = 2 pi k / K fixes the constraints (Q_K couples
@@ -730,32 +735,107 @@ def _sym_inv(s: np.ndarray) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
-class _SchurSolver:
-    """Cholesky of the Schur complement with one refinement pass."""
+def _cho_ladder(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the symmetric a, shifted by jitter times
+    its mean diagonal, up a ladder from 0 to 1e-6, at the first rung that
+    factors; ``NumericalFailure`` when none does.  The upper triangle holds
+    leftovers of a."""
+    from scipy.linalg import cho_factor
 
-    def __init__(self, schur: np.ndarray):
-        from scipy.linalg import cho_factor
+    scale = max(np.trace(a) / len(a), 1e-300)
+    for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+        # the shifted copy is built only after a failed factorization
+        shifted = a if jitter == 0.0 else a + jitter * scale * np.eye(len(a))
+        try:
+            return cho_factor(shifted, lower=True, check_finite=False)[0]
+        except np.linalg.LinAlgError:
+            pass
+    raise NumericalFailure("Schur factorization failed")
 
-        self.schur = schur
-        scale = max(np.trace(schur) / schur.shape[0], 1e-300)
-        for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-            # the shifted copy is built only after a failed factorization
-            shifted = schur if jitter == 0.0 else schur + jitter * scale * np.eye(len(schur))
-            try:
-                self.factor = cho_factor(shifted, lower=True)
-                return
-            except np.linalg.LinAlgError:
-                pass
-        raise NumericalFailure("Schur factorization failed")
+
+class _SectorSchur:
+    """The interior point's Schur complement M = A (X (.) S^-1) A^T, solved
+    through its sectors; no m x m matrix is formed.
+
+    With T the trace and score rows, G the rho part of the match rows, K
+    the rho blocks' ``_symkron`` and D_b = K_+,b + K_-,b the varrho_± pair
+    block of big sector b (the pair enters the match rows as -/+ I),
+
+        M = [[T K T^T, T K G^T], [G K T^T, H]],   H = D + G K G^T.
+
+    Each D_b takes a Cholesky factor L_b, and K = F F^T a square root from
+    the spectrum of each rho block (near a face K's own Cholesky fails).
+    Then H = L (I + V V^T) L^T with V = L^-1 G F, and by the Woodbury
+    identity H^-1 = L^-T (I - Y Y^T) L^-1 with Y = V L_C^-T, where L_C is
+    the Cholesky factor of the capacitance matrix I + V^T V, of the size
+    svec(rho).  The trace and score rows go through the bordered system
+
+        S_2 = T K T^T - T K G^T H^-1 G K T^T = E^T E,   E = L_C^-1 F^T T^T.
+
+    Every term is bounded (I + V^T V >= I, so ||Y|| <= 1) and S_2 is a sum
+    of squares.  The unscaled forms, S_2 as the difference above and
+    H^-1 = D^-1 - W K (I + G^T W K)^-1 W^T with W = D^-1 G, cancel near the
+    optimum: solves through them left residuals of 1e-4 of the right-hand
+    side where this form, like the dense Cholesky, leaves 1e-11.  Every
+    factor keeps the jitter ladder (``_cho_ladder``), and two passes of
+    refinement against M, applied block by block as A K A^T x + D x, undo
+    the jitter and the clipped rounding of F.  Blocks or a solve that are
+    not finite, or a factor that fails, raise ``NumericalFailure``.
+    """
+
+    def __init__(self, t_rows: np.ndarray, g_rows: np.ndarray, k_rho: list, d_blocks: list):
+        from scipy.linalg import solve_triangular
+
+        if not all(np.isfinite(b).all() for b in k_rho + d_blocks):
+            raise NumericalFailure("Schur blocks are not finite")
+        n = g_rows.shape[1]
+        self.k, f = np.zeros((n, n)), np.zeros((n, n))
+        ends = np.cumsum([len(b) for b in k_rho])
+        for kb, e in zip(k_rho, ends):
+            w, v = np.linalg.eigh(kb)
+            self.k[e - len(kb):e, e - len(kb):e] = kb
+            f[e - len(kb):e, e - len(kb):e] = v * np.sqrt(np.maximum(w, 0.0))
+        self.t_rows, self.g_rows, self.d_blocks = t_rows, g_rows, d_blocks
+        self.cuts = np.cumsum([len(b) for b in d_blocks])[:-1]
+        self.l_d = [_cho_ladder(b) for b in d_blocks]
+        v = np.concatenate([solve_triangular(l, gb, lower=True, check_finite=False)
+                            for l, gb in zip(self.l_d, np.split(g_rows @ f, self.cuts))])
+        l_c = _cho_ladder(np.eye(n) + v.T @ v)
+        self.y = solve_triangular(l_c, v.T, lower=True, check_finite=False).T
+        self.e = solve_triangular(l_c, (t_rows @ f).T, lower=True, check_finite=False)
+        self.s2 = _cho_ladder(self.e.T @ self.e)
+
+    def _l_solve(self, v: np.ndarray, trans: int = 0) -> np.ndarray:
+        """L^-1 v, or L^-T v with ``trans``, for a vector v, one D_b factor at
+        a time.  BLAS ``dtrsv`` returns the bits ``solve_triangular`` does,
+        without its call overhead, which at these sizes costs more than the
+        solve; ``_solve_once`` calls LAPACK ``dpotrs`` for the same reason."""
+        from scipy.linalg.blas import dtrsv
+
+        return np.concatenate([dtrsv(l, vb, lower=1, trans=trans)
+                               for l, vb in zip(self.l_d, np.split(v, self.cuts))])
+
+    def _solve_once(self, r: np.ndarray) -> np.ndarray:
+        from scipy.linalg.lapack import dpotrs
+
+        n_t = len(self.t_rows)
+        a = self._l_solve(r[n_t:])
+        b = self.y.T @ a
+        y_t, _ = dpotrs(self.s2, r[:n_t] - self.e.T @ b, lower=1)
+        return np.concatenate([y_t, self._l_solve(a - self.y @ (b + self.e @ y_t), trans=1)])
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        n_t = len(self.t_rows)
+        kx = self.k @ (self.t_rows.T @ x[:n_t] + self.g_rows.T @ x[n_t:])
+        dx = [b @ xb for b, xb in zip(self.d_blocks, np.split(x[n_t:], self.cuts))]
+        return np.concatenate([self.t_rows @ kx, self.g_rows @ kx + np.concatenate(dx)])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        from scipy.linalg import cho_solve
-
-        x = cho_solve(self.factor, rhs)
-        # one step of iterative refinement; the Schur complement becomes
-        # severely ill-conditioned as the barrier parameter shrinks
-        resid = rhs - self.schur @ x
-        x += cho_solve(self.factor, resid)
+        x = self._solve_once(rhs)
+        for _ in range(2):
+            x += self._solve_once(rhs - self._apply(x))
+        if not np.isfinite(x).all():
+            raise NumericalFailure("Schur solve is not finite")
         return x
 
 
@@ -763,8 +843,10 @@ def _max_steps(blocks: list, dirs: list) -> np.ndarray:
     """sup alpha with block + alpha * direction PSD, for each pair.
 
     The pairs of each block size are stacked, so every size takes one
-    batched Cholesky, two triangular solves and one ``eigvalsh``; numpy
-    runs the same LAPACK routine on each matrix of a stack."""
+    batched Cholesky, two ``np.linalg.solve`` calls on the Cholesky factor
+    (LU solves, which do not know the factor is triangular) and one
+    ``eigvalsh``; numpy runs the same LAPACK routine on each matrix of a
+    stack."""
     steps = np.empty(len(blocks))
     sizes = np.array([len(b) for b in blocks])
     for d in np.unique(sizes):
@@ -793,7 +875,14 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     dual slack of the pair keeps -y between 0 and m on its match rows.
     Each point is offered to ``certs`` once, with Lambda = -y/m on the
     match rows.  The keeper's stop, a step that the cone blocks or a failed
-    Schur factorization ends the run.  Returns the iteration count.
+    Schur factorization or solve ends the run.  Returns the iteration count.
+
+    The Newton system is solved sector by sector (``_SectorSchur``): one
+    Cholesky factor per varrho_± pair block, and systems of the size
+    svec(rho) for the rho side and of two rows for the trace and score.
+    The m x m Schur matrix is never formed; at n = 3 off pi/4 (m = 427) an
+    iteration does about 13 Mflop in its factors and solves, where forming
+    and factoring that matrix took 45.
 
     The HKM right-hand side X R_d S^-1 - sigma mu S^-1 + X + C S^-1 is not
     symmetric, and svec reads one triangle.  The Schur matrix (``_symkron``)
@@ -801,19 +890,13 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     symmetrized before packing; then A(dx) = r_p (Todd, "Semidefinite
     optimization", Acta Numerica 10 (2001), on symmetrized directions).
     """
-    from scipy.linalg import block_diag
-
     t_rows, g_rows = _assemble_constraint_rows(prob)
     rs, bs = prob._rho_space, prob._big_space
     nr, nb = len(rs.groups), len(bs.groups)
     svec_data = rs.svec_data + bs.svec_data + bs.svec_data
-    a_rho = np.vstack([t_rows, g_rows])
     n_t = t_rows.shape[0]
-    # the match rows of each big sector: its varrho_± pair's Schur block
-    starts = n_t + np.cumsum([0] + bs.svec_sizes)
-    big_slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
 
-    b_vec = np.zeros(a_rho.shape[0])
+    b_vec = np.zeros(n_t + g_rows.shape[0])
     b_vec[0] = 1.0
     if prob._score_active:
         b_vec[1] = prob.p_target
@@ -835,7 +918,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     zeros = [np.zeros_like(cb) for cb in c]
     x = rs.eye(1.0 / rs.dim if rs.dim else 1.0) + bs.eye(2.0) + bs.eye(1.0)
     s = [np.eye(len(cb)) for cb in c]
-    y = np.zeros(a_rho.shape[0])
+    y = np.zeros(len(b_vec))
     dim_total = sum(len(cb) for cb in c)
 
     def inner(blocks_a, blocks_b):
@@ -856,17 +939,9 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
             break
 
         s_inv = [_sym_inv(sb) for sb in s]
-        # Schur complement M = A (X (.) S^-1) A^T: the rho blocks through the
-        # stored rows, the varrho_± blocks (incidence -/+ I) straight onto
-        # the diagonal of the match rows
+        # Schur complement M = A (X (.) S^-1) A^T, held as its sector
+        # blocks: the rho blocks' K and each varrho_± pair's D_b = K_+ + K_-
         k = [_symkron(xb, si, sd) for xb, si, sd in zip(x, s_inv, svec_data)]
-        schur = a_rho @ block_diag(*k[:nr]) @ a_rho.T
-        for sl, kp, kq in zip(big_slices, k[nr:nr + nb], k[nr + nb:]):
-            schur[sl, sl] += kp + kq
-        try:
-            schur_solver = _SchurSolver(schur)
-        except NumericalFailure:
-            break
 
         def solve_newton(sigma_mu, corr):
             # standard HKM right-hand side, with the optional Mehrotra
@@ -874,13 +949,18 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
             e = [xb @ rb @ si - sigma_mu * si + xb + cb @ si
                  for xb, rb, si, cb in zip(x, rd, s_inv, corr)]
             # symmetrized, since svec reads one triangle (see the docstring)
-            dy = schur_solver.solve(rp + a_apply([(v + v.T) / 2.0 for v in e]))
+            dy = schur.solve(rp + a_apply([(v + v.T) / 2.0 for v in e]))
             ds = [rb - ab for rb, ab in zip(rd, at_apply(dy))]
             dx = [sigma_mu * si - xb - xb @ dsb @ si - cb @ si
                   for xb, si, dsb, cb in zip(x, s_inv, ds, corr)]
             return dy, [(v + v.T) / 2.0 for v in dx], ds
 
-        _, dx_aff, ds_aff = solve_newton(0.0, zeros)
+        try:
+            schur = _SectorSchur(t_rows, g_rows, k[:nr],
+                                 [kp + kq for kp, kq in zip(k[nr:nr + nb], k[nr + nb:])])
+            _, dx_aff, ds_aff = solve_newton(0.0, zeros)
+        except NumericalFailure:
+            break
         ap_aff, ad_aff = step_lens(dx_aff, ds_aff)
         mu_aff = inner([xb + ap_aff * d for xb, d in zip(x, dx_aff)],
                        [sb + ad_aff * d for sb, d in zip(s, ds_aff)]) / dim_total
@@ -890,8 +970,11 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         infeas = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b_vec))
         sigma = max(sigma, min(0.99, (infeas / (infeas + mu)) ** 3))
 
-        dy, dx, ds = solve_newton(
-            sigma * mu, [dxb @ dsb for dxb, dsb in zip(dx_aff, ds_aff)])
+        try:
+            dy, dx, ds = solve_newton(
+                sigma * mu, [dxb @ dsb for dxb, dsb in zip(dx_aff, ds_aff)])
+        except NumericalFailure:
+            break
 
         tau = 0.9 if it < 8 else 0.98
         ap, ad = (tau * a for a in step_lens(dx, ds))

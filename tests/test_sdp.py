@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import oscwit.sdp
 from oscwit.errors import InfeasibleTarget, NumericalFailure
@@ -30,6 +31,7 @@ from oscwit.sdp import (
     _product_anchors,
     _project_feasible,
     _project_spectrahedron,
+    _SectorSchur,
     _svec_data,
     _symkron,
     build_problem,
@@ -595,6 +597,116 @@ class TestMaxSteps:
         assert steps[1] == pytest.approx(1.0, rel=1e-9)
 
 
+def capture_newton_systems(monkeypatch, prob, **kwargs):
+    """Solve ``prob`` and return the solution and every Newton system the
+    interior point built, as (t_rows, g_rows, k_rho, d_blocks, right-hand
+    sides), read by a spy on ``_SectorSchur``."""
+    systems = []
+
+    class Spy(oscwit.sdp._SectorSchur):
+        def __init__(self, t_rows, g_rows, k_rho, d_blocks):
+            super().__init__(t_rows, g_rows, k_rho, d_blocks)
+            self.system = (t_rows, g_rows, k_rho, d_blocks, [])
+            systems.append(self.system)
+
+        def solve(self, rhs):
+            self.system[4].append(rhs)
+            return super().solve(rhs)
+
+    monkeypatch.setattr(oscwit.sdp, "_SectorSchur", Spy)
+    return solve(prob, **kwargs), systems
+
+
+def dense_schur(t_rows, g_rows, k_rho, d_blocks):
+    """The m x m Schur matrix as the interior point formed it before its
+    sector solve: A_rho K A_rho^T, plus each varrho_± pair block on the
+    match rows of its big sector."""
+    a_rho = np.vstack([t_rows, g_rows])
+    m = a_rho @ block_diag(*k_rho) @ a_rho.T
+    start = len(t_rows)
+    for d in d_blocks:
+        m[start:start + len(d), start:start + len(d)] += d
+        start += len(d)
+    return m
+
+
+def sector_residuals(system):
+    """The largest relative residual ||M y - r|| / ||r|| and the largest
+    normwise backward error ||M y - r|| / (||M|| ||y|| + ||r||) of the
+    sector solves of a captured system's right-hand sides against its
+    dense Schur matrix M."""
+    t_rows, g_rows, k_rho, d_blocks, rhs = system
+    m = dense_schur(t_rows, g_rows, k_rho, d_blocks)
+    sector = _SectorSchur(t_rows, g_rows, k_rho, d_blocks)
+    assert rhs
+    relative, backward = [], []
+    for r in rhs:
+        y = sector.solve(r)
+        resid = np.linalg.norm(m @ y - r)
+        relative.append(resid / np.linalg.norm(r))
+        backward.append(resid / (np.linalg.norm(m, 2) * np.linalg.norm(y) + np.linalg.norm(r)))
+    return max(relative), max(backward)
+
+
+class TestSectorSchur:
+    """The sector solve of the interior point's Newton system against the
+    dense Schur matrix it replaces."""
+
+    @pytest.mark.parametrize("theta, m", [(3 * np.pi / 16, 427), (np.pi / 4, 231)])
+    def test_matches_the_dense_schur_matrix(self, theta, m, monkeypatch):
+        # the first, a middle and the last iteration of an engine cell of
+        # the bundled grid, off pi/4 and at it
+        sol, systems = capture_newton_systems(
+            monkeypatch, build_problem(3, theta, 0.65, 3), tol=1e-6)
+        assert sol.status == "optimal"
+        assert len(systems) >= 10
+        for system in (systems[0], systems[len(systems) // 2], systems[-1]):
+            assert len(system[0]) + len(system[1]) == m
+            relative, _ = sector_residuals(system)
+            assert relative <= 1e-10
+
+    def test_pair_block_that_takes_the_jitter(self, monkeypatch):
+        # 1e-7 of the score range inside the bottom face at pi/4 a varrho_±
+        # pair block loses its Cholesky factor and takes the ladder's
+        # jitter (1e-5 inside a face none does).  There M reaches a norm of
+        # 3e9 and a condition number past 1e17, and the dense Cholesky
+        # itself left residuals of 1e-9 to 1e-7 of the right-hand side, so the
+        # solve is held to the dense factor's standard: a backward error at
+        # rounding level against the unshifted blocks
+        sol, systems = capture_newton_systems(
+            monkeypatch, build_problem(3, np.pi / 4, 0.3371325286058608, 3), tol=1e-6)
+        assert sol.status == "optimal"
+
+        def takes_jitter(system):
+            for d in system[3]:
+                try:
+                    np.linalg.cholesky(d)
+                except np.linalg.LinAlgError:
+                    return True
+            return False
+
+        jittered = [system for system in systems if takes_jitter(system)]
+        assert jittered
+        _, backward = sector_residuals(jittered[0])
+        assert backward <= 1e-14
+
+    def test_non_finite_blocks_or_solve_raise(self, monkeypatch):
+        _, systems = capture_newton_systems(
+            monkeypatch, build_problem(3, np.pi / 4, 0.65, 3), tol=1e-6, max_iters=2)
+        t_rows, g_rows, k_rho, d_blocks, _ = systems[0]
+        k_nan = [k.copy() for k in k_rho]
+        k_nan[1][0, 0] = np.nan
+        with pytest.raises(NumericalFailure, match="not finite"):
+            _SectorSchur(t_rows, g_rows, k_nan, d_blocks)
+        d_inf = [d.copy() for d in d_blocks]
+        d_inf[0][0, 0] = np.inf
+        with pytest.raises(NumericalFailure, match="not finite"):
+            _SectorSchur(t_rows, g_rows, k_rho, d_inf)
+        rhs = np.full(len(t_rows) + len(g_rows), np.nan)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            _SectorSchur(t_rows, g_rows, k_rho, d_blocks).solve(rhs)
+
+
 def traced_peak_mib(run):
     """The tracemalloc peak of ``run()``, in MiB; numpy reports its array
     buffers to tracemalloc."""
@@ -808,24 +920,47 @@ class TestSolve:
 
     def test_stalled_interior_point_hands_off_to_the_polish(self, monkeypatch):
         # 1e-6 of the score range inside the bottom face at pi/4 the
-        # interior point neither closes the gap nor blocks; the keeper's
-        # stall test stops it well inside its 200-iteration budget, and the
-        # polish closes the gap
-        ran = []
+        # interior point closes the gap in 17 iterations (see the next
+        # test), so the stall is forced: from its 12th offer on, the keeper
+        # is offered its own best state and Lambda again, which cannot
+        # shrink the gap.  The keeper's stall test stops the interior point
+        # well inside its 200-iteration budget, and the polish closes the
+        # gap
+        ran, offers = [], []
         interior_point = oscwit.sdp._solve_ipm
+        offer = _Certificates.offer
 
         def spy(prob, certs, max_iters):
             iters = interior_point(prob, certs, max_iters)
             ran.append((iters, certs.stalled, certs.converged))
             return iters
 
+        def repeat_the_best(certs, rho_blocks, lam_blocks=None):
+            offers.append(len(ran))
+            if not ran and len(offers) >= 12:
+                rho_blocks, lam_blocks = certs.rho, certs.lam
+            return offer(certs, rho_blocks, lam_blocks)
+
         monkeypatch.setattr(oscwit.sdp, "_solve_ipm", spy)
+        monkeypatch.setattr(_Certificates, "offer", repeat_the_best)
         sol = solve(build_problem(3, np.pi / 4, 0.3371328217673679, 3), tol=1e-6)
         [(iters, stalled, converged)] = ran
         assert iters < 100
         assert stalled == 12 and not converged
         assert sol.status == "optimal"
         assert sol.iterations < 200
+
+    def test_interior_point_closes_the_gap_1e6_inside_a_face(self, monkeypatch):
+        # the cell above: with the Newton system solved sector by sector the
+        # interior point closes the gap on its own (the dense Schur solve
+        # crept for 41 iterations, stalled, and the polish ended it at 66)
+        def polish(prob, certs, max_iters):
+            raise AssertionError("the splitting polish ran")
+
+        monkeypatch.setattr(oscwit.sdp, "_solve_pdhg", polish)
+        sol = solve(build_problem(3, np.pi / 4, 0.3371328217673679, 3), tol=1e-6)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 25
 
     def test_near_face_cell_needs_no_polish(self, monkeypatch):
         # 1e-5 of the score range inside its bottom face, a Newton
