@@ -37,7 +37,6 @@ from .fock import (
     coherent_state,
     eig_hermitian,
     log_negativity,
-    partial_transpose,
 )
 from .modes import (
     NormalModeSpec,

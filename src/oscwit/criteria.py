@@ -72,19 +72,6 @@ class FamilyState:
     state_normal: TwoModeState
     state_physical: TwoModeState
 
-    @property
-    def levels(self) -> np.ndarray:
-        step = self.K if self.support_mode == "multiples" else 1
-        return step * np.arange(len(self.psi))
-
-    @property
-    def mean_n(self) -> float:
-        return float(np.sum(self.levels * np.abs(self.psi) ** 2))
-
-    @property
-    def mean_n_sq(self) -> float:
-        return float(np.sum(self.levels ** 2 * np.abs(self.psi) ** 2))
-
 
 def family_state(
     psi,

@@ -203,20 +203,6 @@ def partial_transpose_matrix(matrix: np.ndarray, dim_per_mode: int) -> np.ndarra
     )
 
 
-def partial_transpose(op: FockOperator) -> FockOperator:
-    """Transpose the second-mode indices; defined in the physical basis only."""
-    if op.modes != 2:
-        raise DimensionMismatch("partial transpose needs a two-mode operator")
-    if op.basis_tag != PHYSICAL:
-        raise WrongBasisTag(
-            "partial transpose is taken in the physical {a1,a2} basis; "
-            "rotate the operator first"
-        )
-    return FockOperator(
-        partial_transpose_matrix(op.matrix, op.n_max + 1), op.n_max, 2, PHYSICAL
-    )
-
-
 def eig_hermitian(op: FockOperator | np.ndarray, tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
 

@@ -58,16 +58,6 @@ class ScoreEstimate:
     stderr: float
     counts: tuple
 
-    @property
-    def n_rounds(self) -> int:
-        return int(sum(sum(c) for c in self.counts))
-
-    def consistent(self) -> bool:
-        pos = sum(c[0] for c in self.counts)
-        zero = sum(c[1] for c in self.counts)
-        n = self.n_rounds
-        return n > 0 and abs(self.p_value - (pos + 0.5 * zero) / n) < 1e-12
-
 
 def classical_bound(K: int) -> Fraction:
     """Largest score any classical precessing system attains."""

@@ -44,8 +44,9 @@ factor per varrho_± pair block, and a Woodbury capacitance system of the
 size svec(rho) for the rho side, in place of the dense m x m Schur matrix
 (``_SectorSchur``).  Its Newton right-hand side is symmetrized before
 packing, as its Schur matrix and recovered step are, so a full step meets
-the primal constraints; its step lengths take one batched factorization
-per block size.
+the primal constraints; it factors each X and S block once per
+iteration, and S^-1 and both step lengths read that factor, as SDPT3
+keeps one factor of each.
 
 An exact discrete symmetry shrinks every solve: conjugation by
 exp(i phi N_tot) with phi = 2 pi k / K fixes the constraints (Q_K couples
@@ -109,7 +110,9 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
@@ -388,6 +391,9 @@ class SdpProblem:
     # of the spectrum of Q: the unit-trace states that repair the score of a
     # projected iterate (None when the score is inactive)
     _q_edges: list | None = field(repr=False)
+    # the score-independent data this problem shares with its theta row
+    # (``_row_data``), held so the row lives as long as its problems
+    _row: dict = field(repr=False)
 
     # -- linear maps ------------------------------------------------------
 
@@ -443,6 +449,94 @@ class SdpProblem:
         return float(np.tensordot(self._q_small, rho_small, 2))
 
 
+def _read_only(*objs) -> None:
+    """Clear the write flag of every array in ``objs``, nested lists, tuples
+    and block spaces included."""
+    for obj in objs:
+        if isinstance(obj, np.ndarray):
+            obj.flags.writeable = False
+        elif isinstance(obj, (list, tuple)):
+            _read_only(*obj)
+        elif isinstance(obj, _BlockSpace):
+            _read_only(obj.groups, obj.svec_data)
+
+
+class _Row(dict):
+    """The part of ``build_problem`` that does not depend on p_target (see
+    ``_row_data``); a dict that a weak reference can point to."""
+
+
+# the rows that live problems hold, by (K, theta, n_max, symmetry_reduction)
+_ROWS = weakref.WeakValueDictionary()
+
+
+def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> _Row:
+    """Q and its spectrum per sector, the blocks of the big variable and,
+    for the problem off the faces, its rho space and Phi, as read-only
+    arrays, since every problem of the row shares them.
+
+    Every problem holds its row, and a row is found again only while one
+    of its problems lives: a sweep's row loop holds the last problem it
+    built, so it builds each theta row once, and no row outlives its
+    problems."""
+    key = (K, theta, n_max, symmetry_reduction)
+    row = _ROWS.get(key)
+    if row is not None:
+        return row
+    d1 = n_max + 1
+    ds = d1 * d1
+    q_small = score_operator(K, n_max).matrix.real
+
+    # sector labels: N_tot mod K on the small space, split by the parity of
+    # N_- where the swap symmetry holds (module docstring)
+    i_idx, j_idx = np.divmod(np.arange(ds), d1)
+    rho_labels = i_idx + j_idx
+    t_sign = None
+    if symmetry_reduction and fold_theta(theta) == math.pi / 4:
+        # T = SWAP at theta = pi/4 (mod pi), SWAP (-1)^(N1 + N2) at -pi/4
+        t_sign = -1 if theta % math.pi > math.pi / 2 else 1
+
+    # Q couples only levels equal mod K, and acts on the + mode alone, so
+    # its spectrum is taken sector by sector
+    sectors = _residue_groups(rho_labels, K, symmetry_reduction,
+                              None if t_sign is None else j_idx)
+    spectra = [np.linalg.eigh(q_small[np.ix_(g, g)]) for g in sectors]
+    residues = [set((rho_labels[g] % K).tolist()) for g in sectors]
+    rho_space = _BlockSpace(ds, sectors)
+    # the states that repair the score: one sector's bottom and top
+    # eigenvector, as sector blocks
+    q_edges = []
+    for pick, col in ((min, 0), (max, -1)):
+        k = pick(range(len(sectors)), key=lambda k: spectra[k][0][col])
+        v = spectra[k][1][:, col]
+        blocks = rho_space.eye(0.0)
+        blocks[k] = np.outer(v, v)
+        q_edges.append((spectra[k][0][col], blocks))
+    held = _held_blocks(n_max, K, symmetry_reduction, t_sign)
+    # the blocks take consecutive coordinates of their own: T-even and
+    # T-odd blocks are not index sets of the big space
+    ends = np.cumsum([states.shape[1] for states, _, _ in held])
+    big_space = _BlockSpace(int(ends[-1]), np.split(np.arange(ends[-1]), ends[:-1]))
+
+    row = _Row(q_small=q_small, sectors=sectors, spectra=spectra, residues=residues,
+               rho_space=rho_space, q_blocks=rho_space.blocks_from_full(q_small),
+               q_edges=q_edges, held=held, big_space=big_space,
+               phi=_phi_data(_rotation_rows(theta, n_max), rho_space, residues,
+                             held, n_max, K))
+    _read_only(*row.values())
+    _ROWS[key] = row
+    return row
+
+
+def _rotation_rows(theta: float, n_max: int) -> np.ndarray:
+    """The rows of the rotation U on the doubled cutoff at the levels of the
+    small space, which embeds in the big one.  The row keeps only Phi's
+    sector rows of them, and a face problem takes them again."""
+    d1, D1 = n_max + 1, 2 * n_max + 1
+    i_idx, j_idx = np.divmod(np.arange(d1 * d1), d1)
+    return mode_rotation_unitary(theta, 2 * n_max).matrix.real[i_idx * D1 + j_idx]
+
+
 def build_problem(
     K: int,
     theta: float,
@@ -458,31 +552,15 @@ def build_problem(
     ``p_target``.  Targets exactly at the spectral edge are reduced to the
     corresponding eigenspace face, where the score constraint holds
     identically; the face basis is taken from the spectrum of Q in every
-    sector, so the solver variable keeps the sector blocks.
+    sector, so the solver variable keeps the sector blocks.  The part that
+    does not depend on ``p_target`` comes from ``_row_data``.
     """
     if not 0.0 <= p_target <= 1.0:
         raise ValueError("p_target must lie in [0, 1]")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    d1 = n_max + 1
-    ds = d1 * d1
-    q_small = score_operator(K, n_max).matrix.real
-
-    # sector labels: N_tot mod K on the small space, split by the parity of
-    # N_- where the swap symmetry holds (module docstring)
-    i_idx, j_idx = np.divmod(np.arange(ds), d1)
-    rho_labels = i_idx + j_idx
-    t_sign = None
-    if symmetry_reduction and fold_theta(theta) == math.pi / 4:
-        # T = SWAP at theta = pi/4 (mod pi), SWAP (-1)^(N1 + N2) at -pi/4
-        t_sign = -1 if theta % math.pi > math.pi / 2 else 1
-    D1 = 2 * n_max + 1
-
-    # Q couples only levels equal mod K, and acts on the + mode alone, so
-    # its spectrum is taken sector by sector
-    sectors = _residue_groups(rho_labels, K, symmetry_reduction,
-                              None if t_sign is None else j_idx)
-    spectra = [np.linalg.eigh(q_small[np.ix_(g, g)]) for g in sectors]
+    row = _row_data(K, theta, n_max, symmetry_reduction)
+    sectors, spectra = row["sectors"], row["spectra"]
     lam_min = min(w[0] for w, _ in spectra)
     lam_max = max(w[-1] for w, _ in spectra)
     if p_target > lam_max + FACE_TOL or p_target < lam_min - FACE_TOL:
@@ -501,11 +579,9 @@ def build_problem(
         on_face = [w < lam_min + FACE_TOL for w, _ in spectra]
     score_active = not degenerate_q and on_face is None
 
-    residues = [set((rho_labels[g] % K).tolist()) for g in sectors]
-    face_basis, q_edges = None, None
-    if on_face is None:
-        rho_space = _BlockSpace(ds, sectors)
-    else:
+    face_basis = None
+    rho_space, phi_data = row["rho_space"], row["phi"]
+    if on_face is not None:
         # the face is spanned sector by sector, so its coordinates keep the
         # sector blocks
         kept = [k for k, sel in enumerate(on_face) if sel.any()]
@@ -513,40 +589,22 @@ def build_problem(
         ends = np.cumsum([v.shape[1] for v in vecs])
         rho_space = _BlockSpace(int(ends[-1]), [
             np.arange(end - v.shape[1], end) for v, end in zip(vecs, ends)])
-        face_basis = np.zeros((ds, rho_space.dim))
+        face_basis = np.zeros(((n_max + 1) ** 2, rho_space.dim))
         for k, v, cols in zip(kept, vecs, rho_space.groups):
             face_basis[np.ix_(sectors[k], cols)] = v
-        residues = [residues[k] for k in kept]
-    if score_active:
-        # the states that repair the score: one sector's bottom and top
-        # eigenvector, as sector blocks
-        q_edges = []
-        for pick, col in ((min, 0), (max, -1)):
-            k = pick(range(len(sectors)), key=lambda k: spectra[k][0][col])
-            v = spectra[k][1][:, col]
-            blocks = rho_space.eye(0.0)
-            blocks[k] = np.outer(v, v)
-            q_edges.append((spectra[k][0][col], blocks))
-    held = _held_blocks(n_max, K, symmetry_reduction, t_sign)
-    # the blocks take consecutive coordinates of their own: T-even and
-    # T-odd blocks are not index sets of the big space
-    ends = np.cumsum([states.shape[1] for states, _, _ in held])
-    big_space = _BlockSpace(int(ends[-1]), np.split(np.arange(ends[-1]), ends[:-1]))
-
-    u_big = mode_rotation_unitary(theta, 2 * n_max).matrix.real
-    u_rows = u_big[i_idx * D1 + j_idx]  # the small space embedded in the big one
-    rows = u_rows if face_basis is None else face_basis.T @ u_rows
-    phi_rows, phi_slot, phi_ends, phi_entries = _phi_data(
-        rows, rho_space, residues, held, n_max, K)
+        phi_data = _phi_data(face_basis.T @ _rotation_rows(theta, n_max), rho_space,
+                             [row["residues"][k] for k in kept], row["held"], n_max, K)
+    phi_rows, phi_slot, phi_ends, phi_entries = phi_data
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
-        _q_small=q_small, _rho_space=rho_space, _big_space=big_space,
+        _q_small=row["q_small"], _rho_space=rho_space, _big_space=row["big_space"],
         _face_basis=face_basis, _score_active=score_active,
-        _big_mult=[mult for _, _, mult in held],
+        _big_mult=[mult for _, _, mult in row["held"]],
         _phi_rows=phi_rows, _phi_slot=phi_slot, _phi_ends=phi_ends,
         _phi_entries=phi_entries,
-        _q_blocks=rho_space.blocks_from_full(q_small) if score_active else None,
-        _q_edges=q_edges,
+        _q_blocks=row["q_blocks"] if score_active else None,
+        _q_edges=row["q_edges"] if score_active else None,
+        _row=row,
     )
 
 
@@ -631,17 +689,34 @@ def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
     within 1e-15 (1 + |g|) of the best value found, so the returned value
     is provably within that of the maximum (up to rounding in the
     eigenvalues).
+
+    g skips the blocks that cannot hold the minimum.  lambda_min(H_b - mu Q_b)
+    is ||Q_b||-Lipschitz in mu, and 0 <= Q <= 1, so a block whose bottom
+    eigenvalue read w at mu' reads at least w - |mu - mu'| at mu.  A block
+    is skipped when that, less a margin for the rounding of both
+    eigenvalues, still exceeds the running minimum, which it then could not
+    have replaced; the blocks keep their order, so the same block wins, ties
+    included, and every value is the one evaluating all blocks gives.
     """
     h = prob.phi_adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
     if not prob._score_active:
         return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h)
     p = prob.p_target
+    # each block's bottom eigenvalue at its last evaluation, and that mu
+    last = [None] * len(h)
+    h_norms = [float(np.linalg.norm(hb)) for hb in h]
 
     def g(mu):
         # the value at mu and the supergradient of the minimizing block
         low = None
-        for hb, qb in zip(h, prob._q_blocks):
+        for b, (hb, qb) in enumerate(zip(h, prob._q_blocks)):
+            if low is not None and last[b] is not None:
+                w_last, mu_last = last[b]
+                margin = 1e-10 * (2.0 * h_norms[b] + abs(mu) + abs(mu_last))
+                if w_last - abs(mu - mu_last) - margin > low[0]:
+                    continue
             w, v = np.linalg.eigh(hb - mu * qb)
+            last[b] = w[0], mu
             if low is None or w[0] < low[0]:
                 low = w[0], v[:, 0], qb
         w0, v0, qb = low
@@ -728,11 +803,6 @@ class _Certificates:
 
 # ---------------------------------------------------------------------------
 # interior-point engine
-
-
-def _sym_inv(s: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(s)
-    return (inv + inv.T) / 2.0
 
 
 def _cho_ladder(a: np.ndarray) -> np.ndarray:
@@ -839,25 +909,75 @@ class _SectorSchur:
         return x
 
 
-def _max_steps(blocks: list, dirs: list) -> np.ndarray:
-    """sup alpha with block + alpha * direction PSD, for each pair.
+def _jittered_cholesky(stack: np.ndarray) -> tuple:
+    """The Cholesky factors of a stack of blocks, again with 1e-12 on the
+    diagonal when that fails, and whether it did."""
+    try:
+        return np.linalg.cholesky(stack), False
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return np.linalg.cholesky(stack + 1e-12 * np.eye(stack.shape[-1])), True
+    except np.linalg.LinAlgError:
+        raise NumericalFailure("a cone block is not positive definite") from None
 
-    The pairs of each block size are stacked, so every size takes one
-    batched Cholesky, two ``np.linalg.solve`` calls on the Cholesky factor
-    (LU solves, which do not know the factor is triangular) and one
-    ``eigvalsh``; numpy runs the same LAPACK routine on each matrix of a
-    stack."""
-    steps = np.empty(len(blocks))
+
+def _cone_factors(x: list, s: list) -> tuple:
+    """The inverse Cholesky factors L^-1 of the X and S blocks, as
+    (indices into x + s, L^-1) per stack, and S^-1 in block order.
+
+    The blocks of one size are stacked and take one batched Cholesky; each
+    factor is inverted by forward substitution on the identity, LAPACK
+    ``dtrtrs`` (the bits of ``solve_triangular`` without its wrapper;
+    ``dtrtri`` rounds otherwise, and with it one more near-face cell ended
+    ``max-iter``), and S^-1 = L^-T L^-1, symmetrized.  A stack that fails
+    is factored again as its X part and its S part, and only a part that
+    fails alone takes 1e-12 on the diagonal (``_jittered_cholesky``).  Near
+    the optimum S has eigenvalues near mu, far below that jitter, so the
+    S^-1 of a jittered part is ``np.linalg.inv`` of its blocks: the jitter
+    moves step lengths only."""
+    from scipy.linalg.lapack import dtrtrs
+
+    blocks = x + s
     sizes = np.array([len(b) for b in blocks])
+    factors, s_inv = [], [None] * len(s)
     for d in np.unique(sizes):
         idx = np.flatnonzero(sizes == d)
-        block = np.stack([blocks[i] for i in idx])
+        stack = np.stack([blocks[i] for i in idx])
         try:
-            l = np.linalg.cholesky(block)
+            parts = [(idx, stack, np.linalg.cholesky(stack), False)]
         except np.linalg.LinAlgError:
-            l = np.linalg.cholesky(block + 1e-12 * np.eye(d))
-        t = np.linalg.solve(l, np.stack([dirs[i] for i in idx]))
-        t = np.linalg.solve(l, t.swapaxes(1, 2))
+            in_x = idx < len(x)
+            parts = [(idx[sel], stack[sel], *_jittered_cholesky(stack[sel]))
+                     for sel in (in_x, ~in_x) if sel.any()]
+        eye = np.eye(d)
+        for part, part_blocks, l, jittered in parts:
+            linv = np.array([dtrtrs(m, eye, lower=1)[0] for m in l])
+            factors.append((part, linv))
+            on_s = part >= len(x)
+            if not on_s.any():
+                continue
+            if jittered:
+                try:
+                    inv = np.linalg.inv(part_blocks)
+                except np.linalg.LinAlgError:
+                    raise NumericalFailure("a dual cone block is singular") from None
+            else:
+                inv = linv.swapaxes(1, 2) @ linv
+            for i, m in zip(part[on_s], ((inv + inv.swapaxes(1, 2)) / 2.0)[on_s]):
+                s_inv[i - len(x)] = m
+    return factors, s_inv
+
+
+def _max_steps(factors: list, dirs: list) -> np.ndarray:
+    """sup alpha with block + alpha * direction PSD, for every block of
+    ``_cone_factors`` and its direction D: -1 / lambda_min(L^-1 D L^-T),
+    or inf when that is >= 0.  Each block size takes two batched matrix
+    products and one ``eigvalsh``; numpy runs the same routine on each
+    matrix of a stack."""
+    steps = np.empty(len(dirs))
+    for idx, linv in factors:
+        t = linv @ np.stack([dirs[i] for i in idx]) @ linv.swapaxes(1, 2)
         wmin = np.linalg.eigvalsh((t + t.swapaxes(1, 2)) / 2.0)[:, 0]
         with np.errstate(divide="ignore"):
             steps[idx] = np.where(wmin >= 0.0, np.inf, -1.0 / wmin)
@@ -922,13 +1042,19 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     dim_total = sum(len(cb) for cb in c)
 
     def inner(blocks_a, blocks_b):
-        return sum(np.tensordot(a, b, 2) for a, b in zip(blocks_a, blocks_b))
+        return sum(np.vdot(a, b) for a, b in zip(blocks_a, blocks_b))
 
     def step_lens(dx, ds):
         # the primal and the dual step in one pass, each capped at 1
-        steps = _max_steps(x + s, dx + ds)
+        steps = _max_steps(factors, dx + ds)
         return min(1.0, steps[:len(x)].min()), min(1.0, steps[len(x):].min())
 
+    # the primal residual that the steps leave, (1 - alpha_p) times the last
+    # one, relative to b: the sigma floor below reads it, not the iterate's,
+    # whose rounding near the optimum (1e-12 to 1e-9, from the Newton solve,
+    # against mu near 1e-14) would hold sigma at 0.99, and mu and the gap
+    # would creep down 1% a step through the whole budget
+    infeas = np.linalg.norm(b_vec - a_apply(x)) / (1.0 + np.linalg.norm(b_vec))
     it = 0
     for it in range(1, max_iters + 1):
         rp = b_vec - a_apply(x)
@@ -938,7 +1064,12 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         if certs.offer(x[:nr], [-b / m for b, m in zip(bs.unpack(y[n_t:]), mult)]):
             break
 
-        s_inv = [_sym_inv(sb) for sb in s]
+        try:
+            # one factor of every X and S block serves S^-1 and both step
+            # lengths
+            factors, s_inv = _cone_factors(x, s)
+        except NumericalFailure:
+            break
         # Schur complement M = A (X (.) S^-1) A^T, held as its sector
         # blocks: the rho blocks' K and each varrho_± pair's D_b = K_+ + K_-
         k = [_symkron(xb, si, sd) for xb, si, sd in zip(x, s_inv, svec_data)]
@@ -967,7 +1098,6 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
         # do not let complementarity outrun feasibility: a small barrier
         # parameter with large residuals strands the iterate off-path
-        infeas = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b_vec))
         sigma = max(sigma, min(0.99, (infeas / (infeas + mu)) ** 3))
 
         try:
@@ -981,6 +1111,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         if min(ap, ad) < 1e-4:
             # blocked by the cone, as at a degenerate face: the polish finishes
             break
+        infeas *= 1.0 - ap
         x = [xb + ap * d for xb, d in zip(x, dx)]
         s = [sb + ad * d for sb, d in zip(s, ds)]
         y = y + ad * dy
@@ -1207,14 +1338,39 @@ class SweepResult:
         return out
 
     def to_csv(self) -> str:
-        """The cells as CSV; ``wall_time`` reads 0.000, so reruns write the same bytes."""
+        """The cells as CSV, each certified interval rounded outward
+        (``_outward``); ``wall_time`` reads 0.000, so reruns write the same
+        bytes."""
         lines = [",".join(self.COLUMNS)]
         for theta, p, sol in self.cells:
-            lines.append(
-                f"{theta:.12g},{p:.12g},{sol.z:.12g},{sol.s_n:.12g},"
-                f"{sol.dual_gap:.12g},{sol.status},{sol.iterations},0.000"
-            )
+            z, s_n, gap = _outward(sol)
+            lines.append(f"{theta:.12g},{p:.12g},{z},{s_n},{gap},{sol.status},"
+                         f"{sol.iterations},0.000")
         return "\n".join(lines) + "\n"
+
+
+def _outward(sol: SdpSolution) -> tuple:
+    """z, s_n and dual_gap of a cell as written to ``certify.csv``.
+
+    A cell certifies only the interval [s_n_lb, s_n], so the digits below
+    its gap are rounding that the BLAS kernels and the thread count move.
+    s_n is rounded up and s_n_lb down, exactly in decimal, at one decimal
+    below the leading digit of the gap, ``dual_gap`` is written as the
+    difference of the two, and z is rounded up at the quantum of z - z_lb:
+    the written interval holds the solver's.  A cell without a gap (z = 1)
+    or without a value (NaN) keeps 12 significant digits."""
+    if not sol.dual_gap > 0.0 or not sol.z > sol.z_lb:
+        return f"{sol.z:.12g}", f"{sol.s_n:.12g}", f"{sol.dual_gap:.12g}"
+    def quantum(gap):
+        # 10^(floor(log10 gap) - 1) for a gap > 0
+        return Decimal(1).scaleb(Decimal(gap).adjusted() - 1)
+
+    exact = Context(prec=800)  # holds every double and their differences
+    q = quantum(sol.dual_gap)
+    s_up = Decimal(sol.s_n).quantize(q, ROUND_CEILING, exact)
+    s_lb = Decimal(sol.s_n_lb).quantize(q, ROUND_FLOOR, exact)
+    z_up = Decimal(sol.z).quantize(quantum(sol.z - sol.z_lb), ROUND_CEILING, exact)
+    return f"{z_up:f}", f"{s_up:f}", f"{exact.subtract(s_up, s_lb):f}"
 
 
 def _row_start(anchors: list, p: float) -> np.ndarray | None:
@@ -1230,22 +1386,6 @@ def _row_start(anchors: list, p: float) -> np.ndarray | None:
         return lo
     t = (p - s_lo) / (s_hi - s_lo)
     return (1.0 - t) * lo + t * hi
-
-
-def _solve_cell(K, n_max, theta, p, tol, anchors) -> tuple:
-    """One row cell, started from its anchors; a solve that ends optimal
-    with z_lb = 1 adds its state to them."""
-    try:
-        problem = build_problem(K, theta, p, n_max)
-        sol = solve(problem, tol=tol, start=_row_start(anchors, p))
-    except (InfeasibleTarget, NumericalFailure) as exc:
-        status = "infeasible" if isinstance(exc, InfeasibleTarget) else "failed"
-        nan = float("nan")
-        return theta, p, SdpSolution(nan, nan, nan, nan, nan, 0, status, reason=str(exc))
-    if sol.status == "optimal" and sol.z_lb == 1.0:
-        rho = sol.rho.matrix.real
-        anchors.append((problem.score_of(rho), rho))
-    return theta, p, sol
 
 
 def _product_anchors(K: int, n_max: int, theta: float) -> list:
@@ -1272,12 +1412,26 @@ def _product_anchors(K: int, n_max: int, theta: float) -> list:
 
 def _solve_row(args) -> list:
     """The cells of one theta row, solved in descending p and returned in
-    grid order, from the row's product anchors."""
+    grid order, each started from the row's anchors; a solve that ends
+    optimal with z_lb = 1 adds its state to them.  The last problem built
+    holds the row's data while the next cell is built (``_row_data``)."""
     K, n_max, theta, p_grid, tol = args
     anchors = _product_anchors(K, n_max, theta)
     cells = [None] * len(p_grid)
     for i in sorted(range(len(p_grid)), key=lambda i: -p_grid[i]):
-        cells[i] = _solve_cell(K, n_max, theta, p_grid[i], tol, anchors)
+        p = p_grid[i]
+        try:
+            problem = build_problem(K, theta, p, n_max)
+            sol = solve(problem, tol=tol, start=_row_start(anchors, p))
+        except (InfeasibleTarget, NumericalFailure) as exc:
+            status = "infeasible" if isinstance(exc, InfeasibleTarget) else "failed"
+            nan = float("nan")
+            sol = SdpSolution(nan, nan, nan, nan, nan, 0, status, reason=str(exc))
+        else:
+            if sol.status == "optimal" and sol.z_lb == 1.0:
+                rho = sol.rho.matrix.real
+                anchors.append((problem.score_of(rho), rho))
+        cells[i] = theta, p, sol
     return cells
 
 

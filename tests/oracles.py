@@ -17,10 +17,10 @@ from oscwit.classical import (
     uniform_box,
 )
 from oscwit.criteria import FamilyState, MomentTable
-from oscwit.errors import DimensionMismatch, OscwitError
-from oscwit.fock import NORMAL, FockOperator, TwoModeState
+from oscwit.errors import DimensionMismatch, OscwitError, WrongBasisTag
+from oscwit.fock import NORMAL, PHYSICAL, FockOperator, TwoModeState, partial_transpose_matrix
 from oscwit.modes import NormalModeSpec, normal_coordinates, transform_state
-from oscwit.protocol import classical_bound, pos_x_matrix, score_state
+from oscwit.protocol import ScoreEstimate, classical_bound, pos_x_matrix, score_state
 
 
 class UnstableStep(OscwitError):
@@ -244,14 +244,55 @@ def qk_matrix_timeavg(K: int, n_max: int, t0: float = 0.0) -> FockOperator:
     return FockOperator(acc / K, n_max, 1)
 
 
+def partial_transpose(op: FockOperator) -> FockOperator:
+    """Transpose the second-mode indices; defined in the physical basis only."""
+    if op.modes != 2:
+        raise DimensionMismatch("partial transpose needs a two-mode operator")
+    if op.basis_tag != PHYSICAL:
+        raise WrongBasisTag(
+            "partial transpose is taken in the physical {a1,a2} basis; "
+            "rotate the operator first"
+        )
+    return FockOperator(
+        partial_transpose_matrix(op.matrix, op.n_max + 1), op.n_max, 2, PHYSICAL
+    )
+
+
+def n_rounds(est: ScoreEstimate) -> int:
+    """The rounds an estimate's per-slot tallies count."""
+    return int(sum(sum(c) for c in est.counts))
+
+
+def counts_consistent(est: ScoreEstimate) -> bool:
+    """The tallies reproduce the estimate, exact zeros weighted by 1/2."""
+    pos = sum(c[0] for c in est.counts)
+    zero = sum(c[1] for c in est.counts)
+    n = n_rounds(est)
+    return n > 0 and abs(est.p_value - (pos + 0.5 * zero) / n) < 1e-12
+
+
+def family_levels(fs: FamilyState) -> np.ndarray:
+    """The + mode level of each amplitude of a family state."""
+    step = fs.K if fs.support_mode == "multiples" else 1
+    return step * np.arange(len(fs.psi))
+
+
+def mean_n(fs: FamilyState) -> float:
+    return float(np.sum(family_levels(fs) * np.abs(fs.psi) ** 2))
+
+
+def mean_n_sq(fs: FamilyState) -> float:
+    return float(np.sum(family_levels(fs) ** 2 * np.abs(fs.psi) ** 2))
+
+
 def family_moments_closed_form(fs: FamilyState) -> MomentTable:
     """The analytic moments of a family state (for cross-validation)."""
     c, s = math.cos(fs.theta), math.sin(fs.theta)
-    n = fs.mean_n
+    n = mean_n(fs)
     return MomentTable(
         a1=0.0, a2=0.0, a1_sq=0.0, a2_sq=0.0, a1_a2=0.0,
         n1=c * c * n, n2=s * s * n, a1d_a2=s * c * n,
-        n1_n2=(s * c) ** 2 * (fs.mean_n_sq - n),
+        n1_n2=(s * c) ** 2 * (mean_n_sq(fs) - n),
     )
 
 
@@ -259,7 +300,7 @@ def duan_family_margin_closed_form(fs: FamilyState, c: float) -> float:
     """Analytic family-state margin: sin(2t) <n> (c^2/tan t + tan t / c^2)."""
     t = fs.theta
     cc = c * c
-    return math.sin(2 * t) * fs.mean_n * (cc / math.tan(t) + math.tan(t) / cc)
+    return math.sin(2 * t) * mean_n(fs) * (cc / math.tan(t) + math.tan(t) / cc)
 
 
 def abiuso_family_margin_closed_form(fs: FamilyState, kappa: float,
@@ -270,7 +311,7 @@ def abiuso_family_margin_closed_form(fs: FamilyState, kappa: float,
     c, s = math.cos(fs.theta), math.sin(fs.theta)
     lhs = (
         coef * ((3.0 - 2.0 * math.sqrt(2.0)) * sigma_src ** 2 + 2.0)
-        + fs.mean_n * (k2 * c * c + s * s / k2)
+        + mean_n(fs) * (k2 * c * c + s * s / k2)
     )
     return lhs - coef * sigma_src ** 2 / (1.0 + sigma_src ** 2)
 

@@ -48,6 +48,8 @@ from oracles import (
     embed_state,
     family_moments_closed_form,
     hermite_overlap_quadrature,
+    mean_n,
+    mean_n_sq,
 )
 
 rng = np.random.default_rng(2024)
@@ -273,8 +275,8 @@ class TestCriterion7:
                 for sigma in (0.5, 1.0, 2.0):
                     assert abiuso_margin(m, kappa, sigma) > 0.0
             hz = hillery_zubairy_detects(m)
-            variance = fs.mean_n_sq - fs.mean_n ** 2
-            assert hz.detected == (variance < fs.mean_n - 1e-12)
+            variance = mean_n_sq(fs) - mean_n(fs) ** 2
+            assert hz.detected == (variance < mean_n(fs) - 1e-12)
             checked += 1
         assert checked == 20
         report(7, "20 family states evade duan/zhang/abiuso; "

@@ -17,10 +17,12 @@ from oscwit.protocol import pos_x_matrix
 from oracles import (
     UnstableStep,
     bundled_distributions,
+    counts_consistent,
     energy,
     evolve_exact,
     hermite_overlap_quadrature,
     integrate_trajectory,
+    n_rounds,
 )
 
 
@@ -67,8 +69,8 @@ class TestSimulate:
         est = simulate_classical_score(
             bimodal(), SPEC_SYMMETRIC, ProtocolSpec(3), 2000, seed=3
         )
-        assert est.consistent()
-        assert est.n_rounds == 2000
+        assert counts_consistent(est)
+        assert n_rounds(est) == 2000
 
     @pytest.mark.parametrize("K", [3, 5])
     def test_no_false_positives_quick(self, K):

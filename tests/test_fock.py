@@ -22,9 +22,8 @@ from oscwit.fock import (
     identity_matrix,
     log_negativity,
     minimum_coherent_cutoff,
-    partial_transpose,
 )
-from oracles import hermitian_basis
+from oracles import hermitian_basis, partial_transpose
 
 rng = np.random.default_rng(1234)
 

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import tracemalloc
+import weakref
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
+from scipy.linalg.lapack import dtrtrs
 
 import oscwit.sdp
 from oscwit.errors import InfeasibleTarget, NumericalFailure
@@ -26,6 +30,7 @@ from oscwit.sdp import (
     _Certificates,
     _clip_eig,
     _dual_bound,
+    _cone_factors,
     _max_steps,
     _primal_value,
     _product_anchors,
@@ -503,7 +508,94 @@ def bare_problem(p, q_blocks):
                            p_target=p, _q_blocks=q_blocks)
 
 
+def every_block_dual_bound(prob, lam_blocks):
+    """``_dual_bound`` with a g that evaluates every block at every mu: the
+    same bracketed cutting-plane search, without the skip."""
+    h = prob.phi_adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
+    if not prob._score_active:
+        return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h)
+    p = prob.p_target
+
+    def g(mu):
+        low = None
+        for hb, qb in zip(h, prob._q_blocks):
+            w, v = np.linalg.eigh(hb - mu * qb)
+            if low is None or w[0] < low[0]:
+                low = w[0], v[:, 0], qb
+        w0, v0, qb = low
+        return float(w0) + mu * p, p - float(v0 @ qb @ v0)
+
+    lo, hi = -1.0, 1.0
+    (g_lo, s_lo), (g_hi, s_hi) = g(lo), g(hi)
+    while s_lo < 0.0 and lo > -1e8:
+        hi, g_hi, s_hi = lo, g_lo, s_lo
+        lo *= 2.0
+        g_lo, s_lo = g(lo)
+    while s_hi > 0.0 and hi < 1e8:
+        lo, g_lo, s_lo = hi, g_hi, s_hi
+        hi *= 2.0
+        g_hi, s_hi = g(hi)
+    best = max(g_lo, g_hi)
+    for _ in range(100):
+        if not s_lo > s_hi:
+            break
+        mu = (g_hi - g_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
+        upper = g_lo + s_lo * (mu - lo)
+        if upper - best <= 1e-15 * (1.0 + abs(best)) or not lo < mu < hi:
+            break
+        g_mu, s_mu = g(mu)
+        best = max(best, g_mu)
+        if s_mu > 0.0:
+            lo, g_lo, s_lo = mu, g_mu, s_mu
+        elif s_mu < 0.0:
+            hi, g_hi, s_hi = mu, g_mu, s_mu
+        else:
+            break
+    return best
+
+
+def count_eigh(monkeypatch):
+    """Count the calls into ``np.linalg.eigh``."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    return calls
+
+
 class TestDualBound:
+    @pytest.mark.parametrize("prob", list(sector_problems()))
+    def test_skipped_blocks_change_no_bit(self, prob):
+        # a block is skipped only when it cannot replace the running
+        # minimum, so every g value, the search and the bound are those of
+        # evaluating every block (the problems without a score row have no
+        # search)
+        for _ in range(5):
+            lam = random_lambda(prob._big_space)
+            assert _dual_bound(prob, lam) == every_block_dual_bound(prob, lam)
+
+    def test_skipped_blocks_at_a_kink(self):
+        # two blocks whose bottom eigenvalues cross where g peaks: the
+        # search ends between blocks of nearly equal value
+        prob = bare_problem(0.5, [np.array([[0.3, 0.05], [0.05, 0.6]]),
+                                  np.array([[0.7, 0.02], [0.02, 0.8]])])
+        lam = [np.diag([0.2, 0.8]), np.diag([0.9, 0.95])]
+        assert _dual_bound(prob, lam) == every_block_dual_bound(prob, lam)
+
+    def test_blocks_are_skipped(self, monkeypatch):
+        # the skip rests on 0 <= Q <= 1, the Lipschitz constant of each
+        # block's bottom eigenvalue in mu, and it saves eigensolves
+        for n in (3, 8):
+            w, _ = q_spectrum(n)
+            assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+        prob = build_problem(3, np.pi / 4, 0.6, 3)
+        lam = random_lambda(prob._big_space)
+        calls = count_eigh(monkeypatch)
+        every_block_dual_bound(prob, lam)
+        every = len(calls)
+        calls.clear()
+        _dual_bound(prob, lam)
+        assert len(calls) < every
+
     @pytest.mark.parametrize("prob", list(sector_problems()))
     def test_matches_golden_section(self, prob):
         rs = prob._rho_space
@@ -563,24 +655,34 @@ class TestSymkron:
 
 
 def max_step_reference(block, direction):
-    """sup alpha with block + alpha * direction PSD, one pair at a time."""
+    """sup alpha with block + alpha * direction PSD, one pair at a time, from
+    the inverse Cholesky factor L^-1 that the interior point shares between
+    S^-1 and its step lengths."""
     l = np.linalg.cholesky(block)
-    t = np.linalg.solve(l, np.linalg.solve(l, direction).T)
+    linv = dtrtrs(l, np.eye(len(l)), lower=1)[0]
+    t = linv @ direction @ linv.T
     wmin = np.linalg.eigvalsh((t + t.T) / 2.0)[0]
     return np.inf if wmin >= 0.0 else -1.0 / wmin
+
+
+def spd_blocks(sizes, floor=0.1):
+    out = []
+    for d in sizes:
+        g = rng.normal(size=(d, d))
+        out.append(g @ g.T + floor * np.eye(d))
+    return out
 
 
 class TestMaxSteps:
     def test_batched_equals_one_block_at_a_time(self):
         # pairs of mixed sizes, stacked by size: each step is the one its
         # pair gives alone, bit for bit, and leaves its block singular
-        blocks, dirs = [], []
-        for d in (3, 5, 3, 2, 5, 3):
-            g, h = rng.normal(size=(2, d, d))
-            blocks.append(g @ g.T + 0.1 * np.eye(d))
-            dirs.append(h + h.T)
+        sizes = (3, 5, 3, 2, 5, 3)
+        blocks = spd_blocks(sizes)
+        dirs = [h + h.T for h in (rng.normal(size=(d, d)) for d in sizes)]
         dirs[1] = np.eye(5)  # a PSD direction never leaves the cone
-        steps = _max_steps(blocks, dirs)
+        factors, _ = _cone_factors(blocks[:3], blocks[3:])
+        steps = _max_steps(factors, dirs)
         assert steps[1] == np.inf
         for b, d, step in zip(blocks, dirs, steps):
             assert max_step_reference(b, d) == step
@@ -589,12 +691,51 @@ class TestMaxSteps:
                 assert abs(w[0]) < 1e-9 * w[-1]
 
     def test_singular_block_takes_the_jitter(self):
-        # a block on the boundary of the cone fails its Cholesky, and its
-        # stack is factored again with 1e-12 on the diagonal
-        steps = _max_steps([np.diag([1.0, 0.0]), np.diag([2.0, 1.0])],
-                           [-np.eye(2), -np.eye(2)])
+        # a block on the boundary of the cone fails its Cholesky, and only
+        # its part of the stack (X here) is factored again with 1e-12 on the
+        # diagonal; the S block of the same size keeps its exact factor
+        factors, _ = _cone_factors([np.diag([1.0, 0.0])], [np.diag([2.0, 1.0])])
+        steps = _max_steps(factors, [-np.eye(2), -np.eye(2)])
         assert steps[0] == pytest.approx(1e-12, rel=1e-6)
-        assert steps[1] == pytest.approx(1.0, rel=1e-9)
+        assert steps[1] == 1.0
+
+    def test_indefinite_block_raises(self):
+        # the jitter does not rescue a block outside the cone: the interior
+        # point stops on NumericalFailure, not on numpy's LinAlgError
+        with pytest.raises(NumericalFailure, match="not positive definite"):
+            _cone_factors([np.eye(2)], [np.diag([1.0, -1e-6])])
+
+    def test_inverse_from_the_factor(self):
+        # S^-1 = L^-T L^-1 from the shared factor, symmetrized, agrees with
+        # np.linalg.inv; the blocks are stacked by size and returned in order
+        sizes = (4, 17, 6, 4, 16, 17, 1)
+        blocks = spd_blocks(sizes, floor=1e-2)
+        _, s_inv = _cone_factors(blocks[:2], blocks[2:])
+        for b, inv in zip(blocks[2:], s_inv):
+            ref = np.linalg.inv(b)
+            assert np.array_equal(inv, inv.T)
+            assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_singular_x_block_leaves_s_inverse_exact(self):
+        # a rank-deficient X block fails the Cholesky of its size's stack;
+        # the S block of that size is factored apart, without the jitter,
+        # and its inverse still agrees with np.linalg.inv
+        v = rng.normal(size=(6, 3))
+        s_block, = spd_blocks([6], floor=1e-2)
+        _, (inv,) = _cone_factors([v @ v.T], [s_block])
+        ref = np.linalg.inv(s_block)
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_jittered_s_block_is_inverted_exactly(self):
+        # an S block that needs the jitter has an eigenvalue (here -1e-14)
+        # far below it, so its inverse is np.linalg.inv of the block itself;
+        # an exactly singular one stops the interior point
+        s_block = np.diag([1.0, -1e-14])
+        _, (inv,) = _cone_factors([np.eye(2)], [s_block])
+        ref = np.linalg.inv(s_block)
+        assert np.array_equal(inv, (ref + ref.T) / 2.0)
+        with pytest.raises(NumericalFailure, match="singular"):
+            _cone_factors([np.eye(2)], [np.diag([1.0, 0.0])])
 
 
 def capture_newton_systems(monkeypatch, prob, **kwargs):
@@ -666,15 +807,16 @@ class TestSectorSchur:
             assert relative <= 1e-10
 
     def test_pair_block_that_takes_the_jitter(self, monkeypatch):
-        # 1e-7 of the score range inside the bottom face at pi/4 a varrho_±
+        # 3e-8 of the score range inside the top face at pi/4 a varrho_±
         # pair block loses its Cholesky factor and takes the ladder's
-        # jitter (1e-5 inside a face none does).  There M reaches a norm of
-        # 3e9 and a condition number past 1e17, and the dense Cholesky
-        # itself left residuals of 1e-9 to 1e-7 of the right-hand side, so the
-        # solve is held to the dense factor's standard: a backward error at
+        # jitter, with one BLAS thread and with two (1e-5 inside a face none
+        # does).  There M reaches a norm of 5e9 and a condition number past
+        # 1e17, and the dense Cholesky itself left residuals of 1e-9 to 1e-7
+        # of the right-hand side 1e-7 inside the bottom face, so the solve
+        # is held to the dense factor's standard: a backward error at
         # rounding level against the unshifted blocks
         sol, systems = capture_newton_systems(
-            monkeypatch, build_problem(3, np.pi / 4, 0.3371325286058608, 3), tol=1e-6)
+            monkeypatch, build_problem(3, np.pi / 4, 0.6628674941955897, 3), tol=1e-6)
         assert sol.status == "optimal"
 
         def takes_jitter(system):
@@ -716,6 +858,100 @@ def traced_peak_mib(run):
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def assert_same_fields(a, b):
+    """Equal field by field: arrays by dtype and value, containers and
+    dataclasses (SdpProblem, _BlockSpace) recursively."""
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_fields(x, y)
+    elif isinstance(a, dict):
+        assert type(a) is type(b) and a.keys() == b.keys()
+        for k in a:
+            assert_same_fields(a[k], b[k])
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same_fields(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b
+
+
+def arrays_in(obj):
+    """Every array reachable from ``obj`` through containers and
+    dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from arrays_in(x)
+    elif isinstance(obj, dict):
+        yield from arrays_in(list(obj.values()))
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_in(getattr(obj, f.name))
+
+
+def row_cases():
+    # score inactive (n = 2), a regular cell off and at pi/4, and both faces
+    w, _ = q_spectrum(3)
+    return [(2, 0.3, 0.5), (3, 0.3, 0.6), (3, np.pi / 4, 0.6),
+            (3, np.pi / 4, w[-1]), (3, 0.3, w[0]), (3, -np.pi / 4, 0.6)]
+
+
+class TestRowCache:
+    @pytest.fixture(autouse=True)
+    def no_rows(self, monkeypatch):
+        # the parametrized problems of this module, built at collection,
+        # hold rows of their own; each test starts from an empty table
+        monkeypatch.setattr(oscwit.sdp, "_ROWS", weakref.WeakValueDictionary())
+
+    @pytest.mark.parametrize("n, theta, p", row_cases())
+    def test_cached_row_equals_a_fresh_build(self, n, theta, p):
+        first = build_problem(3, theta, 0.5, n)  # another cell of the row
+        cached = build_problem(3, theta, p, n)
+        assert cached._row is first._row
+        oscwit.sdp._ROWS.clear()
+        fresh = build_problem(3, theta, p, n)
+        assert fresh._row is not first._row
+        assert_same_fields(cached, fresh)
+        # the arrays every problem of the row shares are read-only; a face
+        # problem has its own rho space and Phi
+        shared = [cached._row]
+        if cached._face_basis is None:
+            shared.append(cached)
+        for a in arrays_in(shared):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+
+    def test_row_lives_with_its_problems(self):
+        prob = build_problem(3, 0.3, 0.6, 3)
+        key = (3, 0.3, 3, True)
+        assert oscwit.sdp._ROWS[key] is prob._row
+        del prob
+        assert key not in oscwit.sdp._ROWS
+
+    def test_sweep_builds_each_row_once(self, monkeypatch):
+        # one rotation per row for its problems and one for its product
+        # anchors, however many cells the row has; no row outlives the sweep
+        calls = []
+        rotation = oscwit.sdp.mode_rotation_unitary
+
+        def spy(theta, n_max):
+            calls.append((theta, n_max))
+            return rotation(theta, n_max)
+
+        monkeypatch.setattr(oscwit.sdp, "mode_rotation_unitary", spy)
+        res = sweep([0.3, np.pi / 4], [0.5, 0.55, 0.6, 0.62], 3, 3, tol=1e-6)
+        assert all(sol.solved for _, _, sol in res.cells)
+        assert sorted(calls) == sorted([(0.3, 6), (0.3, 3), (np.pi / 4, 6), (np.pi / 4, 3)])
+        assert not any(key[1] in (0.3, np.pi / 4) for key in oscwit.sdp._ROWS)
 
 
 class TestMemory:
@@ -779,10 +1015,11 @@ class TestSolve:
             assert z_up >= z_lb - 1e-12
 
     def test_polish_warm_starts_from_interior_point(self, monkeypatch):
-        # a tolerance the interior point cannot meet (it converges at 1e-12)
+        # a tolerance the interior point cannot meet (it stops near 4e-12)
         # hands the rest of the budget to the splitting engine on the same
         # certificates; started cold, about 100 splitting iterations would
-        # not improve on the interior-point state
+        # not improve on the interior-point state.  Warm, the polish can
+        # close 1e-14 within the budget, so the tolerance is 1e-16
         entered = []
         splitting = oscwit.sdp._solve_pdhg
 
@@ -791,7 +1028,7 @@ class TestSolve:
             return splitting(prob, certs, max_iters)
 
         monkeypatch.setattr(oscwit.sdp, "_solve_pdhg", spy)
-        sol = solve(build_problem(3, np.pi / 4, 0.64, 3), tol=1e-14, max_iters=200)
+        sol = solve(build_problem(3, np.pi / 4, 0.64, 3), tol=1e-16, max_iters=200)
         assert sol.iterations == 200
         assert sol.status == "max-iter"
         assert sol.z >= sol.z_lb
@@ -899,12 +1136,13 @@ class TestSolve:
             ran.append(iters)
             return iters
 
-        def blocked_from_15th(blocks, dirs):
-            # two step-length passes per iteration: predictor and corrector
-            step_calls.append(len(blocks))
+        def blocked_from_15th(factors, dirs):
+            # two step-length passes per iteration, predictor and corrector,
+            # on the iteration's one set of factors
+            step_calls.append(len(dirs))
             if len(step_calls) > 2 * 14:
-                return np.full(len(blocks), 1e-6)
-            return max_steps(blocks, dirs)
+                return np.full(len(dirs), 1e-6)
+            return max_steps(factors, dirs)
 
         monkeypatch.setattr(oscwit.sdp, "_solve_ipm", spy)
         monkeypatch.setattr(oscwit.sdp, "_max_steps", blocked_from_15th)
@@ -1406,6 +1644,30 @@ class TestSweep:
         assert row.reason == "Schur factorization failed"
         # the reason stays out of the CSV
         assert res.to_csv().splitlines()[1] == "0,0.5,nan,nan,nan,failed,0,0.000"
+
+    def test_csv_rounds_the_interval_outward(self):
+        # the written s_n is at least the solver's and the written s_n_lb =
+        # s_n - dual_gap at most its, exactly in decimal, at one decimal
+        # below the leading digit of the gap; z is rounded up; cells with
+        # z = 1 keep "1,0,0"
+        res = sweep([0.0, np.pi / 4], [0.5, 0.575, 0.62, 0.65], 3, 3, tol=1e-6)
+        rows = [line.split(",") for line in res.to_csv().splitlines()[1:]]
+        engine_rows = 0
+        for (_, _, sol), row in zip(res.cells, rows):
+            z, s_n, gap = (Decimal(v) for v in row[2:5])
+            if sol.dual_gap == 0.0:
+                assert row[2:5] == ["1", "0", "0"]
+                continue
+            engine_rows += 1
+            q = Decimal(1).scaleb(Decimal(sol.dual_gap).adjusted() - 1)
+            assert s_n.as_tuple().exponent == gap.as_tuple().exponent == q.as_tuple().exponent
+            assert Decimal(sol.s_n) <= s_n < Decimal(sol.s_n) + q
+            assert Decimal(sol.s_n_lb) - q < s_n - gap <= Decimal(sol.s_n_lb)
+            assert Decimal(sol.z) <= z
+            assert z - Decimal(sol.z) < Decimal(1).scaleb(
+                Decimal(sol.z - sol.z_lb).adjusted() - 1)
+            assert (s_n - gap > 0) == sol.certified
+        assert engine_rows == 3
 
     def test_csv_deterministic(self):
         res = sweep([0.0], [0.5], 3, 2, tol=1e-6)
