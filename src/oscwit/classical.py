@@ -110,16 +110,14 @@ def simulate_classical_score(
     times = protocol.times(spec)
     phase = w * times[ks]
     xt = x0 * np.cos(phase) + (p0 / (spec.mu * w)) * np.sin(phase)
-    counts = []
-    for k in range(protocol.K):
-        sel = xt[ks == k]
-        pos = int(np.count_nonzero(sel > 0.0))
-        zero = int(np.count_nonzero(sel == 0.0))
-        counts.append((pos, zero, len(sel) - pos - zero))
-    tot_pos = sum(c[0] for c in counts)
-    tot_zero = sum(c[1] for c in counts)
+    # per-slot tallies (positive, zero, the rest) in one pass each
+    total = np.bincount(ks, minlength=protocol.K)
+    pos = np.bincount(ks[xt > 0.0], minlength=protocol.K)
+    zero = np.bincount(ks[xt == 0.0], minlength=protocol.K)
+    counts = tuple(zip(pos.tolist(), zero.tolist(), (total - pos - zero).tolist()))
+    tot_pos, tot_zero = int(pos.sum()), int(zero.sum())
     p_hat = (tot_pos + 0.5 * tot_zero) / n_rounds
     mean_sq = (tot_pos + 0.25 * tot_zero) / n_rounds
     var = max(mean_sq - p_hat ** 2, 0.0)
     stderr = math.sqrt(var / n_rounds)
-    return ScoreEstimate(p_value=float(p_hat), stderr=float(stderr), counts=tuple(counts))
+    return ScoreEstimate(p_value=float(p_hat), stderr=float(stderr), counts=counts)

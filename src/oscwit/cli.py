@@ -30,25 +30,10 @@ from .classical import (
     simulate_classical_score,
     uniform_box,
 )
-from .criteria import (
-    abiuso_margin,
-    duan_detects,
-    family_state,
-    hillery_zubairy_detects,
-    moments,
-    zhang_detects,
-)
 from .errors import ConfigError, DegenerateAngle, NumericalFailure, OscwitError
 from .fock import NORMAL, PHYSICAL, TwoModeState, identity_matrix, log_negativity
 from .modes import fold_theta, normal_mode_params
 from .protocol import ProtocolSpec, classical_bound, max_score, score_state
-from .sdp import sweep
-from .witness import (
-    coherent_expectation,
-    coherent_witness_erf,
-    nondecomposability_check,
-    optimality_probe,
-)
 
 
 def _resolve_config(defaults: dict, path: str | None, overrides: dict) -> dict:
@@ -169,7 +154,9 @@ def _distribution_from_config(spec: dict) -> ClassicalDistribution:
 
 # ---------------------------------------------------------------------------
 # subcommands: each maps its resolved configuration to (outputs, extra), the
-# text of every output file by name and the extra manifest fields
+# text of every output file by name and the extra manifest fields.  The
+# layers that a single command runs (sdp, criteria, witness) are imported
+# inside it, so the other commands never compile them.
 
 BOUNDS_DEFAULTS = {"k_list": [2, 3, 4, 5], "n_max": 30}
 
@@ -240,6 +227,8 @@ CERTIFY_DEFAULTS = {
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, dict]:
+    from .sdp import sweep
+
     k = _int_at_least(cfg, "K", 1)
     n_max = _int_at_least(cfg, "n_max", 0)
     tol = _positive(cfg, "tol")
@@ -306,6 +295,14 @@ def _state_spec(spec: dict) -> tuple:
 
 def _compare_row(label, state_physical, state_normal, cfg) -> str:
     """The ``compare.csv`` line of one state, also printed as a summary."""
+    from .criteria import (
+        abiuso_margin,
+        duan_detects,
+        hillery_zubairy_detects,
+        moments,
+        zhang_detects,
+    )
+
     k = int(cfg["K"])
     score = score_state(state_normal, k)
     s_n = log_negativity(state_physical)
@@ -327,6 +324,8 @@ def _compare_row(label, state_physical, state_normal, cfg) -> str:
 
 
 def cmd_compare(cfg: dict) -> tuple[dict, dict]:
+    from .criteria import family_state
+
     k = _int_at_least(cfg, "K", 1)
     n_max = _int_at_least(cfg, "n_max", 0)
     theta = _float(cfg, "theta")
@@ -365,6 +364,13 @@ WITNESS_DEFAULTS = {
 
 
 def cmd_witness(cfg: dict) -> tuple[dict, dict]:
+    from .witness import (
+        coherent_expectation,
+        coherent_witness_erf,
+        nondecomposability_check,
+        optimality_probe,
+    )
+
     k = _int_at_least(cfg, "K", 1)
     proj = _int_at_least(cfg, "proj_level", 0)
     parent = (2 * proj + 2 if cfg["parent_n_max"] is None

@@ -1310,8 +1310,7 @@ class SweepResult:
 
     cells: list
 
-    COLUMNS = ("theta", "p_target", "z", "s_n", "dual_gap", "status",
-               "iterations", "wall_time")
+    COLUMNS = ("theta", "p_target", "z", "s_n", "dual_gap", "status", "iterations")
 
     def monotonicity_violations(self, slack: float = 1e-6) -> list:
         """Certified values should not decrease along theta, nor along p
@@ -1339,13 +1338,13 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """The cells as CSV, each certified interval rounded outward
-        (``_outward``); ``wall_time`` reads 0.000, so reruns write the same
+        (``_outward``); no timing is written, so reruns write the same
         bytes."""
         lines = [",".join(self.COLUMNS)]
         for theta, p, sol in self.cells:
             z, s_n, gap = _outward(sol)
             lines.append(f"{theta:.12g},{p:.12g},{z},{s_n},{gap},{sol.status},"
-                         f"{sol.iterations},0.000")
+                         f"{sol.iterations}")
         return "\n".join(lines) + "\n"
 
 

@@ -263,6 +263,29 @@ def n_rounds(est: ScoreEstimate) -> int:
     return int(sum(sum(c) for c in est.counts))
 
 
+def slot_counts_by_mask(dist, spec: NormalModeSpec, protocol, n_rounds: int,
+                        seed: int) -> tuple:
+    """``simulate_classical_score``'s per-slot (positive, zero, negative)
+    tallies, drawn the same way and counted with one boolean mask per slot."""
+    rng = np.random.default_rng(seed)
+    x1, p1, x2, p2 = dist.sampler(rng, n_rounds)
+    ks = rng.integers(0, protocol.K, n_rounds)
+    xp, pp, xm, pm = normal_coordinates(x1, p1, x2, p2, spec)
+    if protocol.sigma == "+":
+        x0, p0, w = xp, pp, spec.omega_plus
+    else:
+        x0, p0, w = xm, pm, spec.omega_minus
+    phase = w * protocol.times(spec)[ks]
+    xt = x0 * np.cos(phase) + (p0 / (spec.mu * w)) * np.sin(phase)
+    counts = []
+    for k in range(protocol.K):
+        sel = xt[ks == k]
+        pos = int(np.count_nonzero(sel > 0.0))
+        zero = int(np.count_nonzero(sel == 0.0))
+        counts.append((pos, zero, len(sel) - pos - zero))
+    return tuple(counts)
+
+
 def counts_consistent(est: ScoreEstimate) -> bool:
     """The tallies reproduce the estimate, exact zeros weighted by 1/2."""
     pos = sum(c[0] for c in est.counts)

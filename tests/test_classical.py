@@ -23,6 +23,7 @@ from oracles import (
     hermite_overlap_quadrature,
     integrate_trajectory,
     n_rounds,
+    slot_counts_by_mask,
 )
 
 
@@ -80,6 +81,16 @@ class TestSimulate:
             for seed in (1, 2, 3):
                 est = simulate_classical_score(dist, spec, ProtocolSpec(K), 20000, seed)
                 assert est.p_value <= bound + 4 * est.stderr + 1e-12, dist.descriptor
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_counts_match_one_mask_per_slot(self, K):
+        # the all-zero point mass puts every round in the zero tally
+        spec = normal_mode_params(1.0, 2.0, 1.0, 1.5, 0.3)
+        for dist in bundled_distributions() + [point_mass(0.0, 0.0, 0.0, 0.0)]:
+            for sigma in "+-":
+                protocol = ProtocolSpec(K, sigma, 0.1)
+                est = simulate_classical_score(dist, spec, protocol, 2000, seed=3)
+                assert est.counts == slot_counts_by_mask(dist, spec, protocol, 2000, 3)
 
     def test_uniform_k_assignment(self):
         est = simulate_classical_score(

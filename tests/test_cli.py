@@ -106,7 +106,7 @@ class TestCertify:
         for line in lines[1:]:
             parts = line.split(",")
             assert float(parts[3]) <= float(parts[4]) + 1e-12  # s_n <= gap
-            assert parts[7] == "0.000"  # timing zeroed by default
+            assert len(parts) == 7  # no timing column
         manifest = json.loads((tmp_path / "certify_manifest.json").read_text())
         assert manifest["config"]["n_max"] == 2
         assert manifest["failed_cells"] == []
