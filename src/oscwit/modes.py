@@ -144,10 +144,11 @@ def mode_rotation_unitary(theta: float, n_max: int) -> FockOperator:
     U[a, b] = sum over J's eigenpairs (w, v) of Re(i^(a-b) e^(-i theta w)) v_a v_b.
     Blocks with N > n_max keep only the levels inside the cutoff, as the
     truncated ladder operators do, so U is exact on every complete block.
+    The real blocks fill one complex matrix, the one the operator holds.
     Normal-mode Fock states map to physical ones via |m,k>_{+-} = U^dag |m,k>_{12}.
     """
     d = n_max + 1
-    u = np.zeros((d * d, d * d))
+    u = np.zeros((d * d, d * d), dtype=complex)
     for total in range(2 * n_max + 1):
         k = np.arange(max(0, total - n_max), min(total, n_max) + 1)
         off = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
@@ -158,7 +159,7 @@ def mode_rotation_unitary(theta: float, n_max: int) -> FockOperator:
         quarter = np.subtract.outer(k, k) % 4
         idx = k * d + total - k
         u[np.ix_(idx, idx)] = np.choose(quarter, [c, s, -c, -s])
-    return FockOperator(u.astype(complex), n_max, 2, PHYSICAL)
+    return FockOperator(u, n_max, 2, PHYSICAL)
 
 
 def _rotate(m: np.ndarray, theta: float, n_max: int, target_basis: str) -> np.ndarray:

@@ -98,7 +98,7 @@ is a feasible state whose z is at most the larger anchor z.  When the
 anchors have z = 1 up to the tolerance, the mix meets the trivial dual
 bound z_lb = 1 at once and the cell costs no iterations.  Every row starts
 from four product states with one physical mode in vacuum
-(``_product_anchors``): they lie exactly inside the cutoff and are their
+(``_row_data``): they lie exactly inside the cutoff and are their
 own partial transpose, so z = 1 (Peres, PRL 77, 1413 (1996)), and every
 cell between their lowest and highest score, the vacuum's 1/2 among them,
 starts from a separable mix.  The row is solved in descending p, and a
@@ -471,9 +471,10 @@ _ROWS = weakref.WeakValueDictionary()
 
 
 def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> _Row:
-    """Q and its spectrum per sector, the blocks of the big variable and,
-    for the problem off the faces, its rho space and Phi, as read-only
-    arrays, since every problem of the row shares them.
+    """Q and its spectrum per sector, the blocks of the big variable, the
+    product anchors and, for the problem off the faces, its rho space and
+    Phi, as read-only arrays, since every problem of the row shares them.
+    All of them that need the rotation read one U(theta, 2 n_max).
 
     Every problem holds its row, and a row is found again only while one
     of its problems lives: a sweep's row loop holds the last problem it
@@ -483,7 +484,7 @@ def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> _Ro
     row = _ROWS.get(key)
     if row is not None:
         return row
-    d1 = n_max + 1
+    d1, D1 = n_max + 1, 2 * n_max + 1
     ds = d1 * d1
     q_small = score_operator(K, n_max).matrix.real
 
@@ -518,23 +519,27 @@ def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> _Ro
     ends = np.cumsum([states.shape[1] for states, _, _ in held])
     big_space = _BlockSpace(int(ends[-1]), np.split(np.arange(ends[-1]), ends[:-1]))
 
-    row = _Row(q_small=q_small, sectors=sectors, spectra=spectra, residues=residues,
-               rho_space=rho_space, q_blocks=rho_space.blocks_from_full(q_small),
-               q_edges=q_edges, held=held, big_space=big_space,
-               phi=_phi_data(_rotation_rows(theta, n_max), rho_space, residues,
-                             held, n_max, K))
+    # the rows of U on the doubled cutoff at the levels of the small space,
+    # which embeds in the big one; the row keeps what it reads of them
+    rot = mode_rotation_unitary(theta, 2 * n_max).matrix.real[i_idx * D1 + j_idx]
+    # (score, vector) of four product states with z = 1 (module docstring):
+    # for each physical mode, the bottom and the top eigenvector of Q on
+    # that mode's levels, the other mode in vacuum.  Their total number is
+    # at most n_max, so the columns of U at |k, 0> and at |0, k> lie in the
+    # small space, and the partial transpose of a product state is itself
+    anchors = []
+    for cols in (np.arange(d1) * D1, np.arange(d1)):
+        basis = rot[:, cols]
+        w, v = np.linalg.eigh(basis.T @ q_small @ basis)
+        anchors += [(float(w[k]), basis @ v[:, k]) for k in (0, -1)]
+
+    row = _Row(q_small=q_small, sectors=sectors, spectra=spectra, rho_space=rho_space,
+               q_blocks=rho_space.blocks_from_full(q_small), q_edges=q_edges,
+               held=held, big_space=big_space, anchors=anchors,
+               phi=_phi_data(rot, rho_space, residues, held, n_max, K))
     _read_only(*row.values())
     _ROWS[key] = row
     return row
-
-
-def _rotation_rows(theta: float, n_max: int) -> np.ndarray:
-    """The rows of the rotation U on the doubled cutoff at the levels of the
-    small space, which embeds in the big one.  The row keeps only Phi's
-    sector rows of them, and a face problem takes them again."""
-    d1, D1 = n_max + 1, 2 * n_max + 1
-    i_idx, j_idx = np.divmod(np.arange(d1 * d1), d1)
-    return mode_rotation_unitary(theta, 2 * n_max).matrix.real[i_idx * D1 + j_idx]
 
 
 def build_problem(
@@ -580,7 +585,8 @@ def build_problem(
     score_active = not degenerate_q and on_face is None
 
     face_basis = None
-    rho_space, phi_data = row["rho_space"], row["phi"]
+    rho_space = row["rho_space"]
+    phi_rows, phi_slot, phi_ends, phi_entries = row["phi"]
     if on_face is not None:
         # the face is spanned sector by sector, so its coordinates keep the
         # sector blocks
@@ -592,9 +598,12 @@ def build_problem(
         face_basis = np.zeros(((n_max + 1) ** 2, rho_space.dim))
         for k, v, cols in zip(kept, vecs, rho_space.groups):
             face_basis[np.ix_(sectors[k], cols)] = v
-        phi_data = _phi_data(face_basis.T @ _rotation_rows(theta, n_max), rho_space,
-                             [row["residues"][k] for k in kept], row["held"], n_max, K)
-    phi_rows, phi_slot, phi_ends, phi_entries = phi_data
+        # a face vector is v (x) |j> for every level j <= n_max of the - mode,
+        # and Q has faces only when n_max >= K, so the face meets every
+        # residue and every slot of the row: its Phi rows are V_k^T times
+        # the row's, with the row's slots, ends and entries
+        phi_rows = [v.T @ phi_rows[k] for k, v in zip(kept, vecs)]
+        phi_slot = [phi_slot[k] for k in kept]
     return SdpProblem(
         K=K, theta=theta, p_target=p_target, n_max=n_max,
         _q_small=row["q_small"], _rho_space=rho_space, _big_space=row["big_space"],
@@ -1049,6 +1058,18 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
         steps = _max_steps(factors, dx + ds)
         return min(1.0, steps[:len(x)].min()), min(1.0, steps[len(x):].min())
 
+    def solve_newton(sigma_mu, corr):
+        # standard HKM right-hand side at the iterate, with the optional
+        # Mehrotra correction folded into corr
+        e = [xb @ rb @ si - sigma_mu * si + xb + cb @ si
+             for xb, rb, si, cb in zip(x, rd, s_inv, corr)]
+        # symmetrized, since svec reads one triangle (see the docstring)
+        dy = schur.solve(rp + a_apply([(v + v.T) / 2.0 for v in e]))
+        ds = [rb - ab for rb, ab in zip(rd, at_apply(dy))]
+        dx = [sigma_mu * si - xb - xb @ dsb @ si - cb @ si
+              for xb, si, dsb, cb in zip(x, s_inv, ds, corr)]
+        return dy, [(v + v.T) / 2.0 for v in dx], ds
+
     # the primal residual that the steps leave, (1 - alpha_p) times the last
     # one, relative to b: the sigma floor below reads it, not the iterate's,
     # whose rounding near the optimum (1e-12 to 1e-9, from the Newton solve,
@@ -1068,42 +1089,24 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
             # one factor of every X and S block serves S^-1 and both step
             # lengths
             factors, s_inv = _cone_factors(x, s)
-        except NumericalFailure:
-            break
-        # Schur complement M = A (X (.) S^-1) A^T, held as its sector
-        # blocks: the rho blocks' K and each varrho_± pair's D_b = K_+ + K_-
-        k = [_symkron(xb, si, sd) for xb, si, sd in zip(x, s_inv, svec_data)]
-
-        def solve_newton(sigma_mu, corr):
-            # standard HKM right-hand side, with the optional Mehrotra
-            # correction folded into corr
-            e = [xb @ rb @ si - sigma_mu * si + xb + cb @ si
-                 for xb, rb, si, cb in zip(x, rd, s_inv, corr)]
-            # symmetrized, since svec reads one triangle (see the docstring)
-            dy = schur.solve(rp + a_apply([(v + v.T) / 2.0 for v in e]))
-            ds = [rb - ab for rb, ab in zip(rd, at_apply(dy))]
-            dx = [sigma_mu * si - xb - xb @ dsb @ si - cb @ si
-                  for xb, si, dsb, cb in zip(x, s_inv, ds, corr)]
-            return dy, [(v + v.T) / 2.0 for v in dx], ds
-
-        try:
+            # Schur complement M = A (X (.) S^-1) A^T, held as its sector
+            # blocks: the rho blocks' K and each varrho_± pair's D_b = K_+ + K_-
+            k = [_symkron(xb, si, sd) for xb, si, sd in zip(x, s_inv, svec_data)]
             schur = _SectorSchur(t_rows, g_rows, k[:nr],
                                  [kp + kq for kp, kq in zip(k[nr:nr + nb], k[nr + nb:])])
             _, dx_aff, ds_aff = solve_newton(0.0, zeros)
-        except NumericalFailure:
-            break
-        ap_aff, ad_aff = step_lens(dx_aff, ds_aff)
-        mu_aff = inner([xb + ap_aff * d for xb, d in zip(x, dx_aff)],
-                       [sb + ad_aff * d for sb, d in zip(s, ds_aff)]) / dim_total
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
-        # do not let complementarity outrun feasibility: a small barrier
-        # parameter with large residuals strands the iterate off-path
-        sigma = max(sigma, min(0.99, (infeas / (infeas + mu)) ** 3))
-
-        try:
+            ap_aff, ad_aff = step_lens(dx_aff, ds_aff)
+            mu_aff = inner([xb + ap_aff * d for xb, d in zip(x, dx_aff)],
+                           [sb + ad_aff * d for sb, d in zip(s, ds_aff)]) / dim_total
+            sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+            # do not let complementarity outrun feasibility: a small barrier
+            # parameter with large residuals strands the iterate off-path
+            sigma = max(sigma, min(0.99, (infeas / (infeas + mu)) ** 3))
             dy, dx, ds = solve_newton(
                 sigma * mu, [dxb @ dsb for dxb, dsb in zip(dx_aff, ds_aff)])
         except NumericalFailure:
+            # a cone block that does not factor or a failed Schur
+            # factorization or solve: the splitting polish finishes
             break
 
         tau = 0.9 if it < 8 else 0.98
@@ -1387,40 +1390,21 @@ def _row_start(anchors: list, p: float) -> np.ndarray | None:
     return (1.0 - t) * lo + t * hi
 
 
-def _product_anchors(K: int, n_max: int, theta: float) -> list:
-    """(score, state) of four product states with z = 1: for each physical
-    mode, the bottom and the top eigenvector of Q on that mode's levels
-    <= n_max, with the other mode in vacuum.
-
-    Their total number is at most n_max, so the rotation takes them onto
-    the small space exactly, and the partial transpose of a product state
-    is itself."""
-    d = n_max + 1
-    u = mode_rotation_unitary(theta, n_max).matrix.real
-    q = score_operator(K, n_max).matrix.real
-    anchors = []
-    # the columns of U at |k, 0> and at |0, k> of the physical modes
-    for cols in (np.arange(d) * d, np.arange(d)):
-        basis = u[:, cols]
-        w, v = np.linalg.eigh(basis.T @ q @ basis)
-        for k in (0, -1):
-            x = basis @ v[:, k]
-            anchors.append((float(w[k]), np.outer(x, x)))
-    return anchors
-
-
 def _solve_row(args) -> list:
     """The cells of one theta row, solved in descending p and returned in
-    grid order, each started from the row's anchors; a solve that ends
-    optimal with z_lb = 1 adds its state to them.  The last problem built
-    holds the row's data while the next cell is built (``_row_data``)."""
+    grid order, each started from the row's anchors, which the first
+    problem built brings from its row; a solve that ends optimal with
+    z_lb = 1 adds its state to them.  The last problem built holds the
+    row's data while the next cell is built (``_row_data``)."""
     K, n_max, theta, p_grid, tol = args
-    anchors = _product_anchors(K, n_max, theta)
+    anchors = None
     cells = [None] * len(p_grid)
     for i in sorted(range(len(p_grid)), key=lambda i: -p_grid[i]):
         p = p_grid[i]
         try:
             problem = build_problem(K, theta, p, n_max)
+            if anchors is None:
+                anchors = [(score, np.outer(x, x)) for score, x in problem._row["anchors"]]
             sol = solve(problem, tol=tol, start=_row_start(anchors, p))
         except (InfeasibleTarget, NumericalFailure) as exc:
             status = "infeasible" if isinstance(exc, InfeasibleTarget) else "failed"
@@ -1448,7 +1432,7 @@ def sweep(
 
     Each theta row is certified as a unit, in descending p, with a list of
     anchors: (score, state) pairs of feasible states with z = 1, starting
-    with the row's four product states (``_product_anchors``).  z(rho) =
+    with the row's four product states (``_row_data``).  z(rho) =
     tr Phi(rho)_+ is convex in rho and the score is linear, so the mix of
     two anchors that hits a cell's p exactly has z no larger than the
     larger anchor z.  Such a start closes the gap at once (``solve``'s

@@ -19,8 +19,19 @@ from oscwit.classical import (
 from oscwit.criteria import FamilyState, MomentTable
 from oscwit.errors import DimensionMismatch, OscwitError, WrongBasisTag
 from oscwit.fock import NORMAL, PHYSICAL, FockOperator, TwoModeState, partial_transpose_matrix
-from oscwit.modes import NormalModeSpec, normal_coordinates, transform_state
-from oscwit.protocol import ScoreEstimate, classical_bound, pos_x_matrix, score_state
+from oscwit.modes import (
+    NormalModeSpec,
+    mode_rotation_unitary,
+    normal_coordinates,
+    transform_state,
+)
+from oscwit.protocol import (
+    ScoreEstimate,
+    classical_bound,
+    pos_x_matrix,
+    score_operator,
+    score_state,
+)
 
 
 class UnstableStep(OscwitError):
@@ -256,6 +267,25 @@ def partial_transpose(op: FockOperator) -> FockOperator:
     return FockOperator(
         partial_transpose_matrix(op.matrix, op.n_max + 1), op.n_max, 2, PHYSICAL
     )
+
+
+def product_anchors(K: int, n_max: int, theta: float) -> list:
+    """(score, state) of the four product states with z = 1 that start a
+    certify row, from their own rotation at the cutoff n_max and their own
+    Q: for each physical mode, the bottom and the top eigenvector of Q on
+    that mode's levels <= n_max, with the other mode in vacuum."""
+    d = n_max + 1
+    u = mode_rotation_unitary(theta, n_max).matrix.real
+    q = score_operator(K, n_max).matrix.real
+    anchors = []
+    # the columns of U at |k, 0> and at |0, k> of the physical modes
+    for cols in (np.arange(d) * d, np.arange(d)):
+        basis = u[:, cols]
+        w, v = np.linalg.eigh(basis.T @ q @ basis)
+        for k in (0, -1):
+            x = basis @ v[:, k]
+            anchors.append((float(w[k]), np.outer(x, x)))
+    return anchors
 
 
 def n_rounds(est: ScoreEstimate) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestRotationUnitary:
             cols = np.nonzero((n_big <= 2 * n_max) & (n_big % 3 == r))[0]
             sel = (n_small % 3 == r) & ((n_minus % 2 == par) if par is not None else True)
             assert np.array_equal(got, u[rows][np.ix_(sel, cols)])
+
+    def test_fills_one_complex_matrix(self):
+        # the real blocks go straight into the complex matrix the operator
+        # holds, with no real copy of it beside (about 1.5 times with one)
+        matrix_bytes = (23 * 23) ** 2 * 16
+        tracemalloc.start()
+        try:
+            mode_rotation_unitary(0.3, 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * matrix_bytes
 
     def test_zero_angle(self):
         u = mode_rotation_unitary(0.0, 3)

@@ -33,7 +33,6 @@ from oscwit.sdp import (
     _cone_factors,
     _max_steps,
     _primal_value,
-    _product_anchors,
     _project_feasible,
     _project_spectrahedron,
     _SectorSchur,
@@ -43,7 +42,7 @@ from oscwit.sdp import (
     solve,
     sweep,
 )
-from oracles import embed_state, hermitian_basis
+from oracles import embed_state, hermitian_basis, product_anchors
 
 rng = np.random.default_rng(7)
 
@@ -321,6 +320,39 @@ class TestSectorOperator:
                     max_iters=400)
         assert sol.iterations == 400
         assert sol.s_n_lb == pytest.approx(0.6419791754695262, abs=1e-9)
+
+
+def face_cases():
+    # every (K, n) with K = 2..5 and n <= 11 whose Q is not a multiple of
+    # the identity, so that its score range has two faces: K = 3 from
+    # n = 3 and K = 5 from n = 5 (at K = 2 and 4, Q is (1/2) identity)
+    return [(K, n) for K in range(2, 6) for n in range(12)
+            if np.ptp(np.linalg.eigvalsh(qk_matrix(K, n).matrix.real)) >= 1e-13]
+
+
+class TestFaceRows:
+    @pytest.mark.parametrize("K, n", face_cases())
+    def test_face_reads_the_rows_phi(self, K, n):
+        # a face vector is v (x) |j> for every j <= n, so the face meets
+        # every slot of the row, and its Phi is V_k^T times the row's sector
+        # rows with the row's slots, ends and entries
+        for theta in (0.3, np.pi / 4, -np.pi / 4):
+            spectra = build_problem(K, theta, 0.5, n)._row["spectra"]
+            edges = (min(w[0] for w, _ in spectra), max(w[-1] for w, _ in spectra))
+            for p in edges:
+                prob = build_problem(K, theta, p, n)
+                assert prob._face_basis is not None
+                _, _, ends, entries = prob._row["phi"]
+                assert prob._phi_ends is ends and prob._phi_entries is entries
+                assert sorted(set(prob._phi_slot)) == list(range(len(ends)))
+                rs = prob._rho_space
+                x = random_blocks(rs)
+                ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(x)))
+                assert np.max(np.abs(big_dense(prob, prob.phi(x)) - ref)) < 1e-12
+                y = random_blocks(prob._big_space)
+                f = prob._face_basis
+                ref = f.T @ dense_phi_adjoint(prob, big_dense(prob, y)) @ f
+                assert np.max(np.abs(rs.full_from_blocks(prob.phi_adjoint(y)) - ref)) < 1e-12
 
 
 def per_column_rows(prob):
@@ -937,9 +969,8 @@ class TestRowCache:
         del prob
         assert key not in oscwit.sdp._ROWS
 
-    def test_sweep_builds_each_row_once(self, monkeypatch):
-        # one rotation per row for its problems and one for its product
-        # anchors, however many cells the row has; no row outlives the sweep
+    @staticmethod
+    def spy_rotations(monkeypatch):
         calls = []
         rotation = oscwit.sdp.mode_rotation_unitary
 
@@ -948,10 +979,26 @@ class TestRowCache:
             return rotation(theta, n_max)
 
         monkeypatch.setattr(oscwit.sdp, "mode_rotation_unitary", spy)
+        return calls
+
+    def test_sweep_builds_each_row_once(self, monkeypatch):
+        # one rotation per row, for its problems and its product anchors,
+        # however many cells the row has; no row outlives the sweep
+        calls = self.spy_rotations(monkeypatch)
         res = sweep([0.3, np.pi / 4], [0.5, 0.55, 0.6, 0.62], 3, 3, tol=1e-6)
         assert all(sol.solved for _, _, sol in res.cells)
-        assert sorted(calls) == sorted([(0.3, 6), (0.3, 3), (np.pi / 4, 6), (np.pi / 4, 3)])
+        assert sorted(calls) == sorted([(0.3, 6), (np.pi / 4, 6)])
         assert not any(key[1] in (0.3, np.pi / 4) for key in oscwit.sdp._ROWS)
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 4])
+    def test_face_takes_no_rotation(self, theta, monkeypatch):
+        # a face problem reads its Phi rows from the row's
+        calls = self.spy_rotations(monkeypatch)
+        prob = build_problem(3, theta, 0.6, 3)
+        w, _ = q_spectrum(3)
+        faces = [build_problem(3, theta, w[end], 3) for end in (0, -1)]
+        assert all(f._face_basis is not None and f._row is prob._row for f in faces)
+        assert calls == [(theta, 6)]
 
 
 class TestMemory:
@@ -1495,7 +1542,25 @@ class TestFaceTargets:
         assert s4.s_n < s3.s_n
 
 
+def row_anchors(K, n, theta):
+    """(score, state) of the product anchors of a certify row."""
+    row = build_problem(K, theta, 0.5, n)._row
+    return [(score, np.outer(x, x)) for score, x in row["anchors"]]
+
+
 class TestProductAnchors:
+    @pytest.mark.parametrize("n", range(12))
+    @pytest.mark.parametrize("theta", [0.0, 0.2, 0.3, np.pi / 8, np.pi / 4, -np.pi / 4, 1.0])
+    def test_row_anchors_are_their_own_rotation(self, theta, n):
+        # the row reads its anchors from U(theta, 2n), the rotation that
+        # gives Phi; they are those of U(theta, n) and Q at n, bit for bit
+        anchors = row_anchors(3, n, theta)
+        ref = product_anchors(3, n, theta)
+        assert len(anchors) == len(ref) == 4
+        for (score, rho), (score_ref, rho_ref) in zip(anchors, ref):
+            assert score == score_ref
+            assert np.array_equal(rho, rho_ref)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 8, np.pi / 4, 1.2])
     def test_anchors_are_ppt_states(self, theta, n):
@@ -1503,7 +1568,7 @@ class TestProductAnchors:
         # cutoff, and its partial transpose is itself: z = 1
         prob = build_problem(3, theta, 0.5, n)
         rs = prob._rho_space
-        anchors = _product_anchors(3, n, theta)
+        anchors = row_anchors(3, n, theta)
         assert len(anchors) == 4
         for score, rho in anchors:
             assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
@@ -1517,7 +1582,7 @@ class TestProductAnchors:
     def test_top_anchor_is_the_threshold(self, theta):
         # at n = 3 no stand-alone solve certifies the top anchor's score,
         # and one certifies just above it
-        top = max(score for score, _ in _product_anchors(3, 3, theta))
+        top = max(score for score, _ in row_anchors(3, 3, theta))
         at = solve(build_problem(3, theta, top, 3), tol=1e-7)
         assert at.solved and not at.certified
         above = solve(build_problem(3, theta, top + 1e-4, 3), tol=1e-7)
@@ -1608,7 +1673,7 @@ class TestSweep:
         ran = set(engines)
         monkeypatch.undo()
         assert [p for _, p, _ in res.cells] == ps
-        top = max(score for score, _ in _product_anchors(3, 3, theta))
+        top = max(score for score, _ in row_anchors(3, 3, theta))
         flat_iterations = []
         for _, p, row in res.cells:
             alone = inner(build_problem(3, theta, p, 3), tol=1e-6)
