@@ -91,26 +91,28 @@ over all feasible states is attained on P_- even ones, where the dual bound
 takes it.  Any other angle, even one within rounding of pi/4, keeps the
 mod-K blocks.
 
-A sweep certifies each theta row as a unit.  z(rho) = tr Phi(rho)_+ is
-convex in rho and the score is linear in it.  So the mix of two feasible
-states ("anchors") that bracket a score p, in the proportion that hits p,
-is a feasible state whose z is at most the larger anchor z.  When the
-anchors have z = 1 up to the tolerance, the mix meets the trivial dual
-bound z_lb = 1 at once and the cell costs no iterations.  Every row starts
-from four product states with one physical mode in vacuum
-(``_row_data``): they lie exactly inside the cutoff and are their
-own partial transpose, so z = 1 (Peres, PRL 77, 1413 (1996)), and every
-cell between their lowest and highest score, the vacuum's 1/2 among them,
-starts from a separable mix.  The row is solved in descending p, and a
-cell above the top anchor that ends with z_lb = 1 adds its state, so of
-the cells that do not certify, only the first above it runs an engine.
+A sweep certifies each theta row as a unit.  It builds the row's
+score-independent data once (``_row_data``: Q's sector spectra, Phi and
+the anchors below, from one rotation) and builds every cell's problem
+from it.  z(rho) = tr Phi(rho)_+ is convex in rho and the score is
+linear in it.  So the mix of two feasible states ("anchors") that
+bracket a score p, in the proportion that hits p, is a feasible state
+whose z is at most the larger anchor z.  When the anchors have z = 1 up
+to the tolerance, the mix meets the trivial dual bound z_lb = 1 at once
+and the cell costs no iterations.  Every row starts from four product
+states with one physical mode in vacuum: they lie exactly inside the
+cutoff and are their own partial transpose, so z = 1 (Peres, PRL 77,
+1413 (1996)), and every cell between their lowest and highest score, the
+vacuum's 1/2 among them, starts from a separable mix.  The row is solved
+in descending p, and a cell above the top anchor that ends with z_lb = 1
+adds its state, so of the cells that do not certify, only the first
+above it runs an engine.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
@@ -391,9 +393,6 @@ class SdpProblem:
     # of the spectrum of Q: the unit-trace states that repair the score of a
     # projected iterate (None when the score is inactive)
     _q_edges: list | None = field(repr=False)
-    # the score-independent data this problem shares with its theta row
-    # (``_row_data``), held so the row lives as long as its problems
-    _row: dict = field(repr=False)
 
     # -- linear maps ------------------------------------------------------
 
@@ -461,29 +460,13 @@ def _read_only(*objs) -> None:
             _read_only(obj.groups, obj.svec_data)
 
 
-class _Row(dict):
-    """The part of ``build_problem`` that does not depend on p_target (see
-    ``_row_data``); a dict that a weak reference can point to."""
-
-
-# the rows that live problems hold, by (K, theta, n_max, symmetry_reduction)
-_ROWS = weakref.WeakValueDictionary()
-
-
-def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> _Row:
-    """Q and its spectrum per sector, the blocks of the big variable, the
+def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> dict:
+    """The part of ``build_problem`` that does not depend on p_target: Q
+    and its spectrum per sector, the blocks of the big variable, the
     product anchors and, for the problem off the faces, its rho space and
-    Phi, as read-only arrays, since every problem of the row shares them.
-    All of them that need the rotation read one U(theta, 2 n_max).
-
-    Every problem holds its row, and a row is found again only while one
-    of its problems lives: a sweep's row loop holds the last problem it
-    built, so it builds each theta row once, and no row outlives its
-    problems."""
-    key = (K, theta, n_max, symmetry_reduction)
-    row = _ROWS.get(key)
-    if row is not None:
-        return row
+    Phi, as read-only arrays, since every problem built from the row
+    shares them.  All of them that need the rotation read one
+    U(theta, 2 n_max)."""
     d1, D1 = n_max + 1, 2 * n_max + 1
     ds = d1 * d1
     q_small = score_operator(K, n_max).matrix.real
@@ -533,13 +516,20 @@ def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> _Ro
         w, v = np.linalg.eigh(basis.T @ q_small @ basis)
         anchors += [(float(w[k]), basis @ v[:, k]) for k in (0, -1)]
 
-    row = _Row(q_small=q_small, sectors=sectors, spectra=spectra, rho_space=rho_space,
+    row = dict(K=K, theta=theta, n_max=n_max, q_small=q_small, sectors=sectors,
+               spectra=spectra, rho_space=rho_space,
                q_blocks=rho_space.blocks_from_full(q_small), q_edges=q_edges,
                held=held, big_space=big_space, anchors=anchors,
                phi=_phi_data(rot, rho_space, residues, held, n_max, K))
     _read_only(*row.values())
-    _ROWS[key] = row
     return row
+
+
+def _check_targets(p_targets, n_max: int) -> None:
+    if not all(0.0 <= p <= 1.0 for p in p_targets):
+        raise ValueError("p_target must lie in [0, 1]")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
 
 
 def build_problem(
@@ -558,14 +548,17 @@ def build_problem(
     corresponding eigenspace face, where the score constraint holds
     identically; the face basis is taken from the spectrum of Q in every
     sector, so the solver variable keeps the sector blocks.  The part that
-    does not depend on ``p_target`` comes from ``_row_data``.
+    does not depend on ``p_target`` comes from ``_row_data``, the rest from
+    ``_cell_problem``.
     """
-    if not 0.0 <= p_target <= 1.0:
-        raise ValueError("p_target must lie in [0, 1]")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    row = _row_data(K, theta, n_max, symmetry_reduction)
-    sectors, spectra = row["sectors"], row["spectra"]
+    _check_targets([p_target], n_max)
+    return _cell_problem(_row_data(K, theta, n_max, symmetry_reduction), p_target)
+
+
+def _cell_problem(row: dict, p_target: float) -> SdpProblem:
+    """The problem of one score on a row of ``_row_data``: the range check,
+    the face basis and the score flag of ``build_problem``."""
+    n_max, sectors, spectra = row["n_max"], row["sectors"], row["spectra"]
     lam_min = min(w[0] for w, _ in spectra)
     lam_max = max(w[-1] for w, _ in spectra)
     if p_target > lam_max + FACE_TOL or p_target < lam_min - FACE_TOL:
@@ -605,7 +598,7 @@ def build_problem(
         phi_rows = [v.T @ phi_rows[k] for k, v in zip(kept, vecs)]
         phi_slot = [phi_slot[k] for k in kept]
     return SdpProblem(
-        K=K, theta=theta, p_target=p_target, n_max=n_max,
+        K=row["K"], theta=row["theta"], p_target=p_target, n_max=n_max,
         _q_small=row["q_small"], _rho_space=rho_space, _big_space=row["big_space"],
         _face_basis=face_basis, _score_active=score_active,
         _big_mult=[mult for _, _, mult in row["held"]],
@@ -613,7 +606,6 @@ def build_problem(
         _phi_entries=phi_entries,
         _q_blocks=row["q_blocks"] if score_active else None,
         _q_edges=row["q_edges"] if score_active else None,
-        _row=row,
     )
 
 
@@ -1392,19 +1384,18 @@ def _row_start(anchors: list, p: float) -> np.ndarray | None:
 
 def _solve_row(args) -> list:
     """The cells of one theta row, solved in descending p and returned in
-    grid order, each started from the row's anchors, which the first
-    problem built brings from its row; a solve that ends optimal with
-    z_lb = 1 adds its state to them.  The last problem built holds the
-    row's data while the next cell is built (``_row_data``)."""
+    grid order.  The row is built once (``_row_data``), and every cell's
+    problem is built from it, infeasible cells included; each cell starts
+    from the row's anchors, and a solve that ends optimal with z_lb = 1
+    adds its state to them."""
     K, n_max, theta, p_grid, tol = args
-    anchors = None
+    row = _row_data(K, theta, n_max, True)
+    anchors = [(score, np.outer(x, x)) for score, x in row["anchors"]]
     cells = [None] * len(p_grid)
     for i in sorted(range(len(p_grid)), key=lambda i: -p_grid[i]):
         p = p_grid[i]
         try:
-            problem = build_problem(K, theta, p, n_max)
-            if anchors is None:
-                anchors = [(score, np.outer(x, x)) for score, x in problem._row["anchors"]]
+            problem = _cell_problem(row, p)
             sol = solve(problem, tol=tol, start=_row_start(anchors, p))
         except (InfeasibleTarget, NumericalFailure) as exc:
             status = "infeasible" if isinstance(exc, InfeasibleTarget) else "failed"
@@ -1439,11 +1430,15 @@ def sweep(
     ``start``), and the cell costs no iterations: every cell between the
     lowest and the highest product score does.  A cell above them that
     ends with z_lb = 1 adds its state; a cell without a bracket, or whose
-    start falls short, is solved as a stand-alone cell would be.  Rows keep
-    grid order, and each row is deterministic, so ``threads`` spreads whole
-    rows over threads without changing an output byte.
+    start falls short, is solved as a stand-alone cell would be.  Each row
+    builds its own data and its cells' problems from it (``_row_data``).
+    Rows keep grid order, and each row is deterministic and shares nothing
+    with the others, so ``threads`` spreads whole rows over threads without
+    changing an output byte.  The scores and n_max are checked, as
+    ``build_problem`` checks them, before any row is built.
     """
     p_grid = [float(p) for p in p_grid]
+    _check_targets(p_grid, n_max)
     jobs = [(K, n_max, float(th), p_grid, tol) for th in theta_grid]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-import weakref
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -27,6 +26,7 @@ from oscwit.sdp import (
     SdpSolution,
     SweepResult,
     _assemble_constraint_rows,
+    _cell_problem,
     _Certificates,
     _clip_eig,
     _dual_bound,
@@ -35,6 +35,7 @@ from oscwit.sdp import (
     _primal_value,
     _project_feasible,
     _project_spectrahedron,
+    _row_data,
     _SectorSchur,
     _svec_data,
     _symkron,
@@ -337,12 +338,13 @@ class TestFaceRows:
         # every slot of the row, and its Phi is V_k^T times the row's sector
         # rows with the row's slots, ends and entries
         for theta in (0.3, np.pi / 4, -np.pi / 4):
-            spectra = build_problem(K, theta, 0.5, n)._row["spectra"]
+            row = _row_data(K, theta, n, True)
+            spectra = row["spectra"]
+            _, _, ends, entries = row["phi"]
             edges = (min(w[0] for w, _ in spectra), max(w[-1] for w, _ in spectra))
             for p in edges:
-                prob = build_problem(K, theta, p, n)
+                prob = _cell_problem(row, p)
                 assert prob._face_basis is not None
-                _, _, ends, entries = prob._row["phi"]
                 assert prob._phi_ends is ends and prob._phi_entries is entries
                 assert sorted(set(prob._phi_slot)) == list(range(len(ends)))
                 rs = prob._rho_space
@@ -937,37 +939,35 @@ def row_cases():
 
 
 class TestRowCache:
-    @pytest.fixture(autouse=True)
-    def no_rows(self, monkeypatch):
-        # the parametrized problems of this module, built at collection,
-        # hold rows of their own; each test starts from an empty table
-        monkeypatch.setattr(oscwit.sdp, "_ROWS", weakref.WeakValueDictionary())
-
     @pytest.mark.parametrize("n, theta, p", row_cases())
     def test_cached_row_equals_a_fresh_build(self, n, theta, p):
-        first = build_problem(3, theta, 0.5, n)  # another cell of the row
-        cached = build_problem(3, theta, p, n)
-        assert cached._row is first._row
-        oscwit.sdp._ROWS.clear()
-        fresh = build_problem(3, theta, p, n)
-        assert fresh._row is not first._row
-        assert_same_fields(cached, fresh)
-        # the arrays every problem of the row shares are read-only; a face
-        # problem has its own rho space and Phi
-        shared = [cached._row]
-        if cached._face_basis is None:
-            shared.append(cached)
+        # the cells built from one row, another cell of it first, equal
+        # stand-alone builds field by field
+        row = _row_data(3, theta, n, True)
+        cells = [_cell_problem(row, score) for score in (0.5, p)]
+        for cell, score in zip(cells, (0.5, p)):
+            assert_same_fields(cell, build_problem(3, theta, score, n))
+        # the arrays that every cell of the row shares are read-only; a face
+        # cell has its own rho space and Phi rows
+        shared = [row]
+        if cells[-1]._face_basis is None:
+            shared.append(cells[-1])
         for a in arrays_in(shared):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.flat[0] = a.flat[0]
 
-    def test_row_lives_with_its_problems(self):
-        prob = build_problem(3, 0.3, 0.6, 3)
-        key = (3, 0.3, 3, True)
-        assert oscwit.sdp._ROWS[key] is prob._row
-        del prob
-        assert key not in oscwit.sdp._ROWS
+    @pytest.mark.parametrize("p, n, message", [
+        (1.5, 3, "p_target must lie"), (0.5, -1, "n_max must be"),
+        (1.5, -1, "p_target must lie")])
+    def test_arguments_checked_before_the_row(self, p, n, message, monkeypatch):
+        built = []
+        monkeypatch.setattr(oscwit.sdp, "_row_data", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=message):
+            build_problem(3, 0.3, p, n)
+        with pytest.raises(ValueError, match=message):
+            sweep([0.3], [0.5, p], 3, n)
+        assert built == []
 
     @staticmethod
     def spy_rotations(monkeypatch):
@@ -983,21 +983,23 @@ class TestRowCache:
 
     def test_sweep_builds_each_row_once(self, monkeypatch):
         # one rotation per row, for its problems and its product anchors,
-        # however many cells the row has; no row outlives the sweep
+        # however many cells the row has, the infeasible ones above the top
+        # of the score range (0.66287 at n = 3) included
         calls = self.spy_rotations(monkeypatch)
-        res = sweep([0.3, np.pi / 4], [0.5, 0.55, 0.6, 0.62], 3, 3, tol=1e-6)
-        assert all(sol.solved for _, _, sol in res.cells)
+        res = sweep([0.3, np.pi / 4], [0.5, 0.55, 0.6, 0.62, 0.7, 0.8], 3, 3, tol=1e-6)
+        assert all(sol.solved == (p < 0.66) for _, p, sol in res.cells)
+        assert all(sol.status == "infeasible" for _, p, sol in res.cells if p > 0.66)
         assert sorted(calls) == sorted([(0.3, 6), (np.pi / 4, 6)])
-        assert not any(key[1] in (0.3, np.pi / 4) for key in oscwit.sdp._ROWS)
 
     @pytest.mark.parametrize("theta", [0.3, np.pi / 4])
     def test_face_takes_no_rotation(self, theta, monkeypatch):
         # a face problem reads its Phi rows from the row's
         calls = self.spy_rotations(monkeypatch)
-        prob = build_problem(3, theta, 0.6, 3)
+        row = _row_data(3, theta, 3, True)
         w, _ = q_spectrum(3)
-        faces = [build_problem(3, theta, w[end], 3) for end in (0, -1)]
-        assert all(f._face_basis is not None and f._row is prob._row for f in faces)
+        faces = [_cell_problem(row, w[end]) for end in (0, -1)]
+        assert all(f._face_basis is not None and f._phi_entries is row["phi"][3]
+                   for f in faces)
         assert calls == [(theta, 6)]
 
 
@@ -1544,7 +1546,7 @@ class TestFaceTargets:
 
 def row_anchors(K, n, theta):
     """(score, state) of the product anchors of a certify row."""
-    row = build_problem(K, theta, 0.5, n)._row
+    row = _row_data(K, theta, n, True)
     return [(score, np.outer(x, x)) for score, x in row["anchors"]]
 
 
@@ -1639,16 +1641,20 @@ class TestSweep:
         assert status[0.9] == "infeasible"
 
     def test_threaded_sweep_matches_serial(self):
-        grid = ([0.0, np.pi / 4], [0.5, 0.6])
-        serial = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=1)
-        threaded = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=2)
-        for (th_a, p_a, a), (th_b, p_b, b) in zip(serial.cells, threaded.cells):
-            assert (th_a, p_a, a.status) == (th_b, p_b, b.status)
-            assert a.s_n == pytest.approx(
-                b.s_n, abs=a.dual_gap + b.dual_gap + 1e-9
-            )
-        # the thread count never changes an output byte
-        assert threaded.to_csv() == serial.to_csv()
+        # the second grid builds one row twice at once, and its last score
+        # lies above the top of the score range
+        for grid in (([0.0, np.pi / 4], [0.5, 0.6]),
+                     ([np.pi / 4, np.pi / 4], [0.5, 0.6, 0.7])):
+            serial = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=1)
+            threaded = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=2)
+            for (th_a, p_a, a), (th_b, p_b, b) in zip(serial.cells, threaded.cells):
+                assert (th_a, p_a, a.status) == (th_b, p_b, b.status)
+                if a.solved:
+                    assert a.s_n == pytest.approx(
+                        b.s_n, abs=a.dual_gap + b.dual_gap + 1e-9
+                    )
+            # the thread count never changes an output byte
+            assert threaded.to_csv() == serial.to_csv()
 
     @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 4])
     def test_row_reuses_ppt_states(self, theta, monkeypatch):
