@@ -247,8 +247,9 @@ def cmd_certify(cfg: dict) -> tuple[dict, dict]:
         raise ConfigError(f"p_grid values must lie in [0, 1]: {cfg['p_grid']}")
     res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol, threads=threads)
     violations = res.monotonicity_violations()
+    solved = sum(sol.solved for _, _, sol in res.cells)
     certified = sum(sol.certified for _, _, sol in res.cells)
-    print(f"{len(res.cells)} cells solved; {certified} certify entanglement")
+    print(f"{solved} cells solved; {certified} certify entanglement")
     print(f"monotonicity violations: {len(violations)}")
     failed = [{"theta": theta, "p_target": p, "reason": sol.reason}
               for theta, p, sol in res.cells if sol.status == "failed"]

@@ -29,7 +29,8 @@ point offers each point once and stops also at its first step that the
 cone blocks; a splitting polish finishes on the same keeper, warm-started
 from its best state and Lambda.
 
-``dual_gap`` is reported in the same (log) units as ``s_n``; a positive
+A solution stores only the certified interval [z_lb, z]; ``s_n``,
+``s_n_lb`` and ``dual_gap`` are read from it in log units, so a positive
 certification means s_n - dual_gap = log(2 z_lb - 1) > 0.  A z-domain gap
 would overstate certainty near z = 1 where the logarithm is steep.
 
@@ -201,8 +202,7 @@ class _BlockSpace:
 
     def pack(self, blocks: list) -> np.ndarray:
         return np.concatenate(
-            [_svec(b, sd) for b, sd in zip(blocks, self.svec_data)], axis=-1
-        ) if self.groups else np.zeros(0)
+            [_svec(b, sd) for b, sd in zip(blocks, self.svec_data)], axis=-1)
 
     def unpack(self, v: np.ndarray) -> list:
         out, ofs = [], 0
@@ -323,19 +323,17 @@ def _clip_eig(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
 class SdpSolution:
     """Certified result of one solve.
 
-    ``z`` is the objective value at an exactly feasible state; ``z_lb`` the
-    best feasible dual bound; ``s_n`` / ``s_n_lb`` their log-domain images
-    and ``dual_gap`` their difference, so s_n - dual_gap > 0 certifies
-    entanglement.  A sweep cell that could not be solved has NaN values,
-    status ``infeasible`` or ``failed`` and the error's message as its
-    ``reason``.
+    ``z`` is the objective value at an exactly feasible state and ``z_lb``
+    the best feasible dual bound: the certified interval, which is all the
+    solution stores.  ``s_n`` / ``s_n_lb`` are read-only log-domain images
+    of its ends and ``dual_gap`` their difference, so s_n - dual_gap > 0
+    certifies entanglement.  A sweep cell that could not be solved has NaN
+    values, status ``infeasible`` or ``failed`` and the error's message as
+    its ``reason``.
     """
 
     z: float
-    s_n: float
     z_lb: float
-    s_n_lb: float
-    dual_gap: float
     iterations: int
     status: str
     rho: TwoModeState | None = None
@@ -343,6 +341,18 @@ class SdpSolution:
     history: list = field(default_factory=list)
     wall_time: float = 0.0
     reason: str = ""
+
+    @property
+    def s_n(self) -> float:
+        return _sn_from_z(self.z)
+
+    @property
+    def s_n_lb(self) -> float:
+        return _sn_from_z(self.z_lb)
+
+    @property
+    def dual_gap(self) -> float:
+        return max(self.s_n - self.s_n_lb, 0.0)
 
     @property
     def solved(self) -> bool:
@@ -356,11 +366,10 @@ class SdpSolution:
         return self.solved and self.s_n_lb > 0.0
 
 
-def _sn_from_z(z: float, tol: float = 1e-12) -> float:
+def _sn_from_z(z: float) -> float:
+    """log(2 z - 1), read as 0 within 1e-12 of z = 1; NaN stays NaN."""
     t = 2.0 * z - 1.0
-    if t <= 1.0 + tol:
-        return 0.0
-    return math.log(t)
+    return 0.0 if t <= 1.0 + 1e-12 else math.log(t)
 
 
 @dataclass
@@ -376,23 +385,19 @@ class SdpProblem:
     _rho_space: _BlockSpace = field(repr=False)
     _big_space: _BlockSpace = field(repr=False)
     _face_basis: np.ndarray | None = field(repr=False)
-    _score_active: bool = field(repr=False)
     # the multiplicity of every big block: 2 for a sector held for its swap
     # partner at theta = pi/4, else 1 (module docstring)
     _big_mult: list = field(repr=False)
     # Phi's rows per rho sector, the slot of its big columns, the end of
     # each slot among the slots laid end to end, and the (big entry, slot
-    # entry, coefficient) arrays of its entries (see ``_phi_data``); and Q
-    # on the rho sectors (None when the score is inactive)
-    _phi_rows: list = field(repr=False)
-    _phi_slot: list = field(repr=False)
-    _phi_ends: np.ndarray = field(repr=False)
-    _phi_entries: tuple = field(repr=False)
-    _q_blocks: list | None = field(repr=False)
-    # (eigenvalue, sector blocks of its projector) at the bottom and the top
-    # of the spectrum of Q: the unit-trace states that repair the score of a
-    # projected iterate (None when the score is inactive)
-    _q_edges: list | None = field(repr=False)
+    # entry, coefficient) arrays of its entries (``_phi_data``); a face
+    # holds its own rows and slots
+    _phi: tuple = field(repr=False)
+    # the score row: Q on the rho sectors, and the (eigenvalue, sector
+    # blocks of its projector) at the bottom and the top of Q's spectrum,
+    # the unit-trace states that repair the score of a projected iterate.
+    # None where the score holds identically: on a face, or where Q = I/2
+    _score: tuple | None = field(repr=False)
 
     # -- linear maps ------------------------------------------------------
 
@@ -410,21 +415,21 @@ class SdpProblem:
         with the face basis folded in; U is exactly zero between total
         numbers.  Rho sector r reaches only the big columns of total number
         <= 2 n_max in its residues mod K, so R^T X_r R is one small dense
-        product (``_phi_rows``), summed over the sectors of one residue (the
-        two N_- parities at theta = pi/4); the partial transpose then moves
-        its entries into the big blocks by one ``np.bincount`` over the
-        fixed entries of ``_phi_data``, which also form the T-even and
-        T-odd combinations at theta = pi/4.  Every product broadcasts over
+        product (the rows of ``_phi``), summed over the sectors of one
+        residue (the two N_- parities at theta = pi/4); the partial
+        transpose then moves its entries into the big blocks by one
+        ``np.bincount`` over the fixed entries of ``_phi``, which also form
+        the T-even and T-odd combinations at theta = pi/4.  Every product broadcasts over
         leading axes of the blocks, and the scatter runs once per leading
         index.
         """
-        prods = [None] * len(self._phi_ends)
-        for r, x, k in zip(self._phi_rows, blocks, self._phi_slot):
+        rows, slots, slot_ends, (src, pos, coef) = self._phi
+        prods = [None] * len(slot_ends)
+        for r, x, k in zip(rows, blocks, slots):
             m = r.T @ x @ r
             prods[k] = m if prods[k] is None else prods[k] + m
         lead = prods[0].shape[:-2]
         flat = np.concatenate([m.reshape(lead + (-1,)) for m in prods], axis=-1)
-        src, pos, coef = self._phi_entries
         dims = [len(g) for g in self._big_space.groups]
         ends = np.cumsum([d * d for d in dims])
         out = np.array([np.bincount(src, f[pos] * coef, minlength=ends[-1])
@@ -437,12 +442,10 @@ class SdpProblem:
         entry's coefficient, into the slots, then R_r (.) R_r^T; the adjoint
         in the inner product that weights each big block by its
         multiplicity."""
-        src, pos, coef = self._phi_entries
+        rows, slots, slot_ends, (src, pos, coef) = self._phi
         flat = np.concatenate([m * y.ravel() for y, m in zip(blocks, self._big_mult)])
-        w = np.split(np.bincount(pos, flat[src] * coef, minlength=self._phi_ends[-1]),
-                     self._phi_ends)
-        return [r @ w[k].reshape(r.shape[1], -1) @ r.T
-                for r, k in zip(self._phi_rows, self._phi_slot)]
+        w = np.split(np.bincount(pos, flat[src] * coef, minlength=slot_ends[-1]), slot_ends)
+        return [r @ w[k].reshape(r.shape[1], -1) @ r.T for r, k in zip(rows, slots)]
 
     def score_of(self, rho_small: np.ndarray) -> float:
         return float(np.tensordot(self._q_small, rho_small, 2))
@@ -517,9 +520,8 @@ def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> dic
         anchors += [(float(w[k]), basis @ v[:, k]) for k in (0, -1)]
 
     row = dict(K=K, theta=theta, n_max=n_max, q_small=q_small, sectors=sectors,
-               spectra=spectra, rho_space=rho_space,
-               q_blocks=rho_space.blocks_from_full(q_small), q_edges=q_edges,
-               held=held, big_space=big_space, anchors=anchors,
+               spectra=spectra, rho_space=rho_space, held=held, big_space=big_space,
+               score=(rho_space.blocks_from_full(q_small), q_edges), anchors=anchors,
                phi=_phi_data(rot, rho_space, residues, held, n_max, K))
     _read_only(*row.values())
     return row
@@ -557,7 +559,7 @@ def build_problem(
 
 def _cell_problem(row: dict, p_target: float) -> SdpProblem:
     """The problem of one score on a row of ``_row_data``: the range check,
-    the face basis and the score flag of ``build_problem``."""
+    the face basis and the score row of ``build_problem``."""
     n_max, sectors, spectra = row["n_max"], row["sectors"], row["spectra"]
     lam_min = min(w[0] for w, _ in spectra)
     lam_max = max(w[-1] for w, _ in spectra)
@@ -575,11 +577,9 @@ def _cell_problem(row: dict, p_target: float) -> SdpProblem:
         on_face = [w > lam_max - FACE_TOL for w, _ in spectra]
     elif not degenerate_q and p_target < lam_min + FACE_TOL:
         on_face = [w < lam_min + FACE_TOL for w, _ in spectra]
-    score_active = not degenerate_q and on_face is None
 
     face_basis = None
-    rho_space = row["rho_space"]
-    phi_rows, phi_slot, phi_ends, phi_entries = row["phi"]
+    rho_space, phi = row["rho_space"], row["phi"]
     if on_face is not None:
         # the face is spanned sector by sector, so its coordinates keep the
         # sector blocks
@@ -595,17 +595,14 @@ def _cell_problem(row: dict, p_target: float) -> SdpProblem:
         # and Q has faces only when n_max >= K, so the face meets every
         # residue and every slot of the row: its Phi rows are V_k^T times
         # the row's, with the row's slots, ends and entries
-        phi_rows = [v.T @ phi_rows[k] for k, v in zip(kept, vecs)]
-        phi_slot = [phi_slot[k] for k in kept]
+        rows, slots, slot_ends, entries = phi
+        phi = ([v.T @ rows[k] for k, v in zip(kept, vecs)], [slots[k] for k in kept],
+               slot_ends, entries)
     return SdpProblem(
         K=row["K"], theta=row["theta"], p_target=p_target, n_max=n_max,
         _q_small=row["q_small"], _rho_space=rho_space, _big_space=row["big_space"],
-        _face_basis=face_basis, _score_active=score_active,
-        _big_mult=[mult for _, _, mult in row["held"]],
-        _phi_rows=phi_rows, _phi_slot=phi_slot, _phi_ends=phi_ends,
-        _phi_entries=phi_entries,
-        _q_blocks=row["q_blocks"] if score_active else None,
-        _q_edges=row["q_edges"] if score_active else None,
+        _face_basis=face_basis, _big_mult=[mult for _, _, mult in row["held"]],
+        _phi=phi, _score=None if degenerate_q or on_face is not None else row["score"],
     )
 
 
@@ -623,8 +620,8 @@ def _assemble_constraint_rows(prob: SdpProblem):
     rs, bs = prob._rho_space, prob._big_space
     g_rows = np.ascontiguousarray(bs.pack(prob.phi(rs.unpack(np.eye(rs.total)))).T)
     t_rows = [rs.pack(rs.eye())]
-    if prob._score_active:
-        t_rows.append(rs.pack(prob._q_blocks))
+    if prob._score is not None:
+        t_rows.append(rs.pack(prob._score[0]))
     return np.array(t_rows), g_rows
 
 
@@ -643,13 +640,13 @@ def _project_feasible(prob: SdpProblem, blocks: list) -> list:
         rho = prob._rho_space.eye(1.0 / prob._rho_space.dim)
     else:
         rho = [b / trace for b in rho]
-    if not prob._score_active:
+    if prob._score is None:
         return rho
-    p_now = sum(np.vdot(q, b) for q, b in zip(prob._q_blocks, rho))
+    q_blocks, ((lam_lo, state_lo), (lam_hi, state_hi)) = prob._score
+    p_now = sum(np.vdot(q, b) for q, b in zip(q_blocks, rho))
     p_want = prob.p_target
     if abs(p_now - p_want) < 1e-15:
         return rho
-    (lam_lo, state_lo), (lam_hi, state_hi) = prob._q_edges
     ref_lam, ref = (lam_hi, state_hi) if p_want > p_now else (lam_lo, state_lo)
     t = (p_want - p_now) / (ref_lam - p_now)
     t = min(max(t, 0.0), 1.0)
@@ -700,9 +697,9 @@ def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
     included, and every value is the one evaluating all blocks gives.
     """
     h = prob.phi_adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
-    if not prob._score_active:
+    if prob._score is None:
         return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h)
-    p = prob.p_target
+    q_blocks, p = prob._score[0], prob.p_target
     # each block's bottom eigenvalue at its last evaluation, and that mu
     last = [None] * len(h)
     h_norms = [float(np.linalg.norm(hb)) for hb in h]
@@ -710,7 +707,7 @@ def _dual_bound(prob: SdpProblem, lam_blocks: list) -> float:
     def g(mu):
         # the value at mu and the supergradient of the minimizing block
         low = None
-        for b, (hb, qb) in enumerate(zip(h, prob._q_blocks)):
+        for b, (hb, qb) in enumerate(zip(h, q_blocks)):
             if low is not None and last[b] is not None:
                 w_last, mu_last = last[b]
                 margin = 1e-10 * (2.0 * h_norms[b] + abs(mu) + abs(mu_last))
@@ -1019,7 +1016,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
 
     b_vec = np.zeros(n_t + g_rows.shape[0])
     b_vec[0] = 1.0
-    if prob._score_active:
+    if prob._score is not None:
         b_vec[1] = prob.p_target
 
     def a_apply(blocks):
@@ -1037,7 +1034,7 @@ def _solve_ipm(prob: SdpProblem, certs: _Certificates, max_iters: int):
     mult = prob._big_mult
     c = rs.eye(0.0) + [m * np.eye(len(g)) for m, g in zip(mult, bs.groups)] + bs.eye(0.0)
     zeros = [np.zeros_like(cb) for cb in c]
-    x = rs.eye(1.0 / rs.dim if rs.dim else 1.0) + bs.eye(2.0) + bs.eye(1.0)
+    x = rs.eye(1.0 / rs.dim) + bs.eye(2.0) + bs.eye(1.0)
     s = [np.eye(len(cb)) for cb in c]
     y = np.zeros(len(b_vec))
     dim_total = sum(len(cb) for cb in c)
@@ -1145,7 +1142,7 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
     constraint Q reads 0, so b stays put.
     """
     sym = [(m + m.T) / 2.0 for m in blocks]
-    qs, p = ((prob._q_blocks, prob.p_target) if prob._score_active
+    qs, p = ((prob._score[0], prob.p_target) if prob._score is not None
              else ([np.zeros_like(m) for m in sym], 0.0))
 
     def at(b):
@@ -1283,14 +1280,13 @@ def solve(
     z_up, z_lb = certs.z_up, certs.z_lb
     if not math.isfinite(z_up):
         raise NumericalFailure("no feasible primal point was recovered")
-    s_up, s_lb = _sn_from_z(z_up), _sn_from_z(z_lb)
     rho_state = None
     if certs.rho is not None:
         rho = prob.to_state_matrix(rs.full_from_blocks(certs.rho))
         rho_state = TwoModeState(rho.astype(complex), prob.n_max, NORMAL, validate=False)
     return SdpSolution(
-        z=z_up, s_n=s_up, z_lb=z_lb, s_n_lb=s_lb, dual_gap=max(s_up - s_lb, 0.0),
-        iterations=iters, status="optimal" if certs.converged else "max-iter",
+        z=z_up, z_lb=z_lb, iterations=iters,
+        status="optimal" if certs.converged else "max-iter",
         rho=rho_state, history=certs.history, wall_time=wall,
     )
 
@@ -1310,17 +1306,19 @@ class SweepResult:
     def monotonicity_violations(self, slack: float = 1e-6) -> list:
         """Certified values should not decrease along theta, nor along p
         away from 1/2: z is convex in p and z(1/2) = 1 (the vacuum), so a
-        pair on both sides of 1/2 is skipped.  Compares lower-bounded values
-        against upper values so solver gaps cannot produce spurious reports.
+        pair on both sides of 1/2 is skipped.  Every value agrees at the
+        folded angle (``fold_theta``), so theta is ordered by it, and the
+        raw angles are reported.  Compares lower-bounded values against
+        upper values so solver gaps cannot produce spurious reports.
         """
         solved = [c for c in self.cells if c[2].solved]
         out = []
-        for label, along, fixed in (("p", 1, 0), ("theta", 0, 1)):
+        for label, along, fixed, order in (("p", 1, 0, float), ("theta", 0, 1, fold_theta)):
             lines = {}
             for c in solved:
                 lines.setdefault(round(c[fixed], 12), []).append(c)
             for key, cells in lines.items():
-                cells = sorted(cells, key=lambda c: c[along])
+                cells = sorted(cells, key=lambda c: order(c[along]))
                 for a, b in zip(cells, cells[1:]):
                     if label == "p" and a[1] < 0.5 < b[1]:
                         continue
@@ -1400,7 +1398,7 @@ def _solve_row(args) -> list:
         except (InfeasibleTarget, NumericalFailure) as exc:
             status = "infeasible" if isinstance(exc, InfeasibleTarget) else "failed"
             nan = float("nan")
-            sol = SdpSolution(nan, nan, nan, nan, nan, 0, status, reason=str(exc))
+            sol = SdpSolution(nan, nan, 0, status, reason=str(exc))
         else:
             if sol.status == "optimal" and sol.z_lb == 1.0:
                 rho = sol.rho.matrix.real

@@ -132,19 +132,22 @@ class TestCertify:
         }]
 
     def test_summary_count_matches_csv(self, tmp_path, capsys):
+        # p = 0.7 lies above the n = 3 score range: its cells are
+        # infeasible, and the summary does not count them as solved
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "K": 3, "n_max": 3, "theta_grid": [0.0, math.pi / 8, math.pi / 4],
-            "p_grid": [0.5, 0.6, 0.64, 0.66], "tol": 1e-6,
+            "p_grid": [0.5, 0.6, 0.64, 0.66, 0.7], "tol": 1e-6,
         }))
         assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         rows = [line.split(",") for line in
                 (tmp_path / "certify.csv").read_text().splitlines()[1:]]
-        certified = sum(1 for r in rows if r[5] in ("optimal", "max-iter")
-                        and float(r[3]) - float(r[4]) > 0)
-        assert 0 < certified < len(rows)
+        solved = [r for r in rows if r[5] in ("optimal", "max-iter")]
+        certified = sum(1 for r in solved if float(r[3]) - float(r[4]) > 0)
+        assert 0 < certified < len(solved) < len(rows)
+        assert sum(1 for r in rows if r[5] == "infeasible") == 3
         summary = capsys.readouterr().out.splitlines()[0]
-        assert summary == f"{len(rows)} cells solved; {certified} certify entanglement"
+        assert summary == f"{len(solved)} cells solved; {certified} certify entanglement"
 
     def test_certifying_cell(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -144,8 +144,8 @@ class TestRotationUnitary:
         n_big = np.add.outer(np.arange(d_big), np.arange(d_big)).ravel()
         parities = [0, 1] if theta == math.pi / 4 else [None]
         sectors = [(r, par) for r in range(3) for par in parities]
-        assert len(prob._phi_rows) == len(sectors)
-        for (r, par), got in zip(sectors, prob._phi_rows):
+        assert len(prob._phi[0]) == len(sectors)
+        for (r, par), got in zip(sectors, prob._phi[0]):
             cols = np.nonzero((n_big <= 2 * n_max) & (n_big % 3 == r))[0]
             sel = (n_small % 3 == r) & ((n_minus % 2 == par) if par is not None else True)
             assert np.array_equal(got, u[rows][np.ix_(sel, cols)])

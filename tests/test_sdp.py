@@ -37,6 +37,7 @@ from oscwit.sdp import (
     _project_spectrahedron,
     _row_data,
     _SectorSchur,
+    _sn_from_z,
     _svec_data,
     _symkron,
     build_problem,
@@ -345,8 +346,8 @@ class TestFaceRows:
             for p in edges:
                 prob = _cell_problem(row, p)
                 assert prob._face_basis is not None
-                assert prob._phi_ends is ends and prob._phi_entries is entries
-                assert sorted(set(prob._phi_slot)) == list(range(len(ends)))
+                assert prob._phi[2] is ends and prob._phi[3] is entries
+                assert sorted(set(prob._phi[1])) == list(range(len(ends)))
                 rs = prob._rho_space
                 x = random_blocks(rs)
                 ref = dense_phi(prob, prob.to_state_matrix(rs.full_from_blocks(x)))
@@ -377,8 +378,8 @@ class TestConstraintRows:
             out = g_rows @ rs.pack(blocks)
             assert np.max(np.abs(out - bs.pack(big_blocks(prob, ref)))) < 1e-12
         assert np.array_equal(t_rows[0], rs.pack(rs.eye()))
-        if prob._score_active:
-            assert np.array_equal(t_rows[1], rs.pack(prob._q_blocks))
+        if prob._score is not None:
+            assert np.array_equal(t_rows[1], rs.pack(prob._score[0]))
         else:
             assert t_rows.shape[0] == 1
 
@@ -410,7 +411,7 @@ class TestFaceProjection:
     @pytest.mark.parametrize("p_n", [(0.5, 2), (max_score(3, 3)[0], 3)])
     def test_closed_form_matches_bisection(self, p_n):
         prob = build_problem(3, np.pi / 4, p_n[0], p_n[1])
-        assert not prob._score_active
+        assert prob._score is None
         rs = prob._rho_space
         for scale in (0.01, 0.3, 3.0):
             blocks = [scale * b for b in random_blocks(rs)]
@@ -425,7 +426,7 @@ def bisection_score_projection(prob, blocks):
     sym = [(m + m.T) / 2.0 for m in blocks]
 
     def at(b):
-        eigs = [np.linalg.eigh(m - b * q) for m, q in zip(sym, prob._q_blocks)]
+        eigs = [np.linalg.eigh(m - b * q) for m, q in zip(sym, prob._score[0])]
         w = np.concatenate([w for w, _ in eigs])
         lo, hi = w.min() - 1.0, w.max()
         for _ in range(200):
@@ -435,7 +436,7 @@ def bisection_score_projection(prob, blocks):
             else:
                 hi = mid
         x = [(v * np.clip(wb - 0.5 * (lo + hi), 0.0, None)) @ v.T for wb, v in eigs]
-        return x, sum(np.vdot(q, xb) for q, xb in zip(prob._q_blocks, x)) - prob.p_target
+        return x, sum(np.vdot(q, xb) for q, xb in zip(prob._score[0], x)) - prob.p_target
 
     lo, hi = -1.0, 1.0
     while at(lo)[1] < 0.0:
@@ -452,7 +453,7 @@ def bisection_score_projection(prob, blocks):
 
 
 class TestScoreProjection:
-    @pytest.mark.parametrize("prob", [p for p in sector_problems() if p._score_active])
+    @pytest.mark.parametrize("prob", [p for p in sector_problems() if p._score is not None])
     @pytest.mark.parametrize("scale", [0.01, 0.3, 3.0])
     def test_is_the_projection(self, prob, scale):
         rs = prob._rho_space
@@ -461,7 +462,7 @@ class TestScoreProjection:
         # feasible: PSD, unit trace, the target score
         assert min(np.linalg.eigvalsh(x)[0] for x in out) > -1e-12
         assert abs(sum(np.trace(x) for x in out) - 1.0) < 1e-12
-        assert abs(sum(np.vdot(q, x) for q, x in zip(prob._q_blocks, out))
+        assert abs(sum(np.vdot(q, x) for q, x in zip(prob._score[0], out))
                    - prob.p_target) < 1e-12
         # the nearest feasible point: <S - X, Y - X> <= 0 for every feasible Y
         bound = 1e-9 * (1.0 + max(np.abs(m).max() for m in blocks))
@@ -473,7 +474,7 @@ class TestScoreProjection:
         # from far-off warm pairs the same point, within the same score
         for warm in [(50.0, -1e-6), (-50.0, -1e3), (1e4, -1.0), (0.0, -1e-12), (-1e6, -1e6)]:
             far, _ = _project_spectrahedron(prob, blocks, warm)
-            assert abs(sum(np.vdot(q, x) for q, x in zip(prob._q_blocks, far))
+            assert abs(sum(np.vdot(q, x) for q, x in zip(prob._score[0], far))
                        - prob.p_target) < 1e-12
             assert max(np.abs(x - r).max() for x, r in zip(far, ref)) < 1e-8
 
@@ -488,7 +489,7 @@ class TestScoreProjection:
             blocks = [0.3 * (m + m.T) for m in
                       (gen.normal(size=(len(g), len(g))) for g in prob._rho_space.groups)]
             out, (b, _) = _project_spectrahedron(prob, blocks, (0.0, -1.0))
-            assert abs(sum(np.vdot(q, x) for q, x in zip(prob._q_blocks, out))
+            assert abs(sum(np.vdot(q, x) for q, x in zip(prob._score[0], out))
                        - prob.p_target) < 1e-9
             assert abs(b) < 1e6
 
@@ -498,12 +499,12 @@ def golden_dual_bound(prob, lam_blocks):
     multiplier; returns the value and the multiplier (None when the score is
     inactive)."""
     h = prob.phi_adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
-    if not prob._score_active:
+    if prob._score is None:
         return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h), None
 
     def g(mu):
         return min(float(np.linalg.eigvalsh(hb - mu * qb)[0])
-                   for hb, qb in zip(h, prob._q_blocks)) + mu * prob.p_target
+                   for hb, qb in zip(h, prob._score[0])) + mu * prob.p_target
 
     lo, hi = -1.0, 1.0
     while g(lo + 1e-6 * (hi - lo)) < g(lo) and abs(lo) < 1e8:
@@ -537,22 +538,22 @@ def random_lambda(space):
 
 
 def bare_problem(p, q_blocks):
-    """A stand-in problem whose Phi* is the identity on its blocks."""
-    return SimpleNamespace(phi_adjoint=list, _score_active=True,
-                           p_target=p, _q_blocks=q_blocks)
+    """A stand-in problem whose Phi* is the identity on its blocks; its
+    score row has no edge states, which ``_dual_bound`` does not read."""
+    return SimpleNamespace(phi_adjoint=list, _score=(q_blocks, None), p_target=p)
 
 
 def every_block_dual_bound(prob, lam_blocks):
     """``_dual_bound`` with a g that evaluates every block at every mu: the
     same bracketed cutting-plane search, without the skip."""
     h = prob.phi_adjoint([_clip_eig(b, 0.0, 1.0) for b in lam_blocks])
-    if not prob._score_active:
+    if prob._score is None:
         return min(float(np.linalg.eigvalsh(hb)[0]) for hb in h)
     p = prob.p_target
 
     def g(mu):
         low = None
-        for hb, qb in zip(h, prob._q_blocks):
+        for hb, qb in zip(h, prob._score[0]):
             w, v = np.linalg.eigh(hb - mu * qb)
             if low is None or w[0] < low[0]:
                 low = w[0], v[:, 0], qb
@@ -650,9 +651,9 @@ class TestDualBound:
                                   np.array([[0.7, 0.02], [0.02, 0.8]])])
         lam = [np.diag([0.2, 0.8]), np.diag([0.9, 0.95])]
         ref, mu = golden_dual_bound(prob, lam)
-        low = [np.linalg.eigh(h - mu * q) for h, q in zip(lam, prob._q_blocks)]
+        low = [np.linalg.eigh(h - mu * q) for h, q in zip(lam, prob._score[0])]
         assert abs(low[0][0][0] - low[1][0][0]) < 1e-9
-        slopes = [0.5 - v[:, 0] @ q @ v[:, 0] for (_, v), q in zip(low, prob._q_blocks)]
+        slopes = [0.5 - v[:, 0] @ q @ v[:, 0] for (_, v), q in zip(low, prob._score[0])]
         assert slopes[0] > 0.1 and slopes[1] < -0.1
         assert abs(_dual_bound(prob, lam) - ref) < 1e-12
 
@@ -998,7 +999,7 @@ class TestRowCache:
         row = _row_data(3, theta, 3, True)
         w, _ = q_spectrum(3)
         faces = [_cell_problem(row, w[end]) for end in (0, -1)]
-        assert all(f._face_basis is not None and f._phi_entries is row["phi"][3]
+        assert all(f._face_basis is not None and f._phi[3] is row["phi"][3]
                    for f in faces)
         assert calls == [(theta, 6)]
 
@@ -1591,6 +1592,72 @@ class TestProductAnchors:
         assert above.certified
 
 
+def interval_solution(lb):
+    """A solved cell whose certified interval is the point z = z_lb with
+    s_n = s_n_lb = lb, up to rounding."""
+    z = (math.exp(lb) + 1.0) / 2.0
+    return SdpSolution(z=z, z_lb=z, iterations=1, status="optimal")
+
+
+class TestSolutionRecord:
+    def test_log_values_are_read_from_the_interval(self):
+        # p = 0.7 lies above the n = 3 score range
+        res = sweep([0.3, np.pi / 4], [0.5, 0.62, 0.7], 3, 3, tol=1e-6)
+        solved = [sol for _, _, sol in res.cells if sol.solved]
+        assert len(solved) == 4 and any(sol.dual_gap > 0.0 for sol in solved)
+        for sol in solved + [SdpSolution(z=1.2, z_lb=1.3, iterations=0, status="optimal")]:
+            assert sol.s_n == _sn_from_z(sol.z)
+            assert sol.s_n_lb == _sn_from_z(sol.z_lb)
+            assert sol.dual_gap == max(_sn_from_z(sol.z) - _sn_from_z(sol.z_lb), 0.0)
+        # an infeasible cell has no interval: every value is NaN, and so is
+        # its CSV row
+        for (_, p, sol), line in zip(res.cells, res.to_csv().splitlines()[1:]):
+            if p == 0.7:
+                assert sol.status == "infeasible"
+                assert all(math.isnan(v) for v in (sol.z, sol.z_lb, sol.s_n,
+                                                   sol.s_n_lb, sol.dual_gap))
+                assert line.split(",")[2:5] == ["nan"] * 3
+        # the log values can be neither set nor passed in
+        for name in ("s_n", "s_n_lb", "dual_gap"):
+            with pytest.raises(AttributeError):
+                setattr(solved[0], name, 0.0)
+            with pytest.raises(TypeError):
+                SdpSolution(z=1.0, z_lb=1.0, iterations=0, status="optimal", **{name: 0.0})
+
+
+def q_is_one_half(K, n):
+    return np.ptp(np.linalg.eigvalsh(qk_matrix(K, n).matrix.real)) < 1e-13
+
+
+class TestScoreRow:
+    """``SdpProblem._score`` is None exactly where the score holds
+    identically: on a face of the score range, or where Q = I/2."""
+
+    @pytest.mark.parametrize("prob", list(sector_problems()))
+    def test_sector_problems(self, prob):
+        holds = prob._face_basis is not None or q_is_one_half(prob.K, prob.n_max)
+        assert (prob._score is None) == holds
+
+    @pytest.mark.parametrize("K, n", face_cases())
+    def test_none_on_both_faces_and_kept_inside(self, K, n):
+        for theta in (0.3, np.pi / 4):
+            row = _row_data(K, theta, n, True)
+            lo = min(w[0] for w, _ in row["spectra"])
+            hi = max(w[-1] for w, _ in row["spectra"])
+            assert all(_cell_problem(row, p)._score is None for p in (lo, hi))
+            for p in (lo + 1e-6, 0.5, hi - 1e-6):
+                inner = _cell_problem(row, p)
+                assert inner._face_basis is None and inner._score is row["score"]
+
+    @pytest.mark.parametrize("K, n", [(K, n) for K in range(2, 6) for n in range(12)
+                                      if q_is_one_half(K, n)])
+    def test_q_one_half(self, K, n):
+        # K = 2 and 4 at every n, K = 3 at n <= 2 and K = 5 at n <= 4
+        assert K in (2, 4) or n < K
+        prob = build_problem(K, 0.3, 0.5, n)
+        assert prob._face_basis is None and prob._score is None
+
+
 class TestSweep:
     def test_small_grid(self):
         res = sweep([0.0, np.pi / 4], [0.5, 0.62], 3, 3, tol=1e-6)
@@ -1604,8 +1671,7 @@ class TestSweep:
 
     def test_monotonicity_reports_both_axes(self):
         def row(theta, p, lb):
-            return theta, p, SdpSolution(z=1.0, s_n=lb, z_lb=1.0, s_n_lb=lb,
-                                         dual_gap=0.0, iterations=1, status="optimal")
+            return theta, p, interval_solution(lb)
 
         # certified values drop from p = 0.5 to 0.6 at theta = 0, and from
         # theta = 0 to 1 at p = 0.5; both other lines increase
@@ -1625,14 +1691,24 @@ class TestSweep:
 
     def test_monotonicity_below_one_half(self):
         def row(p, lb):
-            return 0.0, p, SdpSolution(z=1.0, s_n=lb, z_lb=1.0, s_n_lb=lb,
-                                       dual_gap=0.0, iterations=1, status="optimal")
+            return 0.0, p, interval_solution(lb)
 
         # below 1/2 a value that rises toward 1/2 is flagged; a pair on both
         # sides of 1/2 is not compared
         res = SweepResult([row(0.40, 0.1), row(0.45, 0.3), row(0.55, 0.0),
                            row(0.60, 0.2)])
         assert res.monotonicity_violations() == [("p", 0.0, 0.40, 0.45)]
+
+    def test_monotonicity_orders_theta_by_the_folded_angle(self):
+        # 3 pi/8 folds to pi/8, below pi/4: in raw order each score reads a
+        # drop from pi/4 to 3 pi/8
+        res = sweep([np.pi / 4, 3 * np.pi / 8], [0.6, 0.64], 3, 3, tol=1e-6)
+        assert all(sol.solved for _, _, sol in res.cells)
+        assert res.monotonicity_violations() == []
+        # a drop along the folded angle is reported at the raw angles
+        res = SweepResult([(0.0, 0.5, interval_solution(0.3)),
+                           (3 * np.pi / 8, 0.5, interval_solution(0.1))])
+        assert res.monotonicity_violations() == [("theta", 0.5, 0.0, 3 * np.pi / 8)]
 
     def test_infeasible_cells_recorded(self):
         res = sweep([0.0], [0.5, 0.9], 3, 2, tol=1e-6)
