@@ -227,7 +227,7 @@ CERTIFY_DEFAULTS = {
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, dict]:
-    from .sdp import sweep
+    from .sdp import certify_csv, monotonicity_violations, sweep
 
     k = _int_at_least(cfg, "K", 1)
     n_max = _int_at_least(cfg, "n_max", 0)
@@ -245,15 +245,14 @@ def cmd_certify(cfg: dict) -> tuple[dict, dict]:
     cfg["p_grid"] = _floats(cfg, "p_grid")
     if not all(0.0 <= p <= 1.0 for p in cfg["p_grid"]):
         raise ConfigError(f"p_grid values must lie in [0, 1]: {cfg['p_grid']}")
-    res = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol, threads=threads)
-    violations = res.monotonicity_violations()
-    solved = sum(sol.solved for _, _, sol in res.cells)
-    certified = sum(sol.certified for _, _, sol in res.cells)
+    cells = sweep(cfg["theta_grid"], cfg["p_grid"], k, n_max, tol=tol, threads=threads)
+    solved = sum(sol.solved for _, _, sol in cells)
+    certified = sum(sol.certified for _, _, sol in cells)
     print(f"{solved} cells solved; {certified} certify entanglement")
-    print(f"monotonicity violations: {len(violations)}")
+    print(f"monotonicity violations: {len(monotonicity_violations(cells))}")
     failed = [{"theta": theta, "p_target": p, "reason": sol.reason}
-              for theta, p, sol in res.cells if sol.status == "failed"]
-    return {"certify.csv": res.to_csv()}, {"failed_cells": failed}
+              for theta, p, sol in cells if sol.status == "failed"]
+    return {"certify.csv": certify_csv(cells)}, {"failed_cells": failed}
 
 
 COMPARE_DEFAULTS = {
@@ -373,6 +372,8 @@ def cmd_witness(cfg: dict) -> tuple[dict, dict]:
     )
 
     k = _int_at_least(cfg, "K", 1)
+    if k != 3:
+        raise ConfigError(f"K must be 3, not {k}: the erf closed form exists for K = 3 only")
     proj = _int_at_least(cfg, "proj_level", 0)
     parent = (2 * proj + 2 if cfg["parent_n_max"] is None
               else _int_at_least(cfg, "parent_n_max", proj))

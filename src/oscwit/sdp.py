@@ -181,15 +181,13 @@ class _BlockSpace:
     dim: int                       # ambient flat dimension
     groups: list                   # list of index arrays
     svec_data: list = field(init=False)
-    svec_sizes: list = field(init=False)
 
     def __post_init__(self):
         self.svec_data = [_svec_data(len(g)) for g in self.groups]
-        self.svec_sizes = [len(g) * (len(g) + 1) // 2 for g in self.groups]
 
     @property
     def total(self) -> int:
-        return int(sum(self.svec_sizes))
+        return sum(len(rows) for rows, _, _ in self.svec_data)
 
     def blocks_from_full(self, m: np.ndarray) -> list:
         return [m[g[:, None], g] for g in self.groups]
@@ -206,7 +204,8 @@ class _BlockSpace:
 
     def unpack(self, v: np.ndarray) -> list:
         out, ofs = [], 0
-        for g, sd, sz in zip(self.groups, self.svec_data, self.svec_sizes):
+        for g, sd in zip(self.groups, self.svec_data):
+            sz = len(sd[0])
             out.append(_smat(v[..., ofs:ofs + sz], len(g), sd))
             ofs += sz
         return out
@@ -227,11 +226,13 @@ def _residue_groups(labels: np.ndarray, K: int, reduce: bool,
     return [g for g in groups if len(g)]
 
 
-def _held_blocks(n_max: int, K: int, reduce: bool, t_sign: int | None) -> list:
+def _held_blocks(a: np.ndarray, b: np.ndarray, K: int, reduce: bool,
+                 t_sign: int | None) -> list:
     """The blocks of the big variable, as (states, coefs, multiplicity).
 
-    Column p of a block is the unit vector sum_t coefs[t, p] |states[t, p]>
-    of the doubled physical space, in the basis |a, b> of index a D1 + b.
+    ``a`` and ``b`` are the levels of every index of the doubled physical
+    space, in the basis |a, b> of index a D1 + b.  Column p of a block is
+    the unit vector sum_t coefs[t, p] |states[t, p]>.
     Without ``t_sign`` the blocks are the (a - b) mod K sectors, one term
     with coefficient 1 and multiplicity 1 each.  With it, T|a, b> =
     t_sign^(a + b) |b, a> maps sector r onto sector -r, and a T-invariant
@@ -240,11 +241,10 @@ def _held_blocks(n_max: int, K: int, reduce: bool, t_sign: int | None) -> list:
     |a, a> and (|a, b> + s|b, a>)/sqrt 2, and (|a, b> - s|b, a>)/sqrt 2,
     for a < b and s = t_sign^(a + b).
     """
-    D1 = 2 * n_max + 1
-    a, b = np.divmod(np.arange(D1 * D1), D1)
     if t_sign is None:
         return [(g[None], np.ones((1, len(g))), 1.0)
                 for g in _residue_groups(a - b, K, reduce)]
+    D1 = a[-1] + 1
     h = math.sqrt(0.5)
     held = []
     for r in range(K):
@@ -262,55 +262,47 @@ def _held_blocks(n_max: int, K: int, reduce: bool, t_sign: int | None) -> list:
     return [blk for blk in held if blk[0].shape[1]]
 
 
-def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Where entry (r, c) of a dim x dim matrix sits among the row-major
-    blocks m[g][:, g] of the index ``groups`` laid end to end; -1 for
-    entries outside every block."""
-    sizes = np.array([len(g) for g in groups])
-    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
-    block, loc = np.full(dim, -1), np.zeros(dim, dtype=int)
-    for k, g in enumerate(groups):
-        block[g] = k
-        loc[g] = np.arange(len(g))
-    br, bc = block[r], block[c]
-    pos = offsets[br] + loc[r] * sizes[br] + loc[c]
-    return np.where((br == bc) & (br >= 0), pos, -1)
-
-
 def _phi_data(rows: np.ndarray, in_space: _BlockSpace, in_residues: list,
-              held: list, n_max: int, K: int) -> tuple:
+              held: list, a: np.ndarray, b: np.ndarray, K: int) -> tuple:
     """The per-sector rows, the slot of each sector, the end of each slot
     and the entries of ``SdpProblem.phi``, from the rows of U at the levels
-    of the solver variable, the residues mod K of its sectors and the
-    blocks of the big variable (``_held_blocks``).
+    of the solver variable, the residues mod K of its sectors, the blocks
+    of the big variable (``_held_blocks``) and the levels ``a, b`` of the
+    doubled space.
 
     An entry (i, j, c) adds c times entry j of the slots laid end to end to
     entry i of the big blocks laid end to end, both row-major.  Block k of
     Phi(X) is B_k^T PT(M) B_k, one term per pair of the terms of its basis
     vectors, and entry (p, q) of PT(M) is entry ((a_xp, b_yq), (a_yq, b_xp))
-    of M.  Only the entries that fall inside a slot with c != 0 are kept,
-    in term order; the rest add zeros."""
-    D1 = 2 * n_max + 1
-    a, b = np.divmod(np.arange(D1 * D1), D1)
+    of M.  One lookup, built once, gives every doubled-space index its slot
+    (-1 outside every slot) and its place in that slot, and every term pair
+    reads its positions from it.  Only the entries that fall inside a slot
+    with c != 0 are kept, in term order; the rest add zeros."""
+    D1 = a[-1] + 1
     n_tot = a + b
     # sectors of the same residues reach the same big columns: one slot each
     slots = list(dict.fromkeys(frozenset(res) for res in in_residues))
-    cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
-            for res in slots]
+    cols = [np.nonzero((n_tot < D1) & np.isin(n_tot % K, list(res)))[0] for res in slots]
     slot_of = [slots.index(frozenset(res)) for res in in_residues]
+    sizes = np.array([len(c) for c in cols])
+    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    slot, place = np.full(D1 * D1, -1), np.zeros(D1 * D1, dtype=int)
+    for k, c in enumerate(cols):
+        slot[c], place[c] = k, np.arange(len(c))
     big_starts = np.cumsum([0] + [states.shape[1] ** 2 for states, _, _ in held])
     parts = []
     for k, (states, coefs, _) in enumerate(held):
         for sx, cx in zip(states, coefs):
             for sy, cy in zip(states, coefs):
-                pos = _flat_positions(cols, D1 * D1, a[sx][:, None] * D1 + b[sy],
-                                      a[sy] * D1 + b[sx][:, None]).ravel()
+                r, c = a[sx][:, None] * D1 + b[sy], a[sy] * D1 + b[sx][:, None]
+                sr = slot[r]
+                pos = np.where((sr == slot[c]) & (sr >= 0),
+                               offsets[sr] + place[r] * sizes[sr] + place[c], -1).ravel()
                 coef = np.outer(cx, cy).ravel()
                 live = np.nonzero((pos >= 0) & (coef != 0.0))[0]
                 parts.append((big_starts[k] + live, pos[live], coef[live]))
     return ([rows[np.ix_(g, cols[s])] for g, s in zip(in_space.groups, slot_of)],
-            slot_of, np.cumsum([len(c) ** 2 for c in cols]),
-            tuple(np.concatenate(part) for part in zip(*parts)))
+            slot_of, offsets[1:], tuple(np.concatenate(part) for part in zip(*parts)))
 
 
 def _clip_eig(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -468,8 +460,9 @@ def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> dic
     and its spectrum per sector, the blocks of the big variable, the
     product anchors and, for the problem off the faces, its rho space and
     Phi, as read-only arrays, since every problem built from the row
-    shares them.  All of them that need the rotation read one
-    U(theta, 2 n_max)."""
+    shares them.  One U(theta, 2 n_max) and one set of doubled-space levels
+    serve every part that reads them; of the big blocks the row keeps only
+    their space and multiplicities, the rest is in Phi's entries."""
     d1, D1 = n_max + 1, 2 * n_max + 1
     ds = d1 * d1
     q_small = score_operator(K, n_max).matrix.real
@@ -499,7 +492,8 @@ def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> dic
         blocks = rho_space.eye(0.0)
         blocks[k] = np.outer(v, v)
         q_edges.append((spectra[k][0][col], blocks))
-    held = _held_blocks(n_max, K, symmetry_reduction, t_sign)
+    a, b = np.divmod(np.arange(D1 * D1), D1)
+    held = _held_blocks(a, b, K, symmetry_reduction, t_sign)
     # the blocks take consecutive coordinates of their own: T-even and
     # T-odd blocks are not index sets of the big space
     ends = np.cumsum([states.shape[1] for states, _, _ in held])
@@ -519,10 +513,10 @@ def _row_data(K: int, theta: float, n_max: int, symmetry_reduction: bool) -> dic
         w, v = np.linalg.eigh(basis.T @ q_small @ basis)
         anchors += [(float(w[k]), basis @ v[:, k]) for k in (0, -1)]
 
-    row = dict(K=K, theta=theta, n_max=n_max, q_small=q_small, sectors=sectors,
-               spectra=spectra, rho_space=rho_space, held=held, big_space=big_space,
-               score=(rho_space.blocks_from_full(q_small), q_edges), anchors=anchors,
-               phi=_phi_data(rot, rho_space, residues, held, n_max, K))
+    row = dict(K=K, theta=theta, n_max=n_max, q_small=q_small, spectra=spectra,
+               rho_space=rho_space, big_mult=[mult for _, _, mult in held],
+               big_space=big_space, score=(rho_space.blocks_from_full(q_small), q_edges),
+               anchors=anchors, phi=_phi_data(rot, rho_space, residues, held, a, b, K))
     _read_only(*row.values())
     return row
 
@@ -560,7 +554,7 @@ def build_problem(
 def _cell_problem(row: dict, p_target: float) -> SdpProblem:
     """The problem of one score on a row of ``_row_data``: the range check,
     the face basis and the score row of ``build_problem``."""
-    n_max, sectors, spectra = row["n_max"], row["sectors"], row["spectra"]
+    n_max, spectra = row["n_max"], row["spectra"]
     lam_min = min(w[0] for w, _ in spectra)
     lam_max = max(w[-1] for w, _ in spectra)
     if p_target > lam_max + FACE_TOL or p_target < lam_min - FACE_TOL:
@@ -590,7 +584,7 @@ def _cell_problem(row: dict, p_target: float) -> SdpProblem:
             np.arange(end - v.shape[1], end) for v, end in zip(vecs, ends)])
         face_basis = np.zeros(((n_max + 1) ** 2, rho_space.dim))
         for k, v, cols in zip(kept, vecs, rho_space.groups):
-            face_basis[np.ix_(sectors[k], cols)] = v
+            face_basis[np.ix_(row["rho_space"].groups[k], cols)] = v
         # a face vector is v (x) |j> for every level j <= n_max of the - mode,
         # and Q has faces only when n_max >= K, so the face meets every
         # residue and every slot of the row: its Phi rows are V_k^T times
@@ -601,7 +595,7 @@ def _cell_problem(row: dict, p_target: float) -> SdpProblem:
     return SdpProblem(
         K=row["K"], theta=row["theta"], p_target=p_target, n_max=n_max,
         _q_small=row["q_small"], _rho_space=rho_space, _big_space=row["big_space"],
-        _face_basis=face_basis, _big_mult=[mult for _, _, mult in row["held"]],
+        _face_basis=face_basis, _big_mult=row["big_mult"],
         _phi=phi, _score=None if degenerate_q or on_face is not None else row["score"],
     )
 
@@ -1268,7 +1262,7 @@ def solve(
         if engine == "interior-point":
             iters = _solve_ipm(prob, certs, 200 if max_iters is None else max_iters)
             polish = 8000 if max_iters is None else max_iters - iters
-            if not certs.converged and certs.rho is not None and polish > 0:
+            if not certs.converged and polish > 0:
                 # interior-point runs can leave the primal side loose when the
                 # optimal face is degenerate; polish it with splitting
                 # iterations warm-started from the same certificates (the
@@ -1280,14 +1274,12 @@ def solve(
     z_up, z_lb = certs.z_up, certs.z_lb
     if not math.isfinite(z_up):
         raise NumericalFailure("no feasible primal point was recovered")
-    rho_state = None
-    if certs.rho is not None:
-        rho = prob.to_state_matrix(rs.full_from_blocks(certs.rho))
-        rho_state = TwoModeState(rho.astype(complex), prob.n_max, NORMAL, validate=False)
+    rho = prob.to_state_matrix(rs.full_from_blocks(certs.rho))
     return SdpSolution(
         z=z_up, z_lb=z_lb, iterations=iters,
         status="optimal" if certs.converged else "max-iter",
-        rho=rho_state, history=certs.history, wall_time=wall,
+        rho=TwoModeState(rho.astype(complex), prob.n_max, NORMAL, validate=False),
+        history=certs.history, wall_time=wall,
     )
 
 
@@ -1295,50 +1287,49 @@ def solve(
 # sweeps
 
 
-@dataclass
-class SweepResult:
-    """One (theta, p_target, SdpSolution) cell per grid point, in grid order."""
+COLUMNS = ("theta", "p_target", "z", "s_n", "dual_gap", "status", "iterations")
 
-    cells: list
 
-    COLUMNS = ("theta", "p_target", "z", "s_n", "dual_gap", "status", "iterations")
+def monotonicity_violations(cells: list) -> list:
+    """(label, fixed value, a, b) of every pair of neighbouring ``sweep``
+    cells whose certified values decrease.
 
-    def monotonicity_violations(self, slack: float = 1e-6) -> list:
-        """Certified values should not decrease along theta, nor along p
-        away from 1/2: z is convex in p and z(1/2) = 1 (the vacuum), so a
-        pair on both sides of 1/2 is skipped.  Every value agrees at the
-        folded angle (``fold_theta``), so theta is ordered by it, and the
-        raw angles are reported.  Compares lower-bounded values against
-        upper values so solver gaps cannot produce spurious reports.
-        """
-        solved = [c for c in self.cells if c[2].solved]
-        out = []
-        for label, along, fixed, order in (("p", 1, 0, float), ("theta", 0, 1, fold_theta)):
-            lines = {}
-            for c in solved:
-                lines.setdefault(round(c[fixed], 12), []).append(c)
-            for key, cells in lines.items():
-                cells = sorted(cells, key=lambda c: order(c[along]))
-                for a, b in zip(cells, cells[1:]):
-                    if label == "p" and a[1] < 0.5 < b[1]:
-                        continue
-                    near, far = a[2], b[2]
-                    if label == "p" and b[1] <= 0.5:
-                        near, far = far, near
-                    if far.s_n_lb < near.s_n_lb - (near.dual_gap + far.dual_gap + slack):
-                        out.append((label, key, a[along], b[along]))
-        return out
+    Certified values should not decrease along theta, nor along p away
+    from 1/2: z is convex in p and z(1/2) = 1 (the vacuum), so a pair on
+    both sides of 1/2 is skipped.  Every value agrees at the folded angle
+    (``fold_theta``), so theta is ordered by it, and the raw angles are
+    reported.  Compares lower-bounded values against upper values so solver
+    gaps cannot produce spurious reports.
+    """
+    slack = 1e-6
+    solved = [c for c in cells if c[2].solved]
+    out = []
+    for label, along, fixed, order in (("p", 1, 0, float), ("theta", 0, 1, fold_theta)):
+        lines = {}
+        for c in solved:
+            lines.setdefault(round(c[fixed], 12), []).append(c)
+        for key, line in lines.items():
+            line = sorted(line, key=lambda c: order(c[along]))
+            for a, b in zip(line, line[1:]):
+                if label == "p" and a[1] < 0.5 < b[1]:
+                    continue
+                near, far = a[2], b[2]
+                if label == "p" and b[1] <= 0.5:
+                    near, far = far, near
+                if far.s_n_lb < near.s_n_lb - (near.dual_gap + far.dual_gap + slack):
+                    out.append((label, key, a[along], b[along]))
+    return out
 
-    def to_csv(self) -> str:
-        """The cells as CSV, each certified interval rounded outward
-        (``_outward``); no timing is written, so reruns write the same
-        bytes."""
-        lines = [",".join(self.COLUMNS)]
-        for theta, p, sol in self.cells:
-            z, s_n, gap = _outward(sol)
-            lines.append(f"{theta:.12g},{p:.12g},{z},{s_n},{gap},{sol.status},"
-                         f"{sol.iterations}")
-        return "\n".join(lines) + "\n"
+
+def certify_csv(cells: list) -> str:
+    """The ``sweep`` cells as CSV, each certified interval rounded outward
+    (``_outward``); no timing is written, so reruns write the same bytes."""
+    lines = [",".join(COLUMNS)]
+    for theta, p, sol in cells:
+        z, s_n, gap = _outward(sol)
+        lines.append(f"{theta:.12g},{p:.12g},{z},{s_n},{gap},{sol.status},"
+                     f"{sol.iterations}")
+    return "\n".join(lines) + "\n"
 
 
 def _outward(sol: SdpSolution) -> tuple:
@@ -1414,10 +1405,11 @@ def sweep(
     n_max: int,
     tol: float = 1e-7,
     threads: int = 1,
-) -> SweepResult:
-    """One (theta, p, SdpSolution) cell per grid point, in grid order; a cell
-    that raises ``InfeasibleTarget`` or ``NumericalFailure`` keeps its
-    status and reason in its solution.
+) -> list:
+    """The list of (theta, p, SdpSolution) cells, one per grid point, in
+    grid order; a cell that raises ``InfeasibleTarget`` or
+    ``NumericalFailure`` keeps its status and reason in its solution.
+    ``certify_csv`` and ``monotonicity_violations`` read the list.
 
     Each theta row is certified as a unit, in descending p, with a list of
     anchors: (score, state) pairs of feasible states with z = 1, starting
@@ -1445,4 +1437,4 @@ def sweep(
             rows = list(pool.map(_solve_row, jobs))
     else:
         rows = [_solve_row(j) for j in jobs]
-    return SweepResult([cell for row in rows for cell in row])
+    return [cell for row in rows for cell in row]

@@ -21,6 +21,7 @@ from oscwit.errors import DimensionMismatch, OscwitError, WrongBasisTag
 from oscwit.fock import NORMAL, PHYSICAL, FockOperator, TwoModeState, partial_transpose_matrix
 from oscwit.modes import (
     NormalModeSpec,
+    fold_theta,
     mode_rotation_unitary,
     normal_coordinates,
     transform_state,
@@ -286,6 +287,86 @@ def product_anchors(K: int, n_max: int, theta: float) -> list:
             x = basis @ v[:, k]
             anchors.append((float(w[k]), np.outer(x, x)))
     return anchors
+
+
+def _residue_groups_reference(keys: np.ndarray, count: int, reduce: bool) -> list:
+    if not reduce:
+        return [np.arange(len(keys))]
+    return [g for g in (np.nonzero(keys == k)[0] for k in range(count)) if len(g)]
+
+
+def _flat_positions(groups: list, dim: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Where entry (r, c) of a dim x dim matrix sits among the row-major
+    blocks m[g][:, g] of the index ``groups`` laid end to end; -1 for
+    entries outside every block."""
+    sizes = np.array([len(g) for g in groups])
+    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    block, loc = np.full(dim, -1), np.zeros(dim, dtype=int)
+    for k, g in enumerate(groups):
+        block[g] = k
+        loc[g] = np.arange(len(g))
+    br, bc = block[r], block[c]
+    pos = offsets[br] + loc[r] * sizes[br] + loc[c]
+    return np.where((br == bc) & (br >= 0), pos, -1)
+
+
+def phi_data_reference(K: int, theta: float, n_max: int, reduce: bool) -> tuple:
+    """(Phi's data, the big blocks' multiplicities) of the theta row of
+    ``sdp._row_data``, built term pair by term pair: the sectors, the big
+    blocks and the doubled-space levels from n_max alone, and every term
+    pair of a big block's basis vectors finding its slot positions through
+    a slot lookup of its own (``_flat_positions``)."""
+    d1, D1 = n_max + 1, 2 * n_max + 1
+    i_idx, j_idx = np.divmod(np.arange(d1 * d1), d1)
+    a, b = np.divmod(np.arange(D1 * D1), D1)
+    t_sign = None
+    if reduce and fold_theta(theta) == math.pi / 4:
+        t_sign = -1 if theta % math.pi > math.pi / 2 else 1
+    # the rho sectors: N_tot mod K, split by the parity of N_- under the swap
+    n_small = i_idx + j_idx
+    keys = n_small % K if t_sign is None else 2 * (n_small % K) + j_idx % 2
+    sectors = _residue_groups_reference(keys, 2 * K, reduce)
+    residues = [set((n_small[g] % K).tolist()) for g in sectors]
+    # the big blocks, as (states, coefs, multiplicity)
+    if t_sign is None:
+        held = [(g[None], np.ones((1, len(g))), 1.0)
+                for g in _residue_groups_reference((a - b) % K, K, reduce)]
+    else:
+        h = math.sqrt(0.5)
+        held = []
+        for r in range(K):
+            g = np.nonzero((a - b) % K == r)[0]
+            if (-r) % K > r:
+                held.append((g[None], np.ones((1, len(g))), 2.0))
+            elif (-r) % K == r:
+                diag, up = g[a[g] == b[g]], g[a[g] < b[g]]
+                low = b[up] * D1 + a[up]
+                s = h * float(t_sign) ** (a[up] + b[up])
+                one, half = np.ones(len(diag)), np.full(len(up), h)
+                held.append((np.array([np.r_[diag, up], np.r_[diag, low]]),
+                             np.array([np.r_[one, half], np.r_[0.0 * one, s]]), 1.0))
+                held.append((np.array([up, low]), np.array([half, -s]), 1.0))
+        held = [blk for blk in held if blk[0].shape[1]]
+    rows = mode_rotation_unitary(theta, 2 * n_max).matrix.real[i_idx * D1 + j_idx]
+    n_tot = a + b
+    slots = list(dict.fromkeys(frozenset(res) for res in residues))
+    cols = [np.nonzero((n_tot <= 2 * n_max) & np.isin(n_tot % K, list(res)))[0]
+            for res in slots]
+    slot_of = [slots.index(frozenset(res)) for res in residues]
+    big_starts = np.cumsum([0] + [states.shape[1] ** 2 for states, _, _ in held])
+    parts = []
+    for k, (states, coefs, _) in enumerate(held):
+        for sx, cx in zip(states, coefs):
+            for sy, cy in zip(states, coefs):
+                pos = _flat_positions(cols, D1 * D1, a[sx][:, None] * D1 + b[sy],
+                                      a[sy] * D1 + b[sx][:, None]).ravel()
+                coef = np.outer(cx, cy).ravel()
+                live = np.nonzero((pos >= 0) & (coef != 0.0))[0]
+                parts.append((big_starts[k] + live, pos[live], coef[live]))
+    phi = ([rows[np.ix_(g, cols[s])] for g, s in zip(sectors, slot_of)],
+           slot_of, np.cumsum([len(c) ** 2 for c in cols]),
+           tuple(np.concatenate(part) for part in zip(*parts)))
+    return phi, [mult for _, _, mult in held]
 
 
 def n_rounds(est: ScoreEstimate) -> int:

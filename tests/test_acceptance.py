@@ -37,7 +37,7 @@ from oscwit.protocol import (
     pos_x_matrix,
     score_state,
 )
-from oscwit.sdp import build_problem, solve, sweep
+from oscwit.sdp import build_problem, monotonicity_violations, solve, sweep
 from oscwit.witness import (
     coherent_expectation,
     coherent_witness_erf,
@@ -233,12 +233,12 @@ class TestCriterion6:
         # monotonicity claims do not apply
         thetas = [i * math.pi / 16 for i in range(5)]
         ps = [0.5 + 0.15 * i / 4 for i in range(5)]
-        res = sweep(thetas, ps, 3, 3, tol=1e-6)
-        assert all(sol.status in ("optimal", "max-iter") for _, _, sol in res.cells)
-        assert res.monotonicity_violations() == []
-        certified = [sol for _, _, sol in res.cells if sol.s_n - sol.dual_gap > 1e-6]
+        cells = sweep(thetas, ps, 3, 3, tol=1e-6)
+        assert all(sol.status in ("optimal", "max-iter") for _, _, sol in cells)
+        assert monotonicity_violations(cells) == []
+        certified = [sol for _, _, sol in cells if sol.s_n - sol.dual_gap > 1e-6]
         assert certified, "no grid cell certified entanglement"
-        for theta, _, sol in res.cells:
+        for theta, _, sol in cells:
             if abs(theta) < 1e-12:
                 assert sol.s_n <= sol.dual_gap + 1e-12
         report(6, f"5x5 grid monotone along both axes; "

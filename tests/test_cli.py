@@ -376,6 +376,9 @@ class TestErrors:
         ("bounds", {"k_list": []}, "k_list must not be empty"),
         ("witness", {"erf_r_values": []}, "erf_r_values must not be empty"),
         ("compare", {"states": []}, "states must not be empty"),
+        # the erf closed form of witness.json exists for K = 3 only
+        ("witness", {"K": 5}, "K must be 3, not 5"),
+        ("witness", {"K": 1}, "K must be 3, not 1"),
     ])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"

@@ -23,8 +23,8 @@ from oscwit.fock import (
 from oscwit.modes import fold_theta, mode_rotation_unitary, transform_state
 from oscwit.protocol import max_score, qk_matrix
 from oscwit.sdp import (
+    COLUMNS,
     SdpSolution,
-    SweepResult,
     _assemble_constraint_rows,
     _cell_problem,
     _Certificates,
@@ -41,10 +41,12 @@ from oscwit.sdp import (
     _svec_data,
     _symkron,
     build_problem,
+    certify_csv,
+    monotonicity_violations,
     solve,
     sweep,
 )
-from oracles import embed_state, hermitian_basis, product_anchors
+from oracles import embed_state, hermitian_basis, phi_data_reference, product_anchors
 
 rng = np.random.default_rng(7)
 
@@ -330,6 +332,28 @@ def face_cases():
     # n = 3 and K = 5 from n = 5 (at K = 2 and 4, Q is (1/2) identity)
     return [(K, n) for K in range(2, 6) for n in range(12)
             if np.ptp(np.linalg.eigvalsh(qk_matrix(K, n).matrix.real)) >= 1e-13]
+
+
+class TestRowLayout:
+    @pytest.mark.parametrize("K, n", [(K, n) for K in range(2, 6)
+                                      for n in (0, 1, 2, 3, 4, 6, 11)])
+    def test_phi_data_is_the_per_term_reference(self, K, n):
+        # the row's one slot lookup gives Phi the bits, dtypes included, of
+        # a lookup per term pair, on and off the swap symmetry's angles
+        def same(x, y):
+            return x.dtype == y.dtype and np.array_equal(x, y)
+
+        for theta in (0.0, 0.3, np.pi / 4, -np.pi / 4, 3 * np.pi / 4, 1.0):
+            for reduce in (True, False):
+                row = _row_data(K, theta, n, reduce)
+                (rows, slots, ends, entries), mult = phi_data_reference(K, theta, n, reduce)
+                got_rows, got_slots, got_ends, got_entries = row["phi"]
+                assert len(got_rows) == len(rows)
+                assert all(same(x, y) for x, y in zip(got_rows, rows))
+                assert got_slots == slots and same(got_ends, ends)
+                assert len(got_entries) == len(entries) == 3
+                assert all(same(x, y) for x, y in zip(got_entries, entries))
+                assert row["big_mult"] == mult
 
 
 class TestFaceRows:
@@ -987,9 +1011,9 @@ class TestRowCache:
         # however many cells the row has, the infeasible ones above the top
         # of the score range (0.66287 at n = 3) included
         calls = self.spy_rotations(monkeypatch)
-        res = sweep([0.3, np.pi / 4], [0.5, 0.55, 0.6, 0.62, 0.7, 0.8], 3, 3, tol=1e-6)
-        assert all(sol.solved == (p < 0.66) for _, p, sol in res.cells)
-        assert all(sol.status == "infeasible" for _, p, sol in res.cells if p > 0.66)
+        cells = sweep([0.3, np.pi / 4], [0.5, 0.55, 0.6, 0.62, 0.7, 0.8], 3, 3, tol=1e-6)
+        assert all(sol.solved == (p < 0.66) for _, p, sol in cells)
+        assert all(sol.status == "infeasible" for _, p, sol in cells if p > 0.66)
         assert sorted(calls) == sorted([(0.3, 6), (np.pi / 4, 6)])
 
     @pytest.mark.parametrize("theta", [0.3, np.pi / 4])
@@ -1602,8 +1626,8 @@ def interval_solution(lb):
 class TestSolutionRecord:
     def test_log_values_are_read_from_the_interval(self):
         # p = 0.7 lies above the n = 3 score range
-        res = sweep([0.3, np.pi / 4], [0.5, 0.62, 0.7], 3, 3, tol=1e-6)
-        solved = [sol for _, _, sol in res.cells if sol.solved]
+        cells = sweep([0.3, np.pi / 4], [0.5, 0.62, 0.7], 3, 3, tol=1e-6)
+        solved = [sol for _, _, sol in cells if sol.solved]
         assert len(solved) == 4 and any(sol.dual_gap > 0.0 for sol in solved)
         for sol in solved + [SdpSolution(z=1.2, z_lb=1.3, iterations=0, status="optimal")]:
             assert sol.s_n == _sn_from_z(sol.z)
@@ -1611,7 +1635,7 @@ class TestSolutionRecord:
             assert sol.dual_gap == max(_sn_from_z(sol.z) - _sn_from_z(sol.z_lb), 0.0)
         # an infeasible cell has no interval: every value is NaN, and so is
         # its CSV row
-        for (_, p, sol), line in zip(res.cells, res.to_csv().splitlines()[1:]):
+        for (_, p, sol), line in zip(cells, certify_csv(cells).splitlines()[1:]):
             if p == 0.7:
                 assert sol.status == "infeasible"
                 assert all(math.isnan(v) for v in (sol.z, sol.z_lb, sol.s_n,
@@ -1660,14 +1684,14 @@ class TestScoreRow:
 
 class TestSweep:
     def test_small_grid(self):
-        res = sweep([0.0, np.pi / 4], [0.5, 0.62], 3, 3, tol=1e-6)
-        assert len(res.cells) == 4
-        by = {(round(theta, 6), p): sol for theta, p, sol in res.cells}
+        cells = sweep([0.0, np.pi / 4], [0.5, 0.62], 3, 3, tol=1e-6)
+        assert len(cells) == 4
+        by = {(round(theta, 6), p): sol for theta, p, sol in cells}
         assert by[(0.0, 0.5)].s_n <= by[(0.0, 0.5)].dual_gap
         assert by[(0.0, 0.62)].s_n <= by[(0.0, 0.62)].dual_gap
         hot = by[(round(np.pi / 4, 6), 0.62)]
         assert hot.s_n - hot.dual_gap > 0.3
-        assert res.monotonicity_violations() == []
+        assert monotonicity_violations(cells) == []
 
     def test_monotonicity_reports_both_axes(self):
         def row(theta, p, lb):
@@ -1675,19 +1699,19 @@ class TestSweep:
 
         # certified values drop from p = 0.5 to 0.6 at theta = 0, and from
         # theta = 0 to 1 at p = 0.5; both other lines increase
-        res = SweepResult([
+        cells = [
             row(0.0, 0.5, 0.3), row(0.0, 0.6, 0.1),
-            row(1.0, 0.5, 0.1), row(1.0, 0.6, 0.2)])
-        assert res.monotonicity_violations() == [
+            row(1.0, 0.5, 0.1), row(1.0, 0.6, 0.2)]
+        assert monotonicity_violations(cells) == [
             ("p", 0.0, 0.5, 0.6), ("theta", 0.5, 0.0, 1.0)]
 
     def test_monotonicity_falls_toward_one_half(self):
         # z(1/2) = 1 and z is convex in p, so below 1/2 the certified values
         # fall as p rises: that is no violation
-        res = sweep([0.3, np.pi / 4], [0.36, 0.40, 0.45, 0.5], 3, 3, tol=1e-6)
-        hot = [sol.s_n_lb for theta, _, sol in res.cells if theta == np.pi / 4]
+        cells = sweep([0.3, np.pi / 4], [0.36, 0.40, 0.45, 0.5], 3, 3, tol=1e-6)
+        hot = [sol.s_n_lb for theta, _, sol in cells if theta == np.pi / 4]
         assert hot[0] > hot[1] > hot[2]
-        assert res.monotonicity_violations() == []
+        assert monotonicity_violations(cells) == []
 
     def test_monotonicity_below_one_half(self):
         def row(p, lb):
@@ -1695,24 +1719,23 @@ class TestSweep:
 
         # below 1/2 a value that rises toward 1/2 is flagged; a pair on both
         # sides of 1/2 is not compared
-        res = SweepResult([row(0.40, 0.1), row(0.45, 0.3), row(0.55, 0.0),
-                           row(0.60, 0.2)])
-        assert res.monotonicity_violations() == [("p", 0.0, 0.40, 0.45)]
+        cells = [row(0.40, 0.1), row(0.45, 0.3), row(0.55, 0.0), row(0.60, 0.2)]
+        assert monotonicity_violations(cells) == [("p", 0.0, 0.40, 0.45)]
 
     def test_monotonicity_orders_theta_by_the_folded_angle(self):
         # 3 pi/8 folds to pi/8, below pi/4: in raw order each score reads a
         # drop from pi/4 to 3 pi/8
-        res = sweep([np.pi / 4, 3 * np.pi / 8], [0.6, 0.64], 3, 3, tol=1e-6)
-        assert all(sol.solved for _, _, sol in res.cells)
-        assert res.monotonicity_violations() == []
+        cells = sweep([np.pi / 4, 3 * np.pi / 8], [0.6, 0.64], 3, 3, tol=1e-6)
+        assert all(sol.solved for _, _, sol in cells)
+        assert monotonicity_violations(cells) == []
         # a drop along the folded angle is reported at the raw angles
-        res = SweepResult([(0.0, 0.5, interval_solution(0.3)),
-                           (3 * np.pi / 8, 0.5, interval_solution(0.1))])
-        assert res.monotonicity_violations() == [("theta", 0.5, 0.0, 3 * np.pi / 8)]
+        cells = [(0.0, 0.5, interval_solution(0.3)),
+                 (3 * np.pi / 8, 0.5, interval_solution(0.1))]
+        assert monotonicity_violations(cells) == [("theta", 0.5, 0.0, 3 * np.pi / 8)]
 
     def test_infeasible_cells_recorded(self):
-        res = sweep([0.0], [0.5, 0.9], 3, 2, tol=1e-6)
-        status = {p: sol.status for _, p, sol in res.cells}
+        cells = sweep([0.0], [0.5, 0.9], 3, 2, tol=1e-6)
+        status = {p: sol.status for _, p, sol in cells}
         assert status[0.5] == "optimal"
         assert status[0.9] == "infeasible"
 
@@ -1723,14 +1746,14 @@ class TestSweep:
                      ([np.pi / 4, np.pi / 4], [0.5, 0.6, 0.7])):
             serial = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=1)
             threaded = sweep(grid[0], grid[1], 3, 3, tol=1e-6, threads=2)
-            for (th_a, p_a, a), (th_b, p_b, b) in zip(serial.cells, threaded.cells):
+            for (th_a, p_a, a), (th_b, p_b, b) in zip(serial, threaded):
                 assert (th_a, p_a, a.status) == (th_b, p_b, b.status)
                 if a.solved:
                     assert a.s_n == pytest.approx(
                         b.s_n, abs=a.dual_gap + b.dual_gap + 1e-9
                     )
             # the thread count never changes an output byte
-            assert threaded.to_csv() == serial.to_csv()
+            assert certify_csv(threaded) == certify_csv(serial)
 
     @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 4])
     def test_row_reuses_ppt_states(self, theta, monkeypatch):
@@ -1751,13 +1774,13 @@ class TestSweep:
         monkeypatch.setattr(oscwit.sdp, "solve", spy)
         for name in ("_solve_ipm", "_solve_pdhg"):
             monkeypatch.setattr(oscwit.sdp, name, spy_engine(getattr(oscwit.sdp, name)))
-        res = sweep([theta], ps, 3, 3, tol=1e-6)
+        cells = sweep([theta], ps, 3, 3, tol=1e-6)
         ran = set(engines)
         monkeypatch.undo()
-        assert [p for _, p, _ in res.cells] == ps
+        assert [p for _, p, _ in cells] == ps
         top = max(score for score, _ in row_anchors(3, 3, theta))
         flat_iterations = []
-        for _, p, row in res.cells:
+        for _, p, row in cells:
             alone = inner(build_problem(3, theta, p, 3), tol=1e-6)
             fields = ("z", "s_n", "dual_gap", "status", "iterations")
             if alone.z_lb > 1.0:
@@ -1785,22 +1808,22 @@ class TestSweep:
             raise NumericalFailure("Schur factorization failed")
 
         monkeypatch.setattr(oscwit.sdp, "solve", broken)
-        res = sweep([0.0], [0.5], 3, 2, tol=1e-6)
-        ((_, _, row),) = res.cells
+        cells = sweep([0.0], [0.5], 3, 2, tol=1e-6)
+        ((_, _, row),) = cells
         assert row.status == "failed"
         assert row.reason == "Schur factorization failed"
         # the reason stays out of the CSV
-        assert res.to_csv().splitlines()[1] == "0,0.5,nan,nan,nan,failed,0"
+        assert certify_csv(cells).splitlines()[1] == "0,0.5,nan,nan,nan,failed,0"
 
     def test_csv_rounds_the_interval_outward(self):
         # the written s_n is at least the solver's and the written s_n_lb =
         # s_n - dual_gap at most its, exactly in decimal, at one decimal
         # below the leading digit of the gap; z is rounded up; cells with
         # z = 1 keep "1,0,0"
-        res = sweep([0.0, np.pi / 4], [0.5, 0.575, 0.62, 0.65], 3, 3, tol=1e-6)
-        rows = [line.split(",") for line in res.to_csv().splitlines()[1:]]
+        cells = sweep([0.0, np.pi / 4], [0.5, 0.575, 0.62, 0.65], 3, 3, tol=1e-6)
+        rows = [line.split(",") for line in certify_csv(cells).splitlines()[1:]]
         engine_rows = 0
-        for (_, _, sol), row in zip(res.cells, rows):
+        for (_, _, sol), row in zip(cells, rows):
             z, s_n, gap = (Decimal(v) for v in row[2:5])
             if sol.dual_gap == 0.0:
                 assert row[2:5] == ["1", "0", "0"]
@@ -1817,9 +1840,9 @@ class TestSweep:
         assert engine_rows == 3
 
     def test_csv_deterministic(self):
-        res = sweep([0.0], [0.5], 3, 2, tol=1e-6)
-        assert res.to_csv() == res.to_csv()
-        header = res.to_csv().splitlines()[0]
-        assert header.split(",") == list(SweepResult.COLUMNS)
+        cells = sweep([0.0], [0.5], 3, 2, tol=1e-6)
+        assert certify_csv(cells) == certify_csv(cells)
+        header = certify_csv(cells).splitlines()[0]
+        assert header.split(",") == list(COLUMNS)
         # no timing column: the last field is the iteration count
-        assert res.to_csv().splitlines()[1].split(",")[-1] == str(res.cells[0][2].iterations)
+        assert certify_csv(cells).splitlines()[1].split(",")[-1] == str(cells[0][2].iterations)
