@@ -317,7 +317,8 @@ def _compare_row(label, state_physical, state_normal, cfg) -> str:
                  for kp in cfg["kappa_grid"] for sg in cfg["sigma_grid"])
     # the score test witnesses entanglement only at the folded angle pi/4
     at_pi4 = abs(fold_theta(float(cfg["theta"])) - math.pi / 4) < 1e-12
-    dew = at_pi4 and score > float(classical_bound(k))
+    # strictly above c_K, by more than rounding: the floor of zhang and hz
+    dew = at_pi4 and score - float(classical_bound(k)) > 1e-11
     print(f"{label:>28}: score={score:.4f} S_N={s_n:.4f} duan>{0 if duan > 0 else '!'}"
           f" zhang={zh} hz={hz} dew={dew}")
     return f"{label},{score:.12g},{s_n:.12g},{duan:.12g},{zh},{hz},{abiuso:.12g},{dew}"

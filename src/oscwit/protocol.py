@@ -92,13 +92,11 @@ def pos_x_matrix(n_max: int) -> FockOperator:
         raise ValueError("n_max must be >= 0")
     psi, dpsi = _psi_at_zero(n_max)
     p = 0.5 * np.eye(n_max + 1)
-    for m in range(n_max + 1):
-        for n in range(n_max + 1):
-            if (m + n) % 2 == 1:
-                if m % 2 == 0:
-                    p[m, n] = -psi[m] * dpsi[n] / (2.0 * (m - n))
-                else:
-                    p[m, n] = -psi[n] * dpsi[m] / (2.0 * (n - m))
+    m, n = np.indices(p.shape)
+    odd = (m + n) % 2 == 1
+    # the even index e and the odd index o of each opposite-parity pair
+    e, o = np.where(m % 2 == 0, (m, n), (n, m))[:, odd]
+    p[odd] = -psi[e] * dpsi[o] / (2.0 * (e - o))
     return FockOperator(p, n_max, 1)
 
 

@@ -46,8 +46,9 @@ size svec(rho) for the rho side, in place of the dense m x m Schur matrix
 (``_SectorSchur``).  Its Newton right-hand side is symmetrized before
 packing, as its Schur matrix and recovered step are, so a full step meets
 the primal constraints; it factors each X and S block once per
-iteration, and S^-1 and both step lengths read that factor, as SDPT3
-keeps one factor of each.
+iteration, the X blocks and the S blocks of each size as a stack of their
+own, and S^-1 and both step lengths read that factor, as SDPT3 keeps one
+factor of each.  Every triangular solve is LAPACK ``dtrtrs``.
 
 An exact discrete symmetry shrinks every solve: conjugation by
 exp(i phi N_tot) with phi = 2 pi k / K fixes the constraints (Q_K couples
@@ -627,8 +628,7 @@ def _project_feasible(prob: SdpProblem, blocks: list) -> list:
     """Nearest convenient exactly feasible state, as solver-variable sector
     blocks: PSD clip and renormalize every block, then repair the score by
     mixing with a spectral-edge state."""
-    eigs = (np.linalg.eigh((b + b.T) / 2.0) for b in blocks)
-    rho = [(v * np.maximum(w, 0.0)) @ v.T for w, v in eigs]
+    rho = [_clip_eig(b, 0.0, np.inf) for b in blocks]
     trace = sum(np.trace(b) for b in rho)
     if trace <= 0.0:
         rho = prob._rho_space.eye(1.0 / prob._rho_space.dim)
@@ -842,11 +842,14 @@ class _SectorSchur:
     factor keeps the jitter ladder (``_cho_ladder``), and two passes of
     refinement against M, applied block by block as A K A^T x + D x, undo
     the jitter and the clipped rounding of F.  Blocks or a solve that are
-    not finite, or a factor that fails, raise ``NumericalFailure``.
+    not finite, or a factor that fails, raise ``NumericalFailure``.  Every
+    triangular solve, on a vector or a matrix, is LAPACK ``dtrtrs``, and the
+    bordered system's solve is ``dpotrs``: at these sizes the call overhead
+    of scipy's wrappers costs more than the solves.
     """
 
     def __init__(self, t_rows: np.ndarray, g_rows: np.ndarray, k_rho: list, d_blocks: list):
-        from scipy.linalg import solve_triangular
+        from scipy.linalg.lapack import dtrtrs
 
         if not all(np.isfinite(b).all() for b in k_rho + d_blocks):
             raise NumericalFailure("Schur blocks are not finite")
@@ -860,21 +863,19 @@ class _SectorSchur:
         self.t_rows, self.g_rows, self.d_blocks = t_rows, g_rows, d_blocks
         self.cuts = np.cumsum([len(b) for b in d_blocks])[:-1]
         self.l_d = [_cho_ladder(b) for b in d_blocks]
-        v = np.concatenate([solve_triangular(l, gb, lower=True, check_finite=False)
+        v = np.concatenate([dtrtrs(l, gb, lower=1)[0]
                             for l, gb in zip(self.l_d, np.split(g_rows @ f, self.cuts))])
         l_c = _cho_ladder(np.eye(n) + v.T @ v)
-        self.y = solve_triangular(l_c, v.T, lower=True, check_finite=False).T
-        self.e = solve_triangular(l_c, (t_rows @ f).T, lower=True, check_finite=False)
+        self.y = dtrtrs(l_c, v.T, lower=1)[0].T
+        self.e = dtrtrs(l_c, (t_rows @ f).T, lower=1)[0]
         self.s2 = _cho_ladder(self.e.T @ self.e)
 
     def _l_solve(self, v: np.ndarray, trans: int = 0) -> np.ndarray:
         """L^-1 v, or L^-T v with ``trans``, for a vector v, one D_b factor at
-        a time.  BLAS ``dtrsv`` returns the bits ``solve_triangular`` does,
-        without its call overhead, which at these sizes costs more than the
-        solve; ``_solve_once`` calls LAPACK ``dpotrs`` for the same reason."""
-        from scipy.linalg.blas import dtrsv
+        a time."""
+        from scipy.linalg.lapack import dtrtrs
 
-        return np.concatenate([dtrsv(l, vb, lower=1, trans=trans)
+        return np.concatenate([dtrtrs(l, vb, lower=1, trans=trans)[0]
                                for l, vb in zip(self.l_d, np.split(v, self.cuts))])
 
     def _solve_once(self, r: np.ndarray) -> np.ndarray:
@@ -918,55 +919,48 @@ def _cone_factors(x: list, s: list) -> tuple:
     """The inverse Cholesky factors L^-1 of the X and S blocks, as
     (indices into x + s, L^-1) per stack, and S^-1 in block order.
 
-    The blocks of one size are stacked and take one batched Cholesky; each
-    factor is inverted by forward substitution on the identity, LAPACK
-    ``dtrtrs`` (the bits of ``solve_triangular`` without its wrapper;
-    ``dtrtri`` rounds otherwise, and with it one more near-face cell ended
-    ``max-iter``), and S^-1 = L^-T L^-1, symmetrized.  A stack that fails
-    is factored again as its X part and its S part, and only a part that
-    fails alone takes 1e-12 on the diagonal (``_jittered_cholesky``).  Near
-    the optimum S has eigenvalues near mu, far below that jitter, so the
-    S^-1 of a jittered part is ``np.linalg.inv`` of its blocks: the jitter
-    moves step lengths only."""
+    The X blocks of each size are stacked, and then the S blocks of each
+    size; each stack takes one batched Cholesky (``_jittered_cholesky``,
+    which adds 1e-12 on the diagonal when it fails), and numpy factors each
+    matrix of a stack as it would alone.  Each factor is inverted by
+    forward substitution on the identity, LAPACK ``dtrtrs`` (``dtrtri``
+    rounds otherwise, and with it one more near-face cell ended
+    ``max-iter``), and S^-1 = L^-T L^-1, symmetrized.  Near the optimum S
+    has eigenvalues near mu, far below that jitter, so the S^-1 of a
+    jittered stack is ``np.linalg.inv`` of its blocks: the jitter moves
+    step lengths only."""
     from scipy.linalg.lapack import dtrtrs
 
-    blocks = x + s
-    sizes = np.array([len(b) for b in blocks])
     factors, s_inv = [], [None] * len(s)
-    for d in np.unique(sizes):
-        idx = np.flatnonzero(sizes == d)
-        stack = np.stack([blocks[i] for i in idx])
-        try:
-            parts = [(idx, stack, np.linalg.cholesky(stack), False)]
-        except np.linalg.LinAlgError:
-            in_x = idx < len(x)
-            parts = [(idx[sel], stack[sel], *_jittered_cholesky(stack[sel]))
-                     for sel in (in_x, ~in_x) if sel.any()]
-        eye = np.eye(d)
-        for part, part_blocks, l, jittered in parts:
+    for offset, side, dual in ((0, x, False), (len(x), s, True)):
+        sizes = np.array([len(b) for b in side])
+        for d in np.unique(sizes):
+            idx = np.flatnonzero(sizes == d)
+            stack = np.stack([side[i] for i in idx])
+            l, jittered = _jittered_cholesky(stack)
+            eye = np.eye(d)
             linv = np.array([dtrtrs(m, eye, lower=1)[0] for m in l])
-            factors.append((part, linv))
-            on_s = part >= len(x)
-            if not on_s.any():
+            factors.append((offset + idx, linv))
+            if not dual:
                 continue
             if jittered:
                 try:
-                    inv = np.linalg.inv(part_blocks)
+                    inv = np.linalg.inv(stack)
                 except np.linalg.LinAlgError:
                     raise NumericalFailure("a dual cone block is singular") from None
             else:
                 inv = linv.swapaxes(1, 2) @ linv
-            for i, m in zip(part[on_s], ((inv + inv.swapaxes(1, 2)) / 2.0)[on_s]):
-                s_inv[i - len(x)] = m
+            for i, m in zip(idx, (inv + inv.swapaxes(1, 2)) / 2.0):
+                s_inv[i] = m
     return factors, s_inv
 
 
 def _max_steps(factors: list, dirs: list) -> np.ndarray:
     """sup alpha with block + alpha * direction PSD, for every block of
     ``_cone_factors`` and its direction D: -1 / lambda_min(L^-1 D L^-T),
-    or inf when that is >= 0.  Each block size takes two batched matrix
-    products and one ``eigvalsh``; numpy runs the same routine on each
-    matrix of a stack."""
+    or inf when that is >= 0.  Each stack takes two batched matrix products
+    and one ``eigvalsh``; numpy runs the same routine on each matrix of a
+    stack."""
     steps = np.empty(len(dirs))
     for idx, linv in factors:
         t = linv @ np.stack([dirs[i] for i in idx]) @ linv.swapaxes(1, 2)

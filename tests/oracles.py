@@ -28,6 +28,7 @@ from oscwit.modes import (
 )
 from oscwit.protocol import (
     ScoreEstimate,
+    _psi_at_zero,
     classical_bound,
     pos_x_matrix,
     score_operator,
@@ -147,6 +148,21 @@ def hermite_overlap_quadrature(m: int, n: int) -> float:
     if e1 + e2 > 1e-12:
         raise ArithmeticError(f"quadrature error estimate {e1 + e2:.2e} above 1e-12")
     return v1 + v2
+
+
+def pos_x_matrix_reference(n_max: int) -> np.ndarray:
+    """The half-line matrix of ``pos_x_matrix`` entry by entry: the Python
+    double loop over index pairs the package replaced by array operations."""
+    psi, dpsi = _psi_at_zero(n_max)
+    p = 0.5 * np.eye(n_max + 1)
+    for m in range(n_max + 1):
+        for n in range(n_max + 1):
+            if (m + n) % 2 == 1:
+                if m % 2 == 0:
+                    p[m, n] = -psi[m] * dpsi[n] / (2.0 * (m - n))
+                else:
+                    p[m, n] = -psi[n] * dpsi[m] / (2.0 * (n - m))
+    return p
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,19 @@ class TestCompare:
         assert outs[0] == outs[1]
         assert outs[0][0].splitlines()[1].split(",")[7] == "True"
 
+    @pytest.mark.parametrize("K, n_max", [(2, 4), (4, 8)])
+    def test_even_k_rounding_is_no_detection(self, tmp_path, capsys, K, n_max):
+        # at even K, Q_K = I / 2 exactly and c_K = 1/2, so every score is
+        # 1/2 up to rounding; one ulp above it witnesses nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": K, "n_max": n_max}))
+        assert run(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+        assert all(abs(float(r[1]) - 0.5) < 1e-11 for r in rows)
+        assert "True" not in [r[7] for r in rows]
+        assert "dew=True" not in capsys.readouterr().out
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 3, "bogus": 1}))

@@ -14,7 +14,7 @@ from oscwit.protocol import (
     score_operator,
     score_state,
 )
-from oracles import hermite_overlap_quadrature, qk_matrix_timeavg
+from oracles import hermite_overlap_quadrature, pos_x_matrix_reference, qk_matrix_timeavg
 
 rng = np.random.default_rng(99)
 
@@ -58,6 +58,11 @@ class TestPosMatrix:
         m, n = pair
         p = pos_x_matrix(max(pair)).matrix
         assert p[m, n] == pytest.approx(hermite_overlap_quadrature(m, n), abs=1e-12)
+
+    def test_arrays_equal_the_double_loop(self):
+        # the same scalar operations on the same operands, so the same bits
+        for n_max in range(81):
+            assert np.array_equal(pos_x_matrix(n_max).matrix, pos_x_matrix_reference(n_max))
 
 
 class TestQkMatrix:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dtrtrs
 
 import oscwit.sdp
@@ -785,6 +786,20 @@ class TestMaxSteps:
         ref = np.linalg.inv(s_block)
         assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_singular_s_block_leaves_x_factor_exact(self):
+        # the mirror: an S block that takes the jitter is factored in its own
+        # stack, so the X block of its size keeps its exact factor and its
+        # step is the one it gives alone, bit for bit
+        x_block, = spd_blocks([6])
+        s_block = np.diag([3.0, 2.0, 1.0, 1.0, 0.5, -1e-14])
+        direction = -np.eye(6)
+        factors, _ = _cone_factors([x_block], [s_block])
+        exact = dtrtrs(np.linalg.cholesky(x_block), np.eye(6), lower=1)[0]
+        (x_idx, x_linv), = [(idx, linv) for idx, linv in factors if 0 in idx]
+        assert list(x_idx) == [0] and np.array_equal(x_linv[0], exact)
+        steps = _max_steps(factors, [direction, direction])
+        assert steps[0] == max_step_reference(x_block, direction)
+
     def test_jittered_s_block_is_inverted_exactly(self):
         # an S block that needs the jitter has an eigenvalue (here -1e-14)
         # far below it, so its inverse is np.linalg.inv of the block itself;
@@ -890,6 +905,40 @@ class TestSectorSchur:
         assert jittered
         _, backward = sector_residuals(jittered[0])
         assert backward <= 1e-14
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 15, 36, 60])
+    def test_factors_and_solves_are_the_scipy_reference(self, size):
+        # LAPACK dtrtrs, the one triangular solve, returns the bits that
+        # scipy.linalg.solve_triangular gives on matrices and BLAS dtrsv on
+        # vectors: the factors and solves of a reference built with them
+        d_blocks = spd_blocks((size, 1, size // 2 + 1))
+        k_rho = spd_blocks((size, 3))
+        n, m_g = sum(len(b) for b in k_rho), sum(len(b) for b in d_blocks)
+        t_rows, g_rows = rng.normal(size=(2, n)), rng.normal(size=(m_g, n))
+        sector = _SectorSchur(t_rows, g_rows, k_rho, d_blocks)
+
+        l_d = [oscwit.sdp._cho_ladder(b) for b in d_blocks]
+        f = block_diag(*[v * np.sqrt(np.maximum(w, 0.0))
+                         for w, v in map(np.linalg.eigh, k_rho)])
+        v = np.concatenate([solve_triangular(l, gb, lower=True, check_finite=False)
+                            for l, gb in zip(l_d, np.split(g_rows @ f, sector.cuts))])
+        l_c = oscwit.sdp._cho_ladder(np.eye(n) + v.T @ v)
+        y = solve_triangular(l_c, v.T, lower=True, check_finite=False).T
+        e = solve_triangular(l_c, (t_rows @ f).T, lower=True, check_finite=False)
+        assert all(np.array_equal(a, b) for a, b in zip(sector.l_d, l_d))
+        assert np.array_equal(sector.y, y) and np.array_equal(sector.e, e)
+        assert np.array_equal(sector.s2, oscwit.sdp._cho_ladder(e.T @ e))
+
+        def l_solve(x, trans=0):
+            return np.concatenate([dtrsv(l, xb, lower=1, trans=trans)
+                                   for l, xb in zip(l_d, np.split(x, sector.cuts))])
+
+        rhs = rng.normal(size=2 + m_g)
+        for trans in (0, 1):
+            assert np.array_equal(sector._l_solve(rhs[2:], trans), l_solve(rhs[2:], trans))
+        x = sector.solve(rhs)
+        sector._l_solve = l_solve
+        assert np.array_equal(x, sector.solve(rhs))
 
     def test_non_finite_blocks_or_solve_raise(self, monkeypatch):
         _, systems = capture_newton_systems(
