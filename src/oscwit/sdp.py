@@ -1165,36 +1165,49 @@ def _project_spectrahedron(prob: SdpProblem, blocks: list, warm):
 def _solve_pdhg(prob: SdpProblem, certs: _Certificates, max_iters: int):
     """Primal-dual splitting on min_rho max_{|Y|<=1} <Phi(rho), Y>.
 
-    The linear map Phi is a Hilbert-Schmidt isometry, so unit step-size
-    products are admissible.  rho and Y are held as their sector blocks,
-    where the optimum lies (module docstring), so the dual clip and the
-    projection work one block at a time.  Each projection starts its search
-    for the score multiplier from the last one's (b, slope), from (0, -1) at
-    the first.  Iterates are offered to ``certs`` periodically, and the
-    start itself when the budget is 0, until the keeper says stop.  When
+    The linear map Phi is a Hilbert-Schmidt isometry, so the dual step
+    0.95 omega and the primal step 0.95 / omega converge for every omega > 0
+    (Chambolle & Pock, J. Math. Imaging Vis. 40, 120 (2011)), and omega
+    should be the ratio of the distances the two variables travel (PDLP's
+    primal weight, Applegate et al., NeurIPS 2021).  From a cold start that
+    is the ratio of the two sets' Frobenius diameters in the inner product
+    that weights each big block (size d_b) by its multiplicity m_b, where
+    ``phi_adjoint`` is the adjoint: 2 sqrt(sum_b m_b d_b) for -I <= Y <= I
+    and sqrt 2 for the states, so omega = sqrt(2 sum_b m_b d_b) =
+    sqrt 2 (2 n_max + 1), with or without reduction and on a face.  When
     ``certs`` already holds bounds from another engine, the run warm-starts
-    from its best rho and its best Lambda.  Returns the iteration count.
+    from its best rho and its best Lambda, which are not a diameter away,
+    and keeps omega = 1.
+
+    rho and Y are held as their sector blocks, where the optimum lies
+    (module docstring), so the dual clip and the projection work one block
+    at a time.  Each projection starts its search for the score multiplier
+    from the last one's (b, slope), from (0, -1) at the first.  Iterates are
+    offered to ``certs`` periodically, and the start itself when the budget
+    is 0, until the keeper says stop.  Returns the iteration count.
     """
     rs, bs = prob._rho_space, prob._big_space
     if certs.rho is None:
         rho = rs.eye(1.0 / rs.dim)
         y_big = bs.eye(0.0)
+        omega = math.sqrt(2.0 * sum(m * len(g) for m, g in zip(prob._big_mult, bs.groups)))
     else:
         rho = certs.rho
         y_big = [2.0 * _clip_eig(lam, 0.0, 1.0) - np.eye(len(lam)) for lam in certs.lam]
+        omega = 1.0
     rho_bar = rho
     warm = (0.0, -1.0)
-    taus = 0.95
+    sigma, tau = 0.95 * omega, 0.95 / omega
     it = 0
     if max_iters == 0:
         certs.offer(rho, [(y + np.eye(len(y))) / 2.0 for y in y_big])
 
     for it in range(1, max_iters + 1):
-        y_big = [_clip_eig(y + taus * f, -1.0, 1.0)
+        y_big = [_clip_eig(y + sigma * f, -1.0, 1.0)
                  for y, f in zip(y_big, prob.phi(rho_bar))]
         grad = prob.phi_adjoint(y_big)
         rho_new, warm = _project_spectrahedron(
-            prob, [r - taus * g for r, g in zip(rho, grad)], warm)
+            prob, [r - tau * g for r, g in zip(rho, grad)], warm)
         rho_bar = [2.0 * rn - r for rn, r in zip(rho_new, rho)]
         rho = rho_new
         if it % 25 == 0 or it == max_iters:

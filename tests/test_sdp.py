@@ -318,13 +318,27 @@ class TestSectorOperator:
         z_ref = 0.5 * (np.sum(np.abs(np.linalg.eigvalsh(ref))) + 1.0)
         assert abs(_primal_value(prob, blocks) - z_ref) < 1e-12
 
+    def test_step_weight_counts_the_doubled_space(self):
+        # a cold splitting run weights its steps by sqrt(2 sum_b m_b d_b),
+        # which is sqrt 2 (2 n + 1) on every problem: the big blocks with
+        # their multiplicities cover the doubled space once, reduced or not,
+        # on a face or off it
+        for prob in [*sector_problems(), n8_face(0),
+                     build_problem(3, np.pi / 4, 0.6, 3, symmetry_reduction=False)]:
+            dims = [len(g) for g in prob._big_space.groups]
+            assert sum(m * d for m, d in zip(prob._big_mult, dims)) == (2 * prob.n_max + 1) ** 2
+
     def test_frozen_ladder_rung(self):
         # theta = pi/4, p = 0.68 first becomes feasible at n = 6; this is
-        # the splitting engine's certified bound after 400 iterations
+        # the splitting engine's certified bound after 400 iterations.  It
+        # may not fall below the bound of equal primal and dual steps, and
+        # the weighted steps close the gap below 1e-3 nats
         sol = solve(build_problem(3, np.pi / 4, 0.68, 6), engine="first-order",
                     max_iters=400)
         assert sol.iterations == 400
-        assert sol.s_n_lb == pytest.approx(0.6419791754695262, abs=1e-9)
+        assert sol.s_n_lb == pytest.approx(0.6490198939654542, abs=1e-9)
+        assert sol.s_n_lb >= 0.6419791754695262
+        assert sol.dual_gap <= 1e-3
 
 
 def face_cases():
@@ -1157,6 +1171,14 @@ class TestSolve:
         assert sol.z >= sol.z_lb
         [z_interior_point] = entered
         assert sol.z < z_interior_point
+
+    def test_polish_keeps_unit_steps(self):
+        # the polish starts from the interior point's best pair, not a
+        # diameter away, so it keeps equal primal and dual steps: with the
+        # cold start's weighted steps this cell ends max-iter after 400
+        # iterations, where it ends optimal after 2050
+        sol = solve(build_problem(3, np.pi / 8, 0.65, 3), tol=1e-13)
+        assert sol.status == "optimal"
 
     def test_interior_point_converges_on_its_own(self):
         # the interior point closes the gap without the splitting polish; a
