@@ -20,6 +20,8 @@ import numpy as np
 from .modes import NormalModeSpec, normal_coordinates
 from .protocol import ProtocolSpec, ScoreEstimate
 
+SLICE = 1 << 14  # rounds scored at a time by simulate_classical_score
+
 
 @dataclass(frozen=True)
 class ClassicalDistribution:
@@ -37,7 +39,8 @@ def gaussian_cloud(scale: float = 1.0, center=(0.0, 0.0, 0.0, 0.0)) -> Classical
 
     def sample(rng, size):
         pts = rng.normal(0.0, scale, size=(4, size))
-        return tuple(pts[i] + c[i] for i in range(4))
+        pts += np.asarray(c)[:, None]
+        return tuple(pts)
 
     return ClassicalDistribution(sample, f"gaussian(scale={scale},center={c})")
 
@@ -96,24 +99,37 @@ def simulate_classical_score(
     Seed-reproducible: identical seed gives identical counts.  The returned
     stderr is the i.i.d. standard error of the per-round score (values in
     {0, 1/2, 1}).
+
+    All rounds are drawn first, the sampler then the slots, and then scored
+    in consecutive slices of ``SLICE`` rounds: the normal coordinates of one
+    slice, its x_sigma(t_k), and its tallies added into per-slot counts.  A
+    round's phase w t_k takes one of only K values, since ``times[ks]``
+    reads K times, so cos and sin are taken once per slot and gathered per
+    round: the same values a per-round cos and sin give.  Working memory is
+    the draws, 40 bytes per round (four float64 coordinates and an int64
+    slot), plus about 2 MB for one slice's arrays.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     rng = np.random.default_rng(seed)
     x1, p1, x2, p2 = dist.sampler(rng, n_rounds)
     ks = rng.integers(0, protocol.K, n_rounds)
-    xp, pp, xm, pm = normal_coordinates(x1, p1, x2, p2, spec)
-    if protocol.sigma == "+":
-        x0, p0, w = xp, pp, spec.omega_plus
-    else:
-        x0, p0, w = xm, pm, spec.omega_minus
-    times = protocol.times(spec)
-    phase = w * times[ks]
-    xt = x0 * np.cos(phase) + (p0 / (spec.mu * w)) * np.sin(phase)
-    # per-slot tallies (positive, zero, the rest) in one pass each
+    plus = protocol.sigma == "+"
+    w = spec.omega_plus if plus else spec.omega_minus
+    phase = w * protocol.times(spec)
+    cos_k, sin_k = np.cos(phase), np.sin(phase)
+    mu_w = spec.mu * w
+    pos = np.zeros(protocol.K, dtype=np.int64)
+    zero = np.zeros(protocol.K, dtype=np.int64)
+    for a in range(0, n_rounds, SLICE):
+        cut = slice(a, a + SLICE)
+        xp, pp, xm, pm = normal_coordinates(x1[cut], p1[cut], x2[cut], p2[cut], spec)
+        x0, p0 = (xp, pp) if plus else (xm, pm)
+        k = ks[cut]
+        xt = x0 * cos_k[k] + (p0 / mu_w) * sin_k[k]
+        pos += np.bincount(k[xt > 0.0], minlength=protocol.K)
+        zero += np.bincount(k[xt == 0.0], minlength=protocol.K)
     total = np.bincount(ks, minlength=protocol.K)
-    pos = np.bincount(ks[xt > 0.0], minlength=protocol.K)
-    zero = np.bincount(ks[xt == 0.0], minlength=protocol.K)
     counts = tuple(zip(pos.tolist(), zero.tolist(), (total - pos - zero).tolist()))
     tot_pos, tot_zero = int(pos.sum()), int(zero.sum())
     p_hat = (tot_pos + 0.5 * tot_zero) / n_rounds

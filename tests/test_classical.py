@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oscwit.classical import (
+    SLICE,
     bimodal,
     gaussian_cloud,
     point_mass,
@@ -91,6 +93,39 @@ class TestSimulate:
                 protocol = ProtocolSpec(K, sigma, 0.1)
                 est = simulate_classical_score(dist, spec, protocol, 2000, seed=3)
                 assert est.counts == slot_counts_by_mask(dist, spec, protocol, 2000, 3)
+
+    @pytest.mark.parametrize("K", [3, 5])
+    @pytest.mark.parametrize("rounds", [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 17])
+    def test_slices_match_the_whole_array_count(self, K, rounds):
+        # one round, a slice short of full, exactly full, one over, and a
+        # ragged last slice after three full ones; the all-zero point mass
+        # fills the zero tally of every slice
+        spec = normal_mode_params(1.0, 1.3, 1.1, 0.9, 0.35)
+        for dist in bundled_distributions() + [point_mass(0.0, 0.0, 0.0, 0.0)]:
+            for sigma in "+-":
+                protocol = ProtocolSpec(K, sigma, 0.1)
+                est = simulate_classical_score(dist, spec, protocol, rounds, seed=rounds % 7)
+                counts = slot_counts_by_mask(dist, spec, protocol, rounds, rounds % 7)
+                assert est.counts == counts, dist.descriptor
+                pos = sum(c[0] for c in counts)
+                zero = sum(c[1] for c in counts)
+                p_hat = (pos + 0.5 * zero) / rounds
+                var = max((pos + 0.25 * zero) / rounds - p_hat ** 2, 0.0)
+                assert est.p_value == p_hat
+                assert est.stderr == math.sqrt(var / rounds)
+
+    def test_peak_memory_is_the_draws(self):
+        # the draws take 40 bytes a round (four float64 coordinates and an
+        # int64 slot); one slice's arrays fit in the fixed allowance
+        rounds = 400_000
+        tracemalloc.start()
+        try:
+            simulate_classical_score(gaussian_cloud(), SPEC_SYMMETRIC, ProtocolSpec(3),
+                                     rounds, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * rounds + 4 * 2 ** 20
 
     def test_uniform_k_assignment(self):
         est = simulate_classical_score(

@@ -16,6 +16,21 @@ def run(args):
     return main(args)
 
 
+def rejection(command, values, message, number=None):
+    """One case of ``TestErrors.test_invalid_value_rejected``, with an ID
+    that its place in the list does not change.
+
+    A numbered case keeps the ID it had while the IDs were list positions,
+    ``<command>-values<number>-<message>``; a case without a number is
+    named by its command and its keys and values.
+    """
+    if number is None:
+        name = "-".join([command] + [f"{k}={v!r}" for k, v in values.items()])
+    else:
+        name = f"{command}-values{number}-{message}"
+    return pytest.param(command, values, message, id=name)
+
+
 class TestBounds:
     def test_table(self, tmp_path, capsys):
         assert run(["bounds", "--out", str(tmp_path)]) == 0
@@ -297,102 +312,102 @@ class TestErrors:
         assert "config error: p_grid values must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "certify.csv").exists()
 
-    @pytest.mark.parametrize("command, values, message", [
-        ("certify", {"n_max": -1}, "n_max must be >= 0, not -1"),
-        ("certify", {"K": 0}, "K must be >= 1, not 0"),
-        ("certify", {"p_grid": ["a"]}, "p_grid must be a list of numbers: ['a']"),
-        ("certify", {"theta_grid": ["a"]}, "theta_grid must be a list of numbers: ['a']"),
-        ("simulate", {"n_rounds": 0}, "n_rounds must be >= 1, not 0"),
-        ("simulate", {"K": 0}, "K must be >= 1, not 0"),
-        ("witness", {"probe_epsilon": 0}, "probe_epsilon must be > 0, not 0.0"),
-        ("witness", {"probe_epsilon": -0.1}, "probe_epsilon must be > 0, not -0.1"),
-        ("witness", {"probe_n_max": -1}, "probe_n_max must be >= 0, not -1"),
-        ("witness", {"proj_level": -1}, "proj_level must be >= 0, not -1"),
-        ("witness", {"erf_r_values": ["a"]}, "erf_r_values must be a list of numbers: ['a']"),
-        ("witness", {"parent_n_max": 1}, "parent_n_max must be >= 2, not 1"),
-        ("compare", {"n_max": -1}, "n_max must be >= 0, not -1"),
-        ("compare", {"K": 0}, "K must be >= 1, not 0"),
-        ("compare", {"theta": "a"}, "theta must be a number: 'a'"),
-        ("certify", {"tol": "x"}, "tol must be a number: 'x'"),
-        ("certify", {"tol": 0}, "tol must be > 0, not 0.0"),
-        ("certify", {"threads": "x"}, "threads must be an integer: 'x'"),
-        ("certify", {"threads": 0}, "threads must be >= 1, not 0"),
-        ("simulate", {"n_seeds": "a"}, "n_seeds must be an integer: 'a'"),
-        ("simulate", {"n_seeds": 0}, "n_seeds must be >= 1, not 0"),
-        ("simulate", {"seed": "z"}, "seed must be an integer: 'z'"),
-        ("simulate", {"seed": -1}, "seed must be >= 0, not -1"),
-        ("simulate", {"t0": "q"}, "t0 must be a number: 'q'"),
-        ("simulate", {"sigma": "x"}, "sigma must be '+' or '-', not 'x'"),
-        ("simulate", {"m1": -1}, "m1 must be > 0, not -1.0"),
-        ("simulate", {"omega2": 0}, "omega2 must be > 0, not 0.0"),
-        ("simulate", {"g": "a"}, "g must be a number: 'a'"),
+    @pytest.mark.parametrize("command, values, message", [rejection(*case) for case in [
+        ("certify", {"n_max": -1}, "n_max must be >= 0, not -1", 0),
+        ("certify", {"K": 0}, "K must be >= 1, not 0", 1),
+        ("certify", {"p_grid": ["a"]}, "p_grid must be a list of numbers: ['a']", 2),
+        ("certify", {"theta_grid": ["a"]}, "theta_grid must be a list of numbers: ['a']", 3),
+        ("simulate", {"n_rounds": 0}, "n_rounds must be >= 1, not 0", 4),
+        ("simulate", {"K": 0}, "K must be >= 1, not 0", 5),
+        ("witness", {"probe_epsilon": 0}, "probe_epsilon must be > 0, not 0.0", 6),
+        ("witness", {"probe_epsilon": -0.1}, "probe_epsilon must be > 0, not -0.1", 7),
+        ("witness", {"probe_n_max": -1}, "probe_n_max must be >= 0, not -1", 8),
+        ("witness", {"proj_level": -1}, "proj_level must be >= 0, not -1", 9),
+        ("witness", {"erf_r_values": ["a"]}, "erf_r_values must be a list of numbers: ['a']", 10),
+        ("witness", {"parent_n_max": 1}, "parent_n_max must be >= 2, not 1", 11),
+        ("compare", {"n_max": -1}, "n_max must be >= 0, not -1", 12),
+        ("compare", {"K": 0}, "K must be >= 1, not 0", 13),
+        ("compare", {"theta": "a"}, "theta must be a number: 'a'", 14),
+        ("certify", {"tol": "x"}, "tol must be a number: 'x'", 15),
+        ("certify", {"tol": 0}, "tol must be > 0, not 0.0", 16),
+        ("certify", {"threads": "x"}, "threads must be an integer: 'x'", 17),
+        ("certify", {"threads": 0}, "threads must be >= 1, not 0", 18),
+        ("simulate", {"n_seeds": "a"}, "n_seeds must be an integer: 'a'", 19),
+        ("simulate", {"n_seeds": 0}, "n_seeds must be >= 1, not 0", 20),
+        ("simulate", {"seed": "z"}, "seed must be an integer: 'z'", 21),
+        ("simulate", {"seed": -1}, "seed must be >= 0, not -1", 22),
+        ("simulate", {"t0": "q"}, "t0 must be a number: 'q'", 23),
+        ("simulate", {"sigma": "x"}, "sigma must be '+' or '-', not 'x'", 24),
+        ("simulate", {"m1": -1}, "m1 must be > 0, not -1.0", 25),
+        ("simulate", {"omega2": 0}, "omega2 must be > 0, not 0.0", 26),
+        ("simulate", {"g": "a"}, "g must be a number: 'a'", 27),
         ("simulate", {"distribution": {"kind": "gaussian", "scale": -1}},
-         "scale must be > 0, not -1.0"),
+         "scale must be > 0, not -1.0", 28),
         ("simulate", {"distribution": {"kind": "uniform", "half_width": "a"}},
-         "half_width must be a number: 'a'"),
-        ("simulate", {"distribution": "x"}, "distribution must be an object: 'x'"),
+         "half_width must be a number: 'a'", 29),
+        ("simulate", {"distribution": "x"}, "distribution must be an object: 'x'", 30),
         ("simulate", {"distribution": {"kind": "gaussian", "center": [1]}},
-         "center must list 4 numbers: [1]"),
-        ("bounds", {"k_list": ["a"]}, "k_list must be a list of numbers: ['a']"),
-        ("bounds", {"k_list": [0]}, "k_list must be >= 1, not 0"),
-        ("bounds", {"k_list": 3}, "k_list must be a list of numbers: 3"),
-        ("bounds", {"k_list": [2.5]}, "k_list must be an integer: 2.5"),
-        ("bounds", {"n_max": -1}, "n_max must be >= 0, not -1"),
-        ("bounds", {"n_max": "x"}, "n_max must be an integer: 'x'"),
-        ("compare", {"c_grid": [0]}, "c_grid must list nonzero numbers: [0]"),
-        ("compare", {"c_grid": ["a"]}, "c_grid must be a list of numbers: ['a']"),
-        ("compare", {"kappa_grid": [0]}, "kappa_grid must list nonzero numbers: [0]"),
-        ("compare", {"kappa_grid": "x"}, "kappa_grid must be a list of numbers: 'x'"),
-        ("compare", {"sigma_grid": [-1]}, "sigma_grid must list positive numbers: [-1]"),
-        ("compare", {"states": 3}, "states must be a list of objects: 3"),
-        ("compare", {"states": [3]}, "states must be a list of objects: [3]"),
+         "center must list 4 numbers: [1]", 31),
+        ("bounds", {"k_list": ["a"]}, "k_list must be a list of numbers: ['a']", 32),
+        ("bounds", {"k_list": [0]}, "k_list must be >= 1, not 0", 33),
+        ("bounds", {"k_list": 3}, "k_list must be a list of numbers: 3", 34),
+        ("bounds", {"k_list": [2.5]}, "k_list must be an integer: 2.5", 35),
+        ("bounds", {"n_max": -1}, "n_max must be >= 0, not -1", 36),
+        ("bounds", {"n_max": "x"}, "n_max must be an integer: 'x'", 37),
+        ("compare", {"c_grid": [0]}, "c_grid must list nonzero numbers: [0]", 38),
+        ("compare", {"c_grid": ["a"]}, "c_grid must be a list of numbers: ['a']", 39),
+        ("compare", {"kappa_grid": [0]}, "kappa_grid must list nonzero numbers: [0]", 40),
+        ("compare", {"kappa_grid": "x"}, "kappa_grid must be a list of numbers: 'x'", 41),
+        ("compare", {"sigma_grid": [-1]}, "sigma_grid must list positive numbers: [-1]", 42),
+        ("compare", {"states": 3}, "states must be a list of objects: 3", 43),
+        ("compare", {"states": [3]}, "states must be a list of objects: [3]", 44),
         ("compare", {"states": [{"kind": "family", "psi": "x"}]},
-         "psi must be a list of [re, im] pairs: 'x'"),
+         "psi must be a list of [re, im] pairs: 'x'", 45),
         ("compare", {"states": [{"kind": "family", "psi": [[0.0, 0.0], [1.0, 0.0]],
                                  "support_mode": "zz"}]},
-         "support_mode must be 'levels' or 'multiples', not 'zz'"),
+         "support_mode must be 'levels' or 'multiples', not 'zz'", 46),
         ("compare", {"states": [{"kind": "family", "psi": [[0.0, 0.0], [1.0, 0.0]],
                                  "extra": 1}]},
-         "unknown state keys for family: ['extra']"),
-        ("simulate", {"K": 2.5}, "K must be an integer: 2.5"),
-        ("certify", {"record_timing": False}, "unknown config keys: ['record_timing']"),
-        ("certify", {"theta_grid": "05"}, "theta_grid must be a list of numbers: '05'"),
-        ("certify", {"theta_grid": {"0": 1}}, "theta_grid must be a list of numbers: {'0': 1}"),
-        ("compare", {"kappa_grid": "12"}, "kappa_grid must be a list of numbers: '12'"),
-        ("witness", {"erf_r_values": "05"}, "erf_r_values must be a list of numbers: '05'"),
-        ("bounds", {"k_list": "23"}, "k_list must be a list of numbers: '23'"),
+         "unknown state keys for family: ['extra']", 47),
+        ("simulate", {"K": 2.5}, "K must be an integer: 2.5", 48),
+        ("certify", {"record_timing": False}, "unknown config keys: ['record_timing']", 49),
+        ("certify", {"theta_grid": "05"}, "theta_grid must be a list of numbers: '05'", 50),
+        ("certify", {"theta_grid": {"0": 1}}, "theta_grid must be a list of numbers: {'0': 1}", 51),
+        ("compare", {"kappa_grid": "12"}, "kappa_grid must be a list of numbers: '12'", 52),
+        ("witness", {"erf_r_values": "05"}, "erf_r_values must be a list of numbers: '05'", 53),
+        ("bounds", {"k_list": "23"}, "k_list must be a list of numbers: '23'", 54),
         # JSON booleans are Python ints, but no numeric key takes one
-        ("bounds", {"n_max": True}, "n_max must be an integer: True"),
-        ("bounds", {"k_list": [3, True]}, "k_list must be a list of numbers: [3, True]"),
-        ("simulate", {"K": True}, "K must be an integer: True"),
-        ("certify", {"theta_grid": [True]}, "theta_grid must be a list of numbers: [True]"),
-        ("simulate", {"g": False}, "g must be a number: False"),
-        ("witness", {"probe_epsilon": True}, "probe_epsilon must be a number: True"),
+        ("bounds", {"n_max": True}, "n_max must be an integer: True", 55),
+        ("bounds", {"k_list": [3, True]}, "k_list must be a list of numbers: [3, True]", 56),
+        ("simulate", {"K": True}, "K must be an integer: True", 57),
+        ("certify", {"theta_grid": [True]}, "theta_grid must be a list of numbers: [True]", 58),
+        ("simulate", {"g": False}, "g must be a number: False", 59),
+        ("witness", {"probe_epsilon": True}, "probe_epsilon must be a number: True", 60),
         ("compare", {"states": [{"kind": "family", "psi": [[False, False], [True, False]]}]},
-         "psi must be a list of [re, im] pairs: [[False, False], [True, False]]"),
+         "psi must be a list of [re, im] pairs: [[False, False], [True, False]]", 61),
         # Python's json reads NaN and Infinity, but they are not JSON numbers,
         # and a numeric string is not a number either
-        ("simulate", {"g": math.nan}, "g must be a number: nan"),
-        ("simulate", {"t0": "0.25"}, "t0 must be a number: '0.25'"),
-        ("compare", {"theta": math.inf}, "theta must be a number: inf"),
-        ("witness", {"probe_epsilon": -math.inf}, "probe_epsilon must be a number: -inf"),
+        ("simulate", {"g": math.nan}, "g must be a number: nan", 62),
+        ("simulate", {"t0": "0.25"}, "t0 must be a number: '0.25'", 63),
+        ("compare", {"theta": math.inf}, "theta must be a number: inf", 64),
+        ("witness", {"probe_epsilon": -math.inf}, "probe_epsilon must be a number: -inf", 65),
         ("certify", {"theta_grid": [math.nan], "p_grid": [0.5]},
-         "theta_grid must be a list of numbers: [nan]"),
-        ("certify", {"p_grid": ["0.5"]}, "p_grid must be a list of numbers: ['0.5']"),
+         "theta_grid must be a list of numbers: [nan]", 66),
+        ("certify", {"p_grid": ["0.5"]}, "p_grid must be a list of numbers: ['0.5']", 67),
         ("compare", {"states": [{"kind": "family", "psi": [[math.inf, 0.0], [1.0, 0.0]]}]},
-         "psi must be a list of [re, im] pairs: [[inf, 0.0], [1.0, 0.0]]"),
+         "psi must be a list of [re, im] pairs: [[inf, 0.0], [1.0, 0.0]]", 68),
         ("compare", {"states": [{"kind": "family", "psi": [["1", 0.0], [1.0, 0.0]]}]},
-         "psi must be a list of [re, im] pairs: [['1', 0.0], [1.0, 0.0]]"),
+         "psi must be a list of [re, im] pairs: [['1', 0.0], [1.0, 0.0]]", 69),
         # an empty list would run, and report, nothing
-        ("certify", {"theta_grid": []}, "theta_grid must not be empty"),
-        ("certify", {"p_grid": []}, "p_grid must not be empty"),
-        ("bounds", {"k_list": []}, "k_list must not be empty"),
-        ("witness", {"erf_r_values": []}, "erf_r_values must not be empty"),
-        ("compare", {"states": []}, "states must not be empty"),
+        ("certify", {"theta_grid": []}, "theta_grid must not be empty", 70),
+        ("certify", {"p_grid": []}, "p_grid must not be empty", 71),
+        ("bounds", {"k_list": []}, "k_list must not be empty", 72),
+        ("witness", {"erf_r_values": []}, "erf_r_values must not be empty", 73),
+        ("compare", {"states": []}, "states must not be empty", 74),
         # the erf closed form of witness.json exists for K = 3 only
-        ("witness", {"K": 5}, "K must be 3, not 5"),
-        ("witness", {"K": 1}, "K must be 3, not 1"),
-    ])
+        ("witness", {"K": 5}, "K must be 3, not 5", 75),
+        ("witness", {"K": 1}, "K must be 3, not 1", 76),
+    ]])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, values, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
